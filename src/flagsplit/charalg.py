@@ -2,10 +2,11 @@
 
 Characters are finite signed-multiplicity maps on the weight lattice.  The
 module computes irreducible (Weyl) characters by the Freudenthal recursion,
-Euler characteristics of line bundles by the dot-reflection algorithm, graded
-characters of symmetric and exterior powers of nilradicals, truncated
-coordinate algebras of Frobenius kernels, and greedy decompositions into
-nonnegative combinations of Weyl characters.
+graded characters of symmetric and exterior powers of nilradicals and
+truncated coordinate algebras of Frobenius kernels.  Euler characteristics
+live in the Weyl-character basis, found by Brauer--Klimyk dot-reflection,
+and are expanded into weights only for display; on a W-invariant character
+the same map is its Weyl-basis (good-filtration) decomposition.
 
 All arithmetic is exact.  Expensive operations take explicit caps
 (``dim_cap`` on the Weyl dimension of any single irreducible piece,
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
 from .fpoly import is_prime
@@ -25,6 +26,9 @@ from .rootdata import ParabolicSubset, RootSystem, Weight, parabolic_subset
 
 DEFAULT_DIM_CAP = 10**6
 DEFAULT_TERM_CAP = 10**6
+
+# Weyl characters by (root system, highest weight), as weight multiplicities.
+_WEYL_CHARACTERS: dict[tuple[RootSystem, Weight], dict[Weight, int]] = {}
 
 
 class Character:
@@ -229,7 +233,7 @@ def weyl_character(
     dim = weyl_dimension(rs, lam)   # also validates dominance
     if dim > dim_cap:
         raise ResourceLimitError(f"Weyl dimension {dim} exceeds cap {dim_cap}")
-    cached = rs._char_cache.get(("weyl", lam))
+    cached = _WEYL_CHARACTERS.get((rs, lam))
     if cached is not None:
         return Character(rs, cached)
     out: dict[Weight, int] = {}
@@ -239,8 +243,25 @@ def weyl_character(
     ch = Character(rs, out)
     assert ch.dimension() == dim, "Freudenthal output must match the Weyl dimension"
     assert ch.multiplicity(lam) == 1
-    rs._char_cache[("weyl", lam)] = dict(ch.mults)
+    _WEYL_CHARACTERS[(rs, lam)] = dict(ch.mults)
     return ch
+
+
+def _weyl_coefficients(rs: RootSystem, weights: dict[Weight, int]) -> dict[Weight, int]:
+    # Brauer--Klimyk: the Euler characteristic of the line bundles sum_w m_w e^w
+    # as {dominant nu: coefficient of weyl_character(nu)}, nonzero entries only.
+    out: dict[Weight, int] = {}
+    for w, m in weights.items():
+        dom, steps = rs.make_dominant(tuple(c + 1 for c in w))
+        if 0 in dom:
+            continue
+        nu = tuple(c - 1 for c in dom)
+        v = out.get(nu, 0) + (-m if steps % 2 else m)
+        if v:
+            out[nu] = v
+        else:
+            del out[nu]
+    return out
 
 
 def euler_char(
@@ -251,18 +272,7 @@ def euler_char(
     Dot-reflect ``lam`` to the dominant chamber; a singular ``lam + rho``
     yields the zero character.
     """
-    lam = rs._check_weight(lam)
-    mu = tuple(c + 1 for c in lam)
-    sign = 1
-    while True:
-        k = next((i for i in range(rs.rank) if mu[i] < 0), None)
-        if k is None:
-            break
-        mu = rs.reflect(k + 1, mu)
-        sign = -sign
-    if any(c == 0 for c in mu):
-        return Character.zero(rs)
-    return sign * weyl_character(rs, tuple(c - 1 for c in mu), dim_cap=dim_cap)
+    return module_euler(rs, Character.trivial(rs), lam, dim_cap=dim_cap)
 
 
 def module_euler(
@@ -272,16 +282,16 @@ def module_euler(
     dim_cap: int = DEFAULT_DIM_CAP,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Character:
-    """Euler characteristic of (module tensor lam): additivity over weights."""
+    """Euler characteristic of (module tensor lam), summed in the Weyl basis
+    before it is expanded, so a Weyl character that cancels is never built."""
     lam = rs._check_weight(lam)
     out: dict[Weight, int] = {}
-    for mu, m in module.items():
-        piece = euler_char(rs, tuple(a + b for a, b in zip(lam, mu)), dim_cap=dim_cap)
-        for w, c in piece.mults.items():
-            v = out.get(w, 0) + m * c
+    for nu, k in sorted(_weyl_coefficients(rs, module.shift(lam).mults).items()):
+        for w, c in weyl_character(rs, nu, dim_cap=dim_cap).mults.items():
+            v = out.get(w, 0) + k * c
             if v:
                 out[w] = v
-            elif w in out:
+            else:
                 del out[w]
         if len(out) > term_cap:
             raise ResourceLimitError(f"module Euler characteristic exceeds term cap {term_cap}")
@@ -368,7 +378,7 @@ def truncated_char(
 
 @dataclass(frozen=True)
 class GoodFiltrationDecomposition:
-    """Outcome of greedy peeling into Weyl characters.
+    """Outcome of the decomposition into Weyl characters.
 
     On success ``ok`` is true and ``entries`` lists (dominant weight,
     multiplicity) pairs in peeling order; on failure the offending weight and
@@ -397,53 +407,53 @@ class GoodFiltrationDecomposition:
         return obj
 
 
-def decompose_good_filtration(
-    c: Character, dim_cap: int = DEFAULT_DIM_CAP
-) -> GoodFiltrationDecomposition:
-    """Greedily peel Weyl characters off maximal weights.
+def _peel_order(rs: RootSystem, weights: Collection[Weight]) -> list[Weight]:
+    # Repeatedly the lexicographically largest weight that no remaining
+    # weight strictly dominates.
+    above = {
+        mu: {nu for nu in weights if nu != mu and rs.dominance_leq(mu, nu)}
+        for mu in weights
+    }
+    order = []
+    while above:
+        top = max(mu for mu, larger in above.items() if not larger)
+        del above[top]
+        for larger in above.values():
+            larger.discard(top)
+        order.append(top)
+    return order
 
-    Selection rule: a weight maximal for the dominance order among the
-    current support, ties broken by the lexicographically largest
-    fundamental-coordinate vector.
+
+def decompose_good_filtration(c: Character) -> GoodFiltrationDecomposition:
+    """Decompose a W-invariant character into Weyl characters.
+
+    The coefficients are Brauer--Klimyk's at weight 0, listed in peeling
+    order (repeatedly a dominance-maximal weight, ties broken by the
+    lexicographically largest fundamental-coordinate vector) up to the first
+    negative one, where ``ok`` turns false.  A character that is not
+    W-invariant fails with no entries at the first, in the same order, of
+    the support weights w with c(s_i w) != c(w) for some i.
     """
     rs = c.rs
-    work = dict(c.mults)
+    mults = c.mults
+    moved = [
+        w for w, m in mults.items()
+        if any(mults.get(rs.reflect(i, w), 0) != m for i in range(1, rs.rank + 1))
+    ]
+    if moved:
+        top = _peel_order(rs, moved)[0]
+        return GoodFiltrationDecomposition(
+            ok=False, entries=(), failure_weight=top, failure_mult=mults[top]
+        )
+    coeffs = _weyl_coefficients(rs, mults)
     entries: list[tuple[Weight, int]] = []
-    simple_coords: dict[Weight, tuple[Fraction, ...]] = {}
-
-    def coords(w: Weight) -> tuple[Fraction, ...]:
-        if w not in simple_coords:
-            simple_coords[w] = rs.to_simple_coords(w)
-        return simple_coords[w]
-
-    def dominated(mu: Weight, nu: Weight) -> bool:
-        # mu <= nu strictly, decided on cached simple-root coordinates
-        if mu == nu:
-            return False
-        diff = tuple(a - b for a, b in zip(coords(nu), coords(mu)))
-        return all(x.denominator == 1 and x >= 0 for x in diff)
-
-    while work:
-        support = sorted(work)
-        maximal = [
-            mu for mu in support if not any(dominated(mu, nu) for nu in support)
-        ]
-        top = max(maximal)
-        m = work[top]
-        if m < 0 or not rs.is_dominant(top):
+    for nu in _peel_order(rs, coeffs):
+        m = coeffs[nu]
+        if m < 0:
             return GoodFiltrationDecomposition(
-                ok=False,
-                entries=tuple(entries),
-                failure_weight=top,
-                failure_mult=m,
+                ok=False, entries=tuple(entries), failure_weight=nu, failure_mult=m
             )
-        entries.append((top, m))
-        for w, cm in weyl_character(rs, top, dim_cap=dim_cap).mults.items():
-            v = work.get(w, 0) - m * cm
-            if v:
-                work[w] = v
-            elif w in work:
-                del work[w]
+        entries.append((nu, m))
     return GoodFiltrationDecomposition(ok=True, entries=tuple(entries))
 
 
@@ -491,7 +501,7 @@ def graded_section_char(
     for n, sym in graded.pieces:
         ch = module_euler(rs, sym, lam, dim_cap=dim_cap, term_cap=term_cap)
         pieces.append((n, ch))
-        decomps.append((n, decompose_good_filtration(ch, dim_cap=dim_cap)))
+        decomps.append((n, decompose_good_filtration(ch)))
     return GradedSectionChar(GradedCharacter(tuple(pieces)), tuple(decomps))
 
 

@@ -138,12 +138,6 @@ class SparsePolynomial:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
 
-    def degree_in(self, indices: Iterable[int]) -> int:
-        idx = tuple(indices)
-        if not self.terms:
-            return 0
-        return max(sum(e[i] for i in idx) for e in self.terms)
-
     def monomial_weight(self, exponents: Sequence[int]) -> tuple[int, ...]:
         if any(w is None for w in self.weights):
             raise InputError("polynomial has untagged variables")

@@ -2,8 +2,8 @@
 
 Everything here is exact: weights live in fundamental (Dynkin) coordinates,
 so the i-th entry of a weight is its pairing with the i-th simple coroot.
-Simple-root coordinates are recovered on demand by solving against the
-transposed Cartan matrix with rational arithmetic.
+Simple-root coordinates are recovered on demand from the inverse of the
+transposed Cartan matrix, held as integers over a common denominator.
 
 Conventions:
   * ``cartan[i][j]`` is the pairing of the i-th simple root with the j-th
@@ -19,9 +19,10 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
 
@@ -103,20 +104,10 @@ def _symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
                 todo.append(j)
     assert all(x is not None for x in d)
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in d))
     ints = [int(x * lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _invert_fraction_matrix(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -151,11 +142,13 @@ class RootSystem:
             tuple(row) for row in _cartan_matrix(type_label, rank)
         )
         self.symmetrizers = _symmetrizers(self.cartan)
-        # Inverse of the transposed Cartan matrix: converts fundamental
-        # coordinates to simple-root coordinates.
-        self._cartan_t_inv = _invert_fraction_matrix(
+        # Inverse of the transposed Cartan matrix over a common denominator:
+        # converts fundamental coordinates to simple-root coordinates.
+        inv = _invert_fraction_matrix(
             [[self.cartan[j][i] for j in range(rank)] for i in range(rank)]
         )
+        self._coord_den = math.lcm(*(x.denominator for row in inv for x in row))
+        self._coord_num = tuple(tuple(int(x * self._coord_den) for x in row) for row in inv)
         self.positive_roots: tuple[Root, ...] = self._close_positive_roots()
         self.num_positive_roots = len(self.positive_roots)
         self.rho: Weight = (1,) * rank
@@ -166,7 +159,6 @@ class RootSystem:
             for q in _prime_factors(coeff):
                 bad.add(q)
         self.bad_primes = tuple(sorted(bad))
-        self._char_cache: dict = {}   # used by charalg for memoised characters
 
     # -- construction ---------------------------------------------------
 
@@ -293,20 +285,20 @@ class RootSystem:
 
     # -- dominance order ---------------------------------------------------
 
+    def _scaled_simple_coords(self, lam: Weight) -> Iterator[int]:
+        return (sum(a * b for a, b in zip(row, lam)) for row in self._coord_num)
+
     def to_simple_coords(self, lam: Sequence[int]) -> tuple[Fraction, ...]:
         lam = self._check_weight(lam)
-        return tuple(
-            sum(self._cartan_t_inv[i][j] * lam[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return tuple(Fraction(x, self._coord_den) for x in self._scaled_simple_coords(lam))
 
     def dominance_leq(self, mu: Sequence[int], lam: Sequence[int]) -> bool:
         """True when lam - mu is a nonnegative integer combination of simple roots."""
         mu = self._check_weight(mu)
         lam = self._check_weight(lam)
         diff = tuple(a - b for a, b in zip(lam, mu))
-        coords = self.to_simple_coords(diff)
-        return all(x.denominator == 1 and x >= 0 for x in coords)
+        den = self._coord_den
+        return all(x >= 0 and x % den == 0 for x in self._scaled_simple_coords(diff))
 
     # -- cone reduction ----------------------------------------------------
 

@@ -224,7 +224,7 @@ def suite_charalg(cfg: RunConfig) -> list[CheckResult]:
                 total = charalg.Character.zero(rs)
                 for lam, m in picks.items():
                     total = total + m * charalg.weyl_character(rs, lam, dim_cap=cfg.dim_cap)
-                dec = charalg.decompose_good_filtration(total, dim_cap=cfg.dim_cap)
+                dec = charalg.decompose_good_filtration(total)
                 if not dec.ok or dict(dec.entries) != picks:
                     return False, f"{rs}: round trip fails for {picks}"
         return True, ""

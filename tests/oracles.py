@@ -3,18 +3,28 @@
 These deliberately use different algorithms from the library: weight
 multiplicities via the Kostant alternating sum over the Weyl group instead
 of the Freudenthal recursion, symmetric/exterior powers by direct multiset
-enumeration instead of the graded convolution, and the rank-1 chart
-function from the binomial theorem instead of symbolic conjugation.
+enumeration instead of the graded convolution, the rank-1 chart function
+from the binomial theorem instead of symbolic conjugation, good-filtration
+decompositions by greedily peeling expanded Weyl characters instead of
+Brauer--Klimyk coefficients, and Euler characteristics by searching the
+Weyl group for the dominant dot-translate instead of descending to it.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from fractions import Fraction
 from math import comb
 
+from flagsplit.charalg import (
+    DEFAULT_DIM_CAP,
+    Character,
+    GoodFiltrationDecomposition,
+    weyl_character,
+)
 from flagsplit.fpoly import SparsePolynomial
-from flagsplit.rootdata import RootSystem
+from flagsplit.rootdata import RootSystem, Weight
 
 
 def kostant_partition_count(rs: RootSystem, vec: tuple[int, ...]) -> int:
@@ -154,3 +164,70 @@ def dominance_by_descent(rs: RootSystem, mu, lam) -> bool:
                 seen.add(w)
                 queue.append(w)
     return False
+
+
+def greedy_peel(c: Character, dim_cap: int = DEFAULT_DIM_CAP) -> GoodFiltrationDecomposition:
+    """Greedily peel Weyl characters off maximal weights.
+
+    Selection rule: a weight maximal for the dominance order among the
+    current support, ties broken by the lexicographically largest
+    fundamental-coordinate vector.
+    """
+    rs = c.rs
+    work = dict(c.mults)
+    entries: list[tuple[Weight, int]] = []
+    simple_coords: dict[Weight, tuple[Fraction, ...]] = {}
+
+    def coords(w: Weight) -> tuple[Fraction, ...]:
+        if w not in simple_coords:
+            simple_coords[w] = rs.to_simple_coords(w)
+        return simple_coords[w]
+
+    def dominated(mu: Weight, nu: Weight) -> bool:
+        # mu <= nu strictly, decided on cached simple-root coordinates
+        if mu == nu:
+            return False
+        diff = tuple(a - b for a, b in zip(coords(nu), coords(mu)))
+        return all(x.denominator == 1 and x >= 0 for x in diff)
+
+    while work:
+        support = sorted(work)
+        maximal = [
+            mu for mu in support if not any(dominated(mu, nu) for nu in support)
+        ]
+        top = max(maximal)
+        m = work[top]
+        if m < 0 or not rs.is_dominant(top):
+            return GoodFiltrationDecomposition(
+                ok=False,
+                entries=tuple(entries),
+                failure_weight=top,
+                failure_mult=m,
+            )
+        entries.append((top, m))
+        for w, cm in weyl_character(rs, top, dim_cap=dim_cap).mults.items():
+            v = work.get(w, 0) - m * cm
+            if v:
+                work[w] = v
+            elif w in work:
+                del work[w]
+    return GoodFiltrationDecomposition(ok=True, entries=tuple(entries))
+
+
+def euler_by_weyl_search(rs: RootSystem, module: Character, lam) -> Character:
+    """Euler characteristic of (module tensor lam): each weight mu + lam is
+    dot-moved by the Weyl element, found by searching the whole group, that
+    makes mu + lam + rho dominant, and contributes sign(w) times the Weyl
+    character there, or nothing when mu + lam + rho is singular."""
+    words = rs.weyl_elements()
+    out = Character.zero(rs)
+    for mu, m in module.mults.items():
+        shifted = tuple(a + b + 1 for a, b in zip(mu, lam))
+        for word in words:
+            moved = rs.weight_action(word, shifted)
+            if all(c >= 0 for c in moved):
+                break
+        if all(c > 0 for c in moved):
+            sign = (-1) ** len(word)
+            out = out + sign * m * weyl_character(rs, tuple(c - 1 for c in moved))
+    return out

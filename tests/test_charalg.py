@@ -24,11 +24,18 @@ from flagsplit.charalg import (
 from flagsplit.errors import InputError, ResourceLimitError
 from flagsplit.rootdata import build_root_system, parabolic_subset
 
-from oracles import brute_exterior_power, brute_sym_power, kostant_multiplicity
+from oracles import (
+    brute_exterior_power,
+    brute_sym_power,
+    euler_by_weyl_search,
+    greedy_peel,
+    kostant_multiplicity,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
+C2 = build_root_system("C", 2)
 G2 = build_root_system("G", 2)
 
 
@@ -152,6 +159,19 @@ def test_module_euler_examples():
         assert module_euler(A1, sym_power_char(whole1, n), (0,)) == weyl_character(A1, (2 * n,))
 
 
+def test_module_euler_matches_weyl_group_search():
+    # random modules, so contributions of different weights cancel
+    rng = random.Random(31)
+    for rs in (A1, A2, B2, C2, G2):
+        for _ in range(10):
+            module = Character(rs, {
+                tuple(rng.randint(-4, 3) for _ in range(rs.rank)): rng.randint(-2, 3)
+                for _ in range(rng.randint(1, 5))
+            })
+            lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+            assert module_euler(rs, module, lam) == euler_by_weyl_search(rs, module, lam)
+
+
 # -- symmetric, exterior, truncated -------------------------------------------
 
 def test_sym_power_examples():
@@ -263,6 +283,19 @@ def test_decompose_s2_nilpotent_functions():
     assert ch.dimension() == 35
 
 
+def test_decompose_matches_greedy_peel_randomised():
+    # coefficients down to -2, so both must also stop at the same failure
+    rng = random.Random(23)
+    for rs in (A1, A2, B2, C2, G2):
+        for _ in range(30):
+            total = Character.zero(rs)
+            for _ in range(rng.randint(1, 4)):
+                lam = tuple(rng.randint(0, 2) for _ in range(rs.rank))
+                total = total + rng.randint(-2, 3) * weyl_character(rs, lam)
+            dec = decompose_good_filtration(total)
+            assert dec.to_json_obj() == greedy_peel(total).to_json_obj()
+
+
 # -- graded sections ------------------------------------------------------------
 
 def test_graded_sections_a1_dimensions():
@@ -283,6 +316,32 @@ def test_graded_sections_preconditions():
         graded_section_char(parabolic_subset(A2), (-2, 0), 2)
     with pytest.raises(InputError):
         graded_section_char(parabolic_subset(A2, [1]), (1, 1), 2)
+
+
+@pytest.mark.parametrize("rs", (A2, B2, G2), ids=str)
+def test_graded_section_pieces_match_oracles(rs):
+    par = parabolic_subset(rs)
+    for lam in [(0, 0), (1, 1), (-1, 1)]:
+        if not rs.in_cone_c(lam):
+            continue
+        gs = graded_section_char(par, lam, 3)
+        for (n, ch), (_, dec) in zip(gs.graded.pieces, gs.decompositions):
+            assert dec.to_json_obj() == greedy_peel(ch).to_json_obj()
+            assert ch == euler_by_weyl_search(rs, sym_power_char(par, n), lam)
+
+
+def test_graded_sections_rank3():
+    for rs, n_max in (
+        (build_root_system("A", 3), 4),
+        (build_root_system("B", 3), 3),
+        (build_root_system("C", 3), 3),
+    ):
+        par = parabolic_subset(rs)
+        for lam in itertools.product((0, 1), repeat=3):
+            gs = graded_section_char(par, lam, n_max)
+            assert gs.all_ok
+            for (_, ch), (_, dec) in zip(gs.graded.pieces, gs.decompositions):
+                assert dec.reconstruct(rs) == ch
 
 
 def test_graded_sections_cone_weight():
