@@ -258,12 +258,20 @@ class SparsePolynomial:
             if k not in powers:
                 powers[k] = power(k - 1).mul(replacement, term_cap)
             return powers[k]
-        acc = SparsePolynomial(self.p, self.variables, weights=self.weights)
+        out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             stripped = tuple(0 if i == idx else x for i, x in enumerate(e))
-            mono = SparsePolynomial.monomial(self.p, self.variables, stripped, c, self.weights)
-            acc = acc + mono.mul(power(e[idx]), term_cap)
-        return acc
+            for e2, c2 in power(e[idx]).terms.items():
+                t = tuple(a + b for a, b in zip(stripped, e2))
+                v = (out.get(t, 0) + c * c2) % self.p
+                if v:
+                    out[t] = v
+                elif t in out:
+                    del out[t]
+        res = SparsePolynomial(self.p, self.variables,
+                               weights=self._merged_weights(replacement))
+        res.terms = out
+        return res
 
     def set_zero(self, names: Iterable[str]) -> "SparsePolynomial":
         """Keep only the terms free of the given variables."""
@@ -378,31 +386,33 @@ def splits_ideal_compatibly(
     """Decide whether the splitting defined by f preserves the variable ideal.
 
     By semilinearity it suffices to check trace(f, x^e) for exponent vectors
-    e in [0, p-1]^nvars that touch a generator variable.
+    e in [0, p-1]^nvars that touch a generator variable.  A term x^gamma of f
+    reaches trace(f, x^e) only when gamma = -1-e (mod p), and then lands
+    alone on x^((gamma+e+1)/p - 1), so nothing cancels.  One pass over the
+    terms therefore decides every e at once: e = (-1-gamma) mod p fails
+    exactly when it touches a generator and that target monomial avoids
+    every generator.  The witness is the failing e with the smallest flat
+    index sum(e_i p^i), with its full trace.  ``enum_cap`` bounds the number
+    of terms of f the pass walks.
     """
     if not is_splitting_function(f):
         raise InputError("f must satisfy the splitting criterion first")
-    p = f.p
-    nvars = len(f.variables)
-    total = p**nvars
-    if total > enum_cap:
+    if len(f.terms) > enum_cap:
         raise ResourceLimitError(
-            f"compatibility enumeration {p}^{nvars} exceeds cap {enum_cap}"
+            f"compatibility pass over {len(f.terms)} terms exceeds cap {enum_cap}"
         )
-    for flat in range(total):
-        e = []
-        r = flat
-        for _ in range(nvars):
-            e.append(r % p)
-            r //= p
-        e = tuple(e)
-        if not ideal.contains_monomial(e):
-            continue
-        mono = SparsePolynomial.monomial(p, f.variables, e)
-        tr = frobenius_trace(f, mono)
-        if tr and not ideal.contains(tr):
-            return CompatibilityCheck(False, e, tr)
-    return CompatibilityCheck(True)
+    p = f.p
+    failing = []
+    for gamma in f.terms:
+        e = tuple((-1 - x) % p for x in gamma)
+        target = tuple((x + y + 1) // p - 1 for x, y in zip(gamma, e))
+        if ideal.contains_monomial(e) and not ideal.contains_monomial(target):
+            failing.append(e)
+    if not failing:
+        return CompatibilityCheck(True)
+    e = min(failing, key=lambda e: e[::-1])   # reversed order is flat order
+    witness_trace = frobenius_trace(f, SparsePolynomial.monomial(p, f.variables, e))
+    return CompatibilityCheck(False, e, witness_trace)
 
 
 # -- serialisation -------------------------------------------------------------

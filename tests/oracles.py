@@ -6,8 +6,10 @@ of the Freudenthal recursion, symmetric/exterior powers by direct multiset
 enumeration instead of the graded convolution, the rank-1 chart function
 from the binomial theorem instead of symbolic conjugation, good-filtration
 decompositions by greedily peeling expanded Weyl characters instead of
-Brauer--Klimyk coefficients, and Euler characteristics by searching the
-Weyl group for the dominant dot-translate instead of descending to it.
+Brauer--Klimyk coefficients, Euler characteristics by searching the
+Weyl group for the dominant dot-translate instead of descending to it, and
+ideal compatibility by tracing every exponent in [0, p-1]^N instead of one
+pass over the terms of f.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ from flagsplit.charalg import (
     GoodFiltrationDecomposition,
     weyl_character,
 )
-from flagsplit.fpoly import SparsePolynomial
+from flagsplit.errors import InputError, ResourceLimitError
+from flagsplit.fpoly import (
+    DEFAULT_ENUM_CAP,
+    CompatibilityCheck,
+    SparsePolynomial,
+    VariableIdeal,
+    frobenius_trace,
+    is_splitting_function,
+)
 from flagsplit.rootdata import RootSystem, Weight
 
 
@@ -231,3 +241,36 @@ def euler_by_weyl_search(rs: RootSystem, module: Character, lam) -> Character:
             sign = (-1) ** len(word)
             out = out + sign * m * weyl_character(rs, tuple(c - 1 for c in moved))
     return out
+
+
+def compat_by_enumeration(
+    f: SparsePolynomial,
+    ideal: VariableIdeal,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+) -> CompatibilityCheck:
+    """Ideal compatibility by building trace(f, x^e) for every exponent
+    vector e in [0, p-1]^nvars that touches a generator, in flat-index
+    order, stopping at the first trace that leaves the ideal."""
+    if not is_splitting_function(f):
+        raise InputError("f must satisfy the splitting criterion first")
+    p = f.p
+    nvars = len(f.variables)
+    total = p**nvars
+    if total > enum_cap:
+        raise ResourceLimitError(
+            f"compatibility enumeration {p}^{nvars} exceeds cap {enum_cap}"
+        )
+    for flat in range(total):
+        e = []
+        r = flat
+        for _ in range(nvars):
+            e.append(r % p)
+            r //= p
+        e = tuple(e)
+        if not ideal.contains_monomial(e):
+            continue
+        mono = SparsePolynomial.monomial(p, f.variables, e)
+        tr = frobenius_trace(f, mono)
+        if tr and not ideal.contains(tr):
+            return CompatibilityCheck(False, e, tr)
+    return CompatibilityCheck(True)

@@ -21,6 +21,8 @@ from flagsplit.fpoly import (
     splits_ideal_compatibly,
 )
 
+from oracles import compat_by_enumeration
+
 
 def mk(p, names, terms):
     return SparsePolynomial(p, names, terms)
@@ -207,10 +209,45 @@ def test_compat_requires_splitting():
 
 
 def test_compat_enum_cap():
+    # 5^10 exponent vectors but a single term: the pass walks terms, not
+    # exponents, so the cap now bounds the size of f
     names = tuple(f"x{i}" for i in range(10))
     f = mk(5, names, {(4,) * 10: 1})
+    assert splits_ideal_compatibly(f, VariableIdeal((0,)), enum_cap=10**5).ok
+    g = mk(3, ("x",), {(2,): 1, (3,): 1, (4,): 1, (6,): 1})
+    assert splits_ideal_compatibly(g, VariableIdeal((0,)), enum_cap=4).ok
     with pytest.raises(ResourceLimitError):
-        splits_ideal_compatibly(f, VariableIdeal((0,)), enum_cap=10**5)
+        splits_ideal_compatibly(g, VariableIdeal((0,)), enum_cap=3)
+
+
+def _random_splitting(rng, p, nvars):
+    # the centre term plus random terms not congruent to p-1 in every slot
+    center = (p - 1,) * nvars
+    terms = {center: rng.randint(1, p - 1)}
+    for _ in range(rng.randint(0, 8)):
+        e = tuple(rng.randint(0, 2 * p) for _ in range(nvars))
+        if not all(x % p == p - 1 for x in e):
+            terms[e] = rng.randint(1, p - 1)
+    return mk(p, tuple(f"x{i}" for i in range(nvars)), terms)
+
+
+def test_compat_matches_enumeration():
+    rng = random.Random(2024)
+    failing = 0
+    for _ in range(2000):
+        p = rng.choice((2, 3, 5))
+        nvars = rng.randint(1, 4)
+        f = _random_splitting(rng, p, nvars)
+        gens = rng.sample(range(nvars), rng.randint(1, nvars))
+        ideal = VariableIdeal(tuple(sorted(gens)))
+        got = splits_ideal_compatibly(f, ideal)
+        want = compat_by_enumeration(f, ideal)
+        assert got.ok == want.ok, (f, ideal)
+        assert got.witness_exponent == want.witness_exponent, (f, ideal)
+        assert got.witness_trace == want.witness_trace, (f, ideal)
+        failing += not want.ok
+    # both verdicts are well represented
+    assert 300 <= failing <= 1700, failing
 
 
 def test_ideal_validation():

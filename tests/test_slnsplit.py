@@ -1,6 +1,8 @@
 """Chart splitting functions for SL_{n+1}: construction, splitting checks,
 homogeneous component, compatibility, canonical condition, parabolic case."""
 
+import itertools
+
 import pytest
 
 from flagsplit.errors import InputError
@@ -16,7 +18,17 @@ from flagsplit.slnsplit import (
     springer_equivariance_ok,
 )
 
-from oracles import rank1_chart_by_conjugation, rank1_chart_closed_form
+from oracles import (
+    compat_by_enumeration,
+    rank1_chart_by_conjugation,
+    rank1_chart_closed_form,
+)
+
+
+def _nonempty_subsets(n):
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), r) for r in range(1, n + 1)
+    )
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -105,6 +117,29 @@ def test_compat_n2_p2():
     assert compat_check(2, 2, [2]).ok
     assert compat_check(2, 2, []).ok          # empty subset is vacuous
     assert compat_check(2, 2, [1, 2]).ok      # whole set: ideal of all x's
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2)])
+def test_compat_matches_enumeration(n, p):
+    cf = build_chart_function(n, p)
+    comp = mvk_component(cf)
+    for subset in _nonempty_subsets(n):
+        got = compat_check(n, p, subset)
+        want = compat_by_enumeration(comp, levi_x_ideal(cf, subset))
+        assert (got.ok, got.witness_exponent, got.witness_trace) == \
+            (want.ok, want.witness_exponent, want.witness_trace), subset
+
+
+def test_compat_reach_n3_p3():
+    # 3^12 exponent vectors: beyond the enumeration's default cap
+    for subset in _nonempty_subsets(3):
+        assert compat_check(3, 3, subset).ok, subset
+
+
+@pytest.mark.parametrize("subset", [[2], [1, 2, 3, 4]])
+def test_compat_reach_n4_p2(subset):
+    # 2^20 exponent vectors: beyond the enumeration's default cap
+    assert compat_check(4, 2, subset).ok
 
 
 def test_canonical_rank1():
