@@ -18,7 +18,7 @@ from .charalg import (
     weyl_character,
     weyl_dimension,
 )
-from .errors import FlagsplitError, InputError, ResourceLimitError
+from .errors import FlagsplitError, InputError, InvariantError, ResourceLimitError
 from .fpoly import (
     PrimeField,
     SparsePolynomial,

@@ -35,6 +35,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _exponent_fields(nvars: int, top: int):
+    """``(pack, unpack, size)`` for exponent vectors with entries <= top.
+
+    ``pack`` turns a vector into ``size`` bytes, one big-endian field per
+    variable, and ``unpack`` turns such bytes back into the tuple.  Fields
+    are one byte wide whenever they can be; then both directions run in C.
+    """
+    width = max(1, (top.bit_length() + 7) // 8)
+    if width == 1:
+        return bytes, tuple, nvars
+
+    def pack(e: Sequence[int]) -> bytes:
+        return b"".join(x.to_bytes(width, "big") for x in e)
+
+    def unpack(b: bytes) -> tuple[int, ...]:
+        return tuple(int.from_bytes(b[i:i + width], "big") for i in range(0, len(b), width))
+
+    return pack, unpack, nvars * width
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The field with p elements; primality is checked at construction."""
@@ -211,21 +231,45 @@ class SparsePolynomial:
         return res
 
     def mul(self, other: "SparsePolynomial", term_cap: int = DEFAULT_TERM_CAP) -> "SparsePolynomial":
+        """Product, refused once a partial product (after any row of
+        ``self``) has more than ``term_cap`` terms nonzero mod p.
+
+        Exponent vectors are packed into ints with one byte-aligned field per
+        variable, wide enough for the largest exponent sum, so a product
+        exponent is one int add that cannot carry between fields.  The
+        coefficients are reduced mod p once, at the end.
+        """
         self._check_compatible(other)
         p = self.p
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-            if len(out) > term_cap:
-                raise ResourceLimitError(f"product exceeds term cap {term_cap}")
         res = SparsePolynomial(p, self.variables, weights=self._merged_weights(other))
-        res.terms = out
+        if not self.terms or not other.terms:
+            return res
+        nvars = len(self.variables)
+        top = max(map(max, self.terms)) + max(map(max, other.terms)) if nvars else 0
+        pack, unpack, size = _exponent_fields(nvars, top)
+        from_bytes = int.from_bytes
+        right = [(from_bytes(pack(e), "big"), c) for e, c in other.terms.items()]
+        out: dict[int, int] = {}
+        get = out.get
+        for e1, c1 in self.terms.items():
+            k1 = from_bytes(pack(e1), "big")
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+            if len(out) > term_cap:
+                # only keys nonzero mod p count against the cap
+                for k in [k for k, c in out.items() if not c % p]:
+                    del out[k]
+                if len(out) > term_cap:
+                    raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+        # drain while unpacking, so the packed and the tuple dict are never
+        # both at full size
+        terms = res.terms
+        while out:
+            k, c = out.popitem()
+            c %= p
+            if c:
+                terms[unpack(k.to_bytes(size, "big"))] = c
         return res
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
@@ -334,9 +378,11 @@ def is_splitting_function(f: SparsePolynomial) -> SplittingCheck:
     center = (p - 1,) * len(f.variables)
     if f.coefficient(center) == 0:
         return SplittingCheck(False, center)
-    for e in sorted(f.terms):
-        if e != center and all(x % p == p - 1 for x in e):
-            return SplittingCheck(False, e)
+    offending = [
+        e for e in f.terms if e != center and all(x % p == p - 1 for x in e)
+    ]
+    if offending:
+        return SplittingCheck(False, min(offending))
     return SplittingCheck(True)
 
 

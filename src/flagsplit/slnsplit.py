@@ -18,10 +18,10 @@ vector of the pairing realised by the leading minors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .fpoly import (
     DEFAULT_ENUM_CAP,
     DEFAULT_TERM_CAP,
@@ -49,6 +49,15 @@ class ChartFunction:
     x_indices: tuple[int, ...]
     y_indices: tuple[int, ...]
     subset: frozenset[int]                   # parabolic subset; empty = Borel
+    # the x-variables are the trailing ones (see _chart_table), from here on
+    x_start: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nvars = len(self.poly.variables)
+        x_start = nvars - len(self.x_indices)
+        if self.x_indices != tuple(range(x_start, nvars)):
+            raise InputError("chart x-variables must come after the y-variables")
+        object.__setattr__(self, "x_start", x_start)
 
     @property
     def rs(self) -> RootSystem:
@@ -59,14 +68,16 @@ class ChartFunction:
         return len(self.x_indices)
 
     def x_degree(self, exponents: Sequence[int]) -> int:
-        return sum(exponents[i] for i in self.x_indices)
+        return sum(exponents[self.x_start:])
 
     def max_x_degree(self) -> int:
-        return max((self.x_degree(e) for e in self.poly.terms), default=0)
+        x_start = self.x_start
+        return max((sum(e[x_start:]) for e in self.poly.terms), default=0)
 
     def x_degree_component(self, d: int) -> SparsePolynomial:
+        x_start = self.x_start
         out = SparsePolynomial(self.p, self.poly.variables, weights=self.poly.weights)
-        out.terms = {e: c for e, c in self.poly.terms.items() if self.x_degree(e) == d}
+        out.terms = {e: c for e, c in self.poly.terms.items() if sum(e[x_start:]) == d}
         return out
 
     def is_t_invariant(self) -> bool:
@@ -218,15 +229,19 @@ def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matr
     return table, unipotent(y_idx), unipotent(x_idx)
 
 
-def _build_chart(
-    n: int, p: int, subset: frozenset[int], term_cap: int
-) -> ChartFunction:
+def _check_size(n: int, p: int) -> None:
     if n < 1:
         raise InputError("n must be at least 1")
     if n > 8:
         raise InputError("n is capped at 8")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
+
+
+def _build_chart(
+    n: int, p: int, subset: frozenset[int], term_cap: int
+) -> ChartFunction:
+    _check_size(n, p)
     (names, _, positions, x_idx, y_idx), g, i_plus_x = _chart_matrices(n, p, subset)
     size = n + 1
 
@@ -244,18 +259,38 @@ def _build_chart(
         poly=f, n=n, p=p, positions=positions,
         x_indices=x_idx, y_indices=y_idx, subset=subset,
     )
-    x_names = [names[k] for k in x_idx]
-    at_x_zero = f.set_zero(x_names)
-    assert at_x_zero.is_constant() and at_x_zero.constant_term() == 1, (
-        "conjugating the identity must give the constant function 1"
-    )
+    # conjugating the identity gives the identity, whose minors are all 1
+    at_x_zero = {e: c for e, c in f.terms.items() if not any(e[cf.x_start:])}
+    if at_x_zero != {(0,) * len(names): 1}:
+        raise InvariantError(
+            f"chart function for n={n}, p={p}, subset={sorted(subset)} "
+            "is not the constant 1 at X=0"
+        )
+    return cf
+
+
+# The most recently built chart.  Callers that need one chart several times
+# in a row (verify sln, mvk --compat) share one build; holding a single
+# chart keeps memory flat when a process walks through many of them.
+_last_chart: dict[tuple[int, int, frozenset[int], int], ChartFunction] = {}
+
+
+def _chart(n: int, p: int, subset: frozenset[int], term_cap: int) -> ChartFunction:
+    key = (n, p, subset, term_cap)
+    cf = _last_chart.get(key)
+    if cf is None:
+        _last_chart.clear()
+        cf = _last_chart[key] = _build_chart(n, p, subset, term_cap)
     return cf
 
 
 def build_chart_function(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> ChartFunction:
     """Product of the (p-1)-st powers of the leading principal minors of
-    g (I + X) g^{-1}, the chart form of the extreme-vector splitting."""
-    return _build_chart(n, p, frozenset(), term_cap)
+    g (I + X) g^{-1}, the chart form of the extreme-vector splitting.
+
+    Charts are shared between calls with the same arguments: treat the
+    returned polynomial as read-only."""
+    return _chart(n, p, frozenset(), term_cap)
 
 
 def build_parabolic_chart_function(
@@ -272,7 +307,7 @@ def build_parabolic_chart_function(
     for i in inside:
         if not 1 <= i <= n:
             raise InputError(f"simple index {i} out of range 1..{n}")
-    return _build_chart(n, p, inside, term_cap)
+    return _chart(n, p, inside, term_cap)
 
 
 def check_chart_splitting(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> SplittingCheck:
@@ -313,13 +348,14 @@ def compat_check(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> CompatibilityCheck:
     """Does the homogeneous splitting preserve the chart ideal of the
-    parabolic subbundle?  Vacuously true for the empty subset."""
-    cf = build_chart_function(n, p, term_cap)
-    component = mvk_component(cf)
-    ideal = levi_x_ideal(cf, subset)
-    if ideal is None:
+    parabolic subbundle?  Vacuously true for the empty subset, which
+    builds no chart."""
+    if not subset:
+        _check_size(n, p)
         return CompatibilityCheck(True)
-    return splits_ideal_compatibly(component, ideal, enum_cap=enum_cap)
+    cf = build_chart_function(n, p, term_cap)
+    ideal = levi_x_ideal(cf, subset)
+    return splits_ideal_compatibly(mvk_component(cf), ideal, enum_cap=enum_cap)
 
 
 @dataclass(frozen=True)

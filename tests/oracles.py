@@ -7,9 +7,10 @@ enumeration instead of the graded convolution, the rank-1 chart function
 from the binomial theorem instead of symbolic conjugation, good-filtration
 decompositions by greedily peeling expanded Weyl characters instead of
 Brauer--Klimyk coefficients, Euler characteristics by searching the
-Weyl group for the dominant dot-translate instead of descending to it, and
+Weyl group for the dominant dot-translate instead of descending to it,
 ideal compatibility by tracing every exponent in [0, p-1]^N instead of one
-pass over the terms of f.
+pass over the terms of f, and polynomial products by adding exponent tuples
+and reducing mod p pair by pair instead of adding packed exponent ints.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from flagsplit.charalg import (
 from flagsplit.errors import InputError, ResourceLimitError
 from flagsplit.fpoly import (
     DEFAULT_ENUM_CAP,
+    DEFAULT_TERM_CAP,
     CompatibilityCheck,
     SparsePolynomial,
     VariableIdeal,
@@ -274,3 +276,26 @@ def compat_by_enumeration(
         if tr and not ideal.contains(tr):
             return CompatibilityCheck(False, e, tr)
     return CompatibilityCheck(True)
+
+
+def mul_by_tuples(
+    self: SparsePolynomial, other: SparsePolynomial, term_cap: int = DEFAULT_TERM_CAP
+) -> SparsePolynomial:
+    """The product over exponent tuples, reduced mod p after every pair and
+    refused once more than ``term_cap`` terms are nonzero after a row."""
+    self._check_compatible(other)
+    p = self.p
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in self.terms.items():
+        for e2, c2 in other.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = (out.get(e, 0) + c1 * c2) % p
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+        if len(out) > term_cap:
+            raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+    res = SparsePolynomial(p, self.variables, weights=self._merged_weights(other))
+    res.terms = out
+    return res

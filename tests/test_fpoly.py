@@ -21,7 +21,7 @@ from flagsplit.fpoly import (
     splits_ideal_compatibly,
 )
 
-from oracles import compat_by_enumeration
+from oracles import compat_by_enumeration, mul_by_tuples
 
 
 def mk(p, names, terms):
@@ -87,6 +87,92 @@ def test_mul_term_cap():
         f.mul(g, term_cap=100)
 
 
+def _product_or_refusal(mul, a, b, term_cap):
+    try:
+        res = mul(a, b, term_cap)
+    except ResourceLimitError:
+        return "refused"
+    return res.variables, res.weights, res.terms
+
+
+def _assert_mul_matches_oracle(a, b, term_cap=10**6):
+    got = _product_or_refusal(SparsePolynomial.mul, a, b, term_cap)
+    assert got == _product_or_refusal(mul_by_tuples, a, b, term_cap)
+    return got
+
+
+def _random_poly(rng, p, nvars, nterms, max_exp):
+    return mk(p, tuple(f"v{i}" for i in range(nvars)), {
+        tuple(rng.randint(0, max_exp) for _ in range(nvars)): rng.randint(1, p - 1)
+        for _ in range(nterms)
+    })
+
+
+def test_mul_matches_tuple_oracle_randomised():
+    rng = random.Random(20260)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 13])
+        nvars = rng.randint(0, 6)
+        a = _random_poly(rng, p, nvars, rng.randint(0, 12), rng.randint(0, 6))
+        b = _random_poly(rng, p, nvars, rng.randint(0, 12), rng.randint(0, 6))
+        full = _assert_mul_matches_oracle(a, b)
+        # every cap from "refuse the first row" to "never refuse"
+        for cap in range(len(full[2]) + 2):
+            _assert_mul_matches_oracle(a, b, cap)
+
+
+@pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**64 + 3])
+def test_mul_field_width_boundaries(top):
+    # the largest exponent sum sits on either side of a byte boundary, so
+    # the packed fields are as narrow as they can be without carrying
+    names = ("x", "y", "z")
+    half = top // 2
+    a = mk(5, names, {(half, 0, 1): 1, (0, half, 0): 2, (1, 1, 1): 3})
+    b = mk(5, names, {(top - half, 1, 0): 4, (0, top - half, top - half): 1, (0, 0, 0): 2})
+    _, _, terms = _assert_mul_matches_oracle(a, b)
+    assert max(max(e) for e in terms) == top
+    big = mk(3, names, {(top, 0, 0): 1, (0, 0, 1): 1})
+    _assert_mul_matches_oracle(big, big)
+    _assert_mul_matches_oracle(big, mk(3, names, {(2**64, 2**65, 0): 2}))
+
+
+def test_mul_empty_and_constant_operands():
+    names = ("x", "y")
+    zero = mk(7, names, {})
+    f = mk(7, names, {(1, 2): 3, (0, 0): 1})
+    assert _assert_mul_matches_oracle(zero, f)[2] == {}
+    assert _assert_mul_matches_oracle(f, zero)[2] == {}
+    assert _assert_mul_matches_oracle(zero, zero, term_cap=0)[2] == {}
+    # no variables at all: a product of constants
+    assert _assert_mul_matches_oracle(mk(7, (), {(): 3}), mk(7, (), {(): 5}))[2] == {(): 1}
+
+
+def test_mul_cancellation_mod_p():
+    names = ("x", "y")
+    x = SparsePolynomial.variable(13, names, "x")
+    y = SparsePolynomial.variable(13, names, "y")
+    # the xy key cancels completely
+    assert _assert_mul_matches_oracle(x + y, x - y)[2] == {(2, 0): 1, (0, 2): 12}
+    # every middle binomial coefficient of (x + y)^p vanishes mod p
+    for p in (2, 3, 5, 13):
+        one = SparsePolynomial.constant(p, names, 1)
+        xp = SparsePolynomial.variable(p, names, "x")
+        lower = (one + xp) ** (p - 1)
+        assert _assert_mul_matches_oracle(one + xp, lower)[2] == {(0, 0): 1, (p, 0): 1}
+
+
+def test_mul_term_cap_ignores_cancelled_keys():
+    # rows x^i times (1 - x) telescope: after row i the partial product is
+    # 1 - x^(i+1), two nonzero terms, while the keys touched keep growing
+    names = ("x",)
+    m = 40
+    a = mk(5, names, {(i,): 1 for i in range(m)})
+    b = mk(5, names, {(0,): 1, (1,): 4})
+    assert _assert_mul_matches_oracle(a, b, term_cap=2)[2] == {(0,): 1, (m,): 4}
+    assert _assert_mul_matches_oracle(a, b, term_cap=1) == "refused"
+    assert _assert_mul_matches_oracle(b, a, term_cap=2) == "refused"
+
+
 def test_trace_examples():
     names = ("x",)
     f = mk(3, names, {(2,): 1})
@@ -106,6 +192,10 @@ def test_splitting_examples():
     f = mk(3, ("x",), {(2,): 1, (5,): 1})
     check = is_splitting_function(f)
     assert not check.ok and check.witness == (5,)
+    # several offending monomials: the witness is the smallest exponent vector
+    f = mk(3, ("x", "y"), {(8, 2): 1, (2, 2): 1, (5, 5): 2, (2, 5): 1, (5, 2): 1})
+    check = is_splitting_function(f)
+    assert not check.ok and check.witness == (2, 5)
     # missing centre
     f = mk(3, ("x",), {(1,): 1})
     check = is_splitting_function(f)

@@ -2,11 +2,16 @@
 homogeneous component, compatibility, canonical condition, parabolic case."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
-from flagsplit.errors import InputError
-from flagsplit.fpoly import SparsePolynomial, is_splitting_function
+import flagsplit
+from flagsplit import slnsplit
+from flagsplit.errors import InputError, InvariantError
+from flagsplit.fpoly import DEFAULT_TERM_CAP, SparsePolynomial, is_splitting_function
 from flagsplit.slnsplit import (
     build_chart_function,
     build_parabolic_chart_function,
@@ -18,8 +23,11 @@ from flagsplit.slnsplit import (
     springer_equivariance_ok,
 )
 
+from flagsplit.verify import RunConfig, suite_sln
+
 from oracles import (
     compat_by_enumeration,
+    mul_by_tuples,
     rank1_chart_by_conjugation,
     rank1_chart_closed_form,
 )
@@ -220,3 +228,74 @@ def test_n3_beyond_acceptance_guards():
     assert compat_check(3, 2, [2]).ok
     assert compat_check(3, 2, [1, 3]).ok
     assert canonical_check(3, 2).ok
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (2, 13)])
+def test_chart_matches_tuple_product(n, p, monkeypatch):
+    packed = build_chart_function(n, p).poly
+    monkeypatch.setattr(SparsePolynomial, "mul", mul_by_tuples)
+    by_tuples = slnsplit._build_chart(n, p, frozenset(), DEFAULT_TERM_CAP).poly
+    assert packed.variables == by_tuples.variables
+    assert packed.terms == by_tuples.terms
+
+
+def _count_builds(monkeypatch) -> list:
+    built = []
+    build = slnsplit._build_chart
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    slnsplit._last_chart.clear()
+    monkeypatch.setattr(slnsplit, "_build_chart", counting)
+    return built
+
+
+def test_verify_sln_builds_each_chart_once(monkeypatch):
+    built = _count_builds(monkeypatch)
+    checks = suite_sln(RunConfig(), n=3, p=2)
+    assert all(c.status == "pass" for c in checks), checks
+    keys = [(n, p, subset) for n, p, subset, _ in built]
+    assert keys == [(3, 2, frozenset())] + [(3, 2, frozenset([i])) for i in (1, 2, 3)]
+
+
+def test_compat_empty_subset_builds_nothing(monkeypatch):
+    built = _count_builds(monkeypatch)
+    assert compat_check(4, 2, []).ok
+    assert compat_check(3, 3, ()).ok
+    assert built == []
+    with pytest.raises(InputError):
+        compat_check(0, 2, [])
+    with pytest.raises(InputError):
+        compat_check(2, 4, [])
+
+
+def test_x_zero_identity_is_checked(monkeypatch):
+    # a minor that vanishes at X=0 makes the chart 0 there instead of 1
+    minor = slnsplit._leading_minor_det
+
+    def broken(m, s, term_cap):
+        d = minor(m, s, term_cap)
+        return d - SparsePolynomial.constant(d.p, d.variables, 1, d.weights)
+
+    monkeypatch.setattr(slnsplit, "_leading_minor_det", broken)
+    with pytest.raises(InvariantError, match="X=0"):
+        slnsplit._build_chart(2, 3, frozenset(), DEFAULT_TERM_CAP)
+
+
+def test_x_zero_identity_is_checked_under_optimisation():
+    script = (
+        "from flagsplit import slnsplit\n"
+        "from flagsplit.errors import InvariantError\n"
+        "slnsplit._leading_minor_det = lambda m, s, cap: m[0][0].scale(0)\n"
+        "try:\n"
+        "    slnsplit.build_chart_function(1, 2)\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(flagsplit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert run.returncode == 0
