@@ -17,10 +17,9 @@ All arithmetic is exact.  Expensive operations take explicit caps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Collection, Iterator, Optional, Sequence
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .fpoly import is_prime
 from .rootdata import ParabolicSubset, RootSystem, Weight, parabolic_subset
 
@@ -158,14 +157,15 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     lam = rs._check_weight(lam)
     if not rs.is_dominant(lam):
         raise InputError(f"weight {lam} is not dominant")
-    num = Fraction(1)
+    num = den = 1
     lam_rho = tuple(c + 1 for c in lam)
     for r in rs.positive_roots:
-        a = sum(u * c for u, c in zip(r.coroot, lam_rho))
-        b = sum(r.coroot)  # pairing of rho with the coroot
-        num *= Fraction(a, b)
-    assert num.denominator == 1
-    return int(num)
+        num *= sum(u * c for u, c in zip(r.coroot, lam_rho))
+        den *= sum(r.coroot)  # pairing of rho with the coroot
+    dim, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
+    return dim
 
 
 # -- Weyl characters by Freudenthal ----------------------------------------
@@ -183,9 +183,8 @@ def _dominant_weight_system(rs: RootSystem, lam: Weight) -> list[Weight]:
                 seen.add(w)
                 queue.append(w)
     def depth(mu: Weight) -> int:
-        coords = rs.to_simple_coords(tuple(a - b for a, b in zip(lam, mu)))
-        assert all(x.denominator == 1 for x in coords)
-        return int(sum(coords))
+        # height of lam - mu, scaled by the positive rs._coord_den
+        return sum(rs._scaled_simple_coords(tuple(a - b for a, b in zip(lam, mu))))
     return sorted(seen, key=lambda mu: (depth(mu), mu))
 
 
@@ -197,7 +196,6 @@ def _freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int
         dom, _ = rs.make_dominant(w)
         return mult.get(dom, 0)
 
-    lam_rho = tuple(c + 1 for c in lam)
     for mu in dominants[1:]:
         num = 0
         for r in rs.positive_roots:
@@ -210,15 +208,17 @@ def _freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int
                 num += m * _weight_root_product(rs, w, r.simple)
                 k += 1
         # denominator: (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
-        mu_rho = tuple(c + 1 for c in mu)
-        both = tuple(a + b for a, b in zip(lam_rho, mu_rho))
-        diff = rs.to_simple_coords(tuple(a - b for a, b in zip(lam, mu)))
-        den_frac = sum(
-            rs.symmetrizers[j] * both[j] * diff[j] for j in range(rs.rank)
+        # with lam - mu in simple-root coordinates scaled by rs._coord_den
+        both = tuple(a + b + 2 for a, b in zip(lam, mu))
+        diff = rs._scaled_simple_coords(tuple(a - b for a, b in zip(lam, mu)))
+        den, rem = divmod(
+            sum(d * b * x for d, b, x in zip(rs.symmetrizers, both, diff)), rs._coord_den
         )
-        assert den_frac.denominator == 1 and den_frac > 0
-        den = int(den_frac)
-        assert (2 * num) % den == 0
+        if rem or den <= 0 or (2 * num) % den:
+            raise InvariantError(
+                f"Freudenthal multiplicity of {mu} in the character of {lam} "
+                "is not an integer"
+            )
         mult[mu] = (2 * num) // den
     return mult
 
@@ -241,8 +241,12 @@ def weyl_character(
         for w in rs.weyl_orbit(mu):
             out[w] = m
     ch = Character(rs, out)
-    assert ch.dimension() == dim, "Freudenthal output must match the Weyl dimension"
-    assert ch.multiplicity(lam) == 1
+    if ch.dimension() != dim:
+        raise InvariantError(
+            f"Freudenthal gives dimension {ch.dimension()} for {lam}, Weyl's formula {dim}"
+        )
+    if ch.multiplicity(lam) != 1:
+        raise InvariantError(f"highest weight {lam} has multiplicity {ch.multiplicity(lam)}")
     _WEYL_CHARACTERS[(rs, lam)] = dict(ch.mults)
     return ch
 

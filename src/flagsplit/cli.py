@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import charalg, fpoly, slnsplit, verify
 from .errors import InputError, ResourceLimitError
@@ -47,11 +47,12 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"cannot parse integer list {text!r}") from exc
 
 
-def _emit(obj: dict, lines: list[str], as_json: bool) -> None:
+def _emit(obj: dict, lines: Callable[[], list[str]], as_json: bool) -> None:
+    # text lines are built only when they are printed
     if as_json:
         print(json.dumps(obj, sort_keys=True, indent=2))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -193,15 +194,13 @@ def _cmd_rs(args) -> int:
             for r in rs.positive_roots
         ],
     }
-    lines = [
+    _emit(obj, lambda: [
         f"{rs.type_label}{rs.rank}: {rs.num_positive_roots} positive roots, "
         f"Coxeter number {rs.coxeter_number}",
         f"rho = {list(rs.rho)}",
         f"good primes: p >= {rs.minimal_good_prime()} (bad: {list(rs.bad_primes) or 'none'})",
         "positive roots (simple | fundamental):",
-    ]
-    lines += [f"  {list(r.simple)} | {list(r.fund)}" for r in rs.positive_roots]
-    _emit(obj, lines, args.json)
+    ] + [f"  {list(r.simple)} | {list(r.fund)}" for r in rs.positive_roots], args.json)
     return 0
 
 
@@ -221,12 +220,15 @@ def _cmd_weight_reduce(args) -> int:
     if trace.outcome == "dominant":
         obj["dominant_weight"] = list(trace.dominant_weight)
         obj["remaining_degree"] = trace.remaining_degree
-        lines = [
-            f"Dominant({list(trace.dominant_weight)}, {trace.remaining_degree}) "
-            f"via steps {list(trace.steps)}"
-        ]
-    else:
-        lines = [f"AllCohomologyVanishes via steps {list(trace.steps)}"]
+
+    def lines() -> list[str]:
+        if trace.outcome == "dominant":
+            return [
+                f"Dominant({list(trace.dominant_weight)}, {trace.remaining_degree}) "
+                f"via steps {list(trace.steps)}"
+            ]
+        return [f"AllCohomologyVanishes via steps {list(trace.steps)}"]
+
     _emit(obj, lines, args.json)
     return 0
 
@@ -251,7 +253,7 @@ def _cmd_char(args) -> int:
         "character": _char_json(ch),
         "dimension": ch.dimension(),
     }
-    _emit(obj, _char_lines(ch), args.json)
+    _emit(obj, lambda: _char_lines(ch), args.json)
     return 0
 
 
@@ -280,15 +282,19 @@ def _cmd_filt(args) -> int:
         "degrees": degrees,
         "all_ok": gs.all_ok,
     }
-    lines = []
-    for d in degrees:
-        dec = d["decomposition"]
-        summary = (
-            " + ".join(f"{e['mult']}*H0({e['lambda']})" for e in dec["entries"])
-            if dec["ok"] else f"FAILS at {dec['failure_weight']} x{dec['failure_mult']}"
-        )
-        lines.append(f"degree {d['degree']}: dim {d['dimension']} = {summary or '0'}")
-    lines.append("all degrees decompose" if gs.all_ok else "counterexample found")
+
+    def lines() -> list[str]:
+        out = []
+        for d in degrees:
+            dec = d["decomposition"]
+            summary = (
+                " + ".join(f"{e['mult']}*H0({e['lambda']})" for e in dec["entries"])
+                if dec["ok"] else f"FAILS at {dec['failure_weight']} x{dec['failure_mult']}"
+            )
+            out.append(f"degree {d['degree']}: dim {d['dimension']} = {summary or '0'}")
+        out.append("all degrees decompose" if gs.all_ok else "counterexample found")
+        return out
+
     _emit(obj, lines, args.json)
     return 0 if gs.all_ok else 1
 
@@ -312,10 +318,9 @@ def _cmd_g1(args) -> int:
             for i, ch in sorted(table.items())
         ],
     }
-    lines = [
+    _emit(obj, lambda: [
         f"H^{i}: dim {ch.dimension()}" for i, ch in sorted(table.items())
-    ]
-    _emit(obj, lines, args.json)
+    ], args.json)
     return 0
 
 
@@ -326,8 +331,9 @@ def _cmd_poly(args) -> int:
         obj = {"splitting": res.ok}
         if res.witness is not None:
             obj["witness"] = list(res.witness)
-        lines = ["splitting" if res.ok else f"not a splitting; witness {res.witness}"]
-        _emit(obj, lines, args.json)
+        _emit(obj, lambda: [
+            "splitting" if res.ok else f"not a splitting; witness {res.witness}"
+        ], args.json)
         return 0 if res.ok else 1
     if args.action == "trace":
         f = fpoly.load_poly(args.file)
@@ -336,7 +342,7 @@ def _cmd_poly(args) -> int:
         if args.out:
             fpoly.save_poly(out, args.out)
         obj = fpoly.poly_to_json_obj(out)
-        _emit(obj, [repr(out)], args.json or not args.out)
+        _emit(obj, lambda: [repr(out)], args.json or not args.out)
         return 0
     f = fpoly.load_poly(args.file)
     ideal = fpoly.VariableIdeal.from_names(f, args.ideal.split(","))
@@ -345,11 +351,10 @@ def _cmd_poly(args) -> int:
     if res.witness_exponent is not None:
         obj["witness_exponent"] = list(res.witness_exponent)
         obj["witness_trace"] = fpoly.poly_to_json_obj(res.witness_trace)
-    lines = [
+    _emit(obj, lambda: [
         "compatibly split" if res.ok
         else f"ideal not preserved; witness exponent {res.witness_exponent}"
-    ]
-    _emit(obj, lines, args.json)
+    ], args.json)
     return 0 if res.ok else 1
 
 
@@ -360,18 +365,20 @@ def _cmd_sln(args) -> int:
             fpoly.save_poly(cf.poly, args.out)
             _emit(
                 {"written": args.out, "terms": cf.poly.term_count()},
-                [f"wrote {cf.poly.term_count()} terms to {args.out}"],
+                lambda: [f"wrote {cf.poly.term_count()} terms to {args.out}"],
                 args.json,
             )
         else:
-            _emit(fpoly.poly_to_json_obj(cf.poly), [repr(cf.poly)], args.json)
+            _emit(fpoly.poly_to_json_obj(cf.poly), lambda: [repr(cf.poly)], args.json)
         return 0
     if args.action == "check":
         res = slnsplit.check_chart_splitting(args.n, args.p, term_cap=args.term_cap)
         obj = {"splitting": res.ok}
         if res.witness is not None:
             obj["witness"] = list(res.witness)
-        _emit(obj, ["splitting" if res.ok else f"FAILS; witness {res.witness}"], args.json)
+        _emit(obj, lambda: [
+            "splitting" if res.ok else f"FAILS; witness {res.witness}"
+        ], args.json)
         return 0 if res.ok else 1
     if args.action == "mvk":
         cf = slnsplit.build_chart_function(args.n, args.p, term_cap=args.term_cap)
@@ -382,7 +389,6 @@ def _cmd_sln(args) -> int:
             "splitting": res.ok,
             "component": fpoly.poly_to_json_obj(comp),
         }
-        lines = [f"component has {comp.term_count()} terms; splitting: {res.ok}"]
         code = 0 if res.ok else 1
         if args.compat:
             subset = _parse_ints(args.compat)
@@ -392,8 +398,14 @@ def _cmd_sln(args) -> int:
             obj["compatible"] = cres.ok
             if cres.witness_exponent is not None:
                 obj["witness_exponent"] = list(cres.witness_exponent)
-            lines.append(f"compatibility with I={list(subset)}: {cres.ok}")
             code = max(code, 0 if cres.ok else 1)
+
+        def lines() -> list[str]:
+            out = [f"component has {comp.term_count()} terms; splitting: {res.ok}"]
+            if args.compat:
+                out.append(f"compatibility with I={list(subset)}: {cres.ok}")
+            return out
+
         _emit(obj, lines, args.json)
         return code
     if args.action == "canonical":
@@ -411,12 +423,11 @@ def _cmd_sln(args) -> int:
                 for d in res.directions
             ],
         }
-        lines = [f"canonical: {res.ok} (T-invariant: {res.t_invariant})"] + [
+        _emit(obj, lambda: [f"canonical: {res.ok} (T-invariant: {res.t_invariant})"] + [
             f"  direction {d.simple_index}: t-degree {d.t_degree}, "
             f"degree ok {d.degree_ok}, weights ok {d.weights_ok}"
             for d in res.directions
-        ]
-        _emit(obj, lines, args.json)
+        ], args.json)
         return 0 if res.ok else 1
     subset = _parse_ints(args.subset)
     cf = slnsplit.build_parabolic_chart_function(
@@ -430,7 +441,7 @@ def _cmd_sln(args) -> int:
     }
     if res.witness is not None:
         obj["witness"] = list(res.witness)
-    _emit(obj, [f"parabolic splitting for I={list(subset)}: {res.ok}"], args.json)
+    _emit(obj, lambda: [f"parabolic splitting for I={list(subset)}: {res.ok}"], args.json)
     return 0 if res.ok else 1
 
 

@@ -238,7 +238,7 @@ class RootSystem:
         lam = self._check_weight(lam)
         k = self._check_index(i)
         c = lam[k]
-        return tuple(lam[j] - self.cartan[k][j] * c for j in range(self.rank))
+        return tuple(a - c * b for a, b in zip(lam, self.cartan[k]))
 
     def weight_action(self, word: Sequence[int], lam: Sequence[int]) -> Weight:
         """Apply the Weyl-group element s_{w1} ... s_{wk} (rightmost letter first)."""
@@ -350,9 +350,9 @@ class RootSystem:
             nxt = []
             for v in frontier:
                 word = seen[v]
-                for i in range(self.rank):
-                    if v[i] > 0:
-                        w = self.reflect(i + 1, v)
+                for i, c in enumerate(v):
+                    if c > 0:
+                        w = tuple(a - c * b for a, b in zip(v, self.cartan[i]))
                         if w not in seen:
                             seen[w] = (i + 1,) + word
                             nxt.append(w)
@@ -364,18 +364,25 @@ class RootSystem:
         return sorted(seen.values(), key=lambda w: (len(w), w))
 
     def weyl_orbit(self, lam: Sequence[int]) -> list[Weight]:
-        lam = self._check_weight(lam)
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(1, self.rank + 1):
-                    w = self.reflect(i, v)
+        """The W-orbit of a weight, sorted.
+
+        Walks down from the orbit's one dominant member: s_i is applied to v
+        only where v_i > 0, which lowers v by v_i alpha_i.  Every other member
+        has a negative coordinate i, and s_i takes it to a higher member whose
+        i-th coordinate is positive, so the walk reaches the whole orbit.
+        """
+        top, _ = self.make_dominant(lam)
+        cartan = self.cartan
+        seen = {top}
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            for i, c in enumerate(v):
+                if c > 0:
+                    w = tuple(a - c * b for a, b in zip(v, cartan[i]))
                     if w not in seen:
                         seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
+                        stack.append(w)
         return sorted(seen)
 
     def word_length(self, word: Sequence[int]) -> int:
@@ -388,12 +395,15 @@ class RootSystem:
     def make_dominant(self, lam: Sequence[int]) -> tuple[Weight, int]:
         """Dominant Weyl-orbit representative and the number of reflections used."""
         cur = self._check_weight(lam)
+        cartan = self.cartan
         count = 0
         while True:
-            k = next((i for i in range(self.rank) if cur[i] < 0), None)
-            if k is None:
+            for k, c in enumerate(cur):
+                if c < 0:
+                    break
+            else:
                 return cur, count
-            cur = self.reflect(k + 1, cur)
+            cur = tuple(a - c * b for a, b in zip(cur, cartan[k]))
             count += 1
 
     def __eq__(self, other) -> bool:

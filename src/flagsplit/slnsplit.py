@@ -51,6 +51,11 @@ class ChartFunction:
     subset: frozenset[int]                   # parabolic subset; empty = Borel
     # the x-variables are the trailing ones (see _chart_table), from here on
     x_start: int = field(init=False, repr=False)
+    # filled by the first mvk_component call, so every compatibility check
+    # on this chart filters it once
+    _component: Optional[SparsePolynomial] = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         nvars = len(self.poly.variables)
@@ -319,8 +324,10 @@ def check_chart_splitting(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> S
 
 def mvk_component(cf: ChartFunction) -> SparsePolynomial:
     """Homogeneous component of fibre degree N(p-1), the distinguished
-    homogeneous splitting."""
-    return cf.x_degree_component(cf.num_x * (cf.p - 1))
+    homogeneous splitting.  Computed once per chart: treat it as read-only."""
+    if cf._component is None:
+        object.__setattr__(cf, "_component", cf.x_degree_component(cf.num_x * (cf.p - 1)))
+    return cf._component
 
 
 def levi_x_ideal(cf: ChartFunction, subset: Sequence[int]) -> Optional[VariableIdeal]:

@@ -112,13 +112,26 @@ def suite_rootdata(cfg: RunConfig) -> list[CheckResult]:
         return True, ""
 
     def unique_dominant_orbit():
+        # weyl_orbit walks down from the dominant member, so closure under
+        # each public, validating reflect is what tests the walk itself
         for rs in _systems(min(cfg.rank_cap, 3)):
             box = range(-3, 4)
+            closed = set()   # least members of the orbits found closed
             for lam in itertools.product(box, repeat=rs.rank):
                 orbit = rs.weyl_orbit(lam)
                 ndom = sum(1 for w in orbit if rs.is_dominant(w))
                 if ndom != 1:
                     return False, f"{rs}: orbit of {lam} has {ndom} dominant members"
+                members = set(orbit)
+                if lam not in members:
+                    return False, f"{rs}: orbit of {lam} misses {lam}"
+                if orbit[0] in closed:
+                    continue
+                for w in orbit:
+                    for i in range(1, rs.rank + 1):
+                        if rs.reflect(i, w) not in members:
+                            return False, f"{rs}: orbit of {lam} is not closed under s_{i}"
+                closed.add(orbit[0])
         return True, ""
 
     def dot_is_action():

@@ -9,8 +9,10 @@ decompositions by greedily peeling expanded Weyl characters instead of
 Brauer--Klimyk coefficients, Euler characteristics by searching the
 Weyl group for the dominant dot-translate instead of descending to it,
 ideal compatibility by tracing every exponent in [0, p-1]^N instead of one
-pass over the terms of f, and polynomial products by adding exponent tuples
-and reducing mod p pair by pair instead of adding packed exponent ints.
+pass over the terms of f, polynomial products by adding exponent tuples
+and reducing mod p pair by pair instead of adding packed exponent ints, and
+Weyl orbits by a breadth-first search applying every validated simple
+reflection instead of walking down from the dominant member.
 """
 
 from __future__ import annotations
@@ -299,3 +301,34 @@ def mul_by_tuples(
     res = SparsePolynomial(p, self.variables, weights=self._merged_weights(other))
     res.terms = out
     return res
+
+
+def orbit_by_bfs(rs: RootSystem, lam) -> list[Weight]:
+    """The W-orbit of ``lam``, sorted: breadth-first search from ``lam``
+    applying every public simple reflection to every member found."""
+    lam = rs._check_weight(lam)
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(1, rs.rank + 1):
+                w = rs.reflect(i, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(seen)
+
+
+def make_dominant_by_reflect(rs: RootSystem, lam) -> tuple[Weight, int]:
+    """Dominant orbit member and the number of reflections used, reflecting
+    in the first negative coordinate through the public ``reflect``."""
+    cur = rs._check_weight(lam)
+    count = 0
+    while True:
+        k = next((i for i in range(rs.rank) if cur[i] < 0), None)
+        if k is None:
+            return cur, count
+        cur = rs.reflect(k + 1, cur)
+        count += 1

@@ -2,10 +2,15 @@
 filtration decompositions and the reduction identities."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import flagsplit
+from flagsplit import charalg
 from flagsplit.charalg import (
     Character,
     decompose_good_filtration,
@@ -21,8 +26,8 @@ from flagsplit.charalg import (
     weyl_character,
     weyl_dimension,
 )
-from flagsplit.errors import InputError, ResourceLimitError
-from flagsplit.rootdata import build_root_system, parabolic_subset
+from flagsplit.errors import InputError, InvariantError, ResourceLimitError
+from flagsplit.rootdata import RootSystem, build_root_system, parabolic_subset
 
 from oracles import (
     brute_exterior_power,
@@ -428,3 +433,46 @@ def test_character_arithmetic():
     assert shifted.multiplicity((2, 1)) == a.multiplicity((1, 0))
     with pytest.raises(InputError):
         a + weyl_character(B2, (1, 0))
+
+
+# An off-by-one inner product breaks Freudenthal: on A2 at (1,1) the
+# multiplicities stay integral but sum to 9, not 8; on B2 at (1,1) the
+# multiplicity of (0,1) is no integer.
+BROKEN_FREUDENTHAL = [(("A", 2), (1, 1), "Weyl's formula"), (("B", 2), (1, 1), "not an integer")]
+
+
+@pytest.mark.parametrize("key, lam, message", BROKEN_FREUDENTHAL,
+                         ids=["A2-dimension", "B2-integrality"])
+def test_freudenthal_invariants_are_checked(monkeypatch, key, lam, message):
+    product = charalg._weight_root_product
+    monkeypatch.setattr(charalg, "_weight_root_product", lambda rs, w, r: product(rs, w, r) + 1)
+    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
+    with pytest.raises(InvariantError, match=message):
+        weyl_character(build_root_system(*key), lam)
+
+
+def test_weyl_dimension_integrality_is_checked():
+    rs = RootSystem("A", 2)   # a private copy, not the cached system
+    rs.positive_roots = rs.positive_roots[2:]   # alpha_1 + alpha_2 alone: 3/2
+    with pytest.raises(InvariantError, match="not an integer"):
+        weyl_dimension(rs, (1, 0))
+
+
+def test_freudenthal_invariants_are_checked_under_optimisation():
+    script = (
+        "from flagsplit import charalg\n"
+        "from flagsplit.errors import InvariantError\n"
+        "from flagsplit.rootdata import build_root_system\n"
+        "product = charalg._weight_root_product\n"
+        "charalg._weight_root_product = lambda rs, w, r: product(rs, w, r) + 1\n"
+        "for name, lam in (('A', (1, 1)), ('B', (1, 1))):\n"
+        "    try:\n"
+        "        charalg.weyl_character(build_root_system(name, 2), lam)\n"
+        "    except InvariantError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(flagsplit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert run.returncode == 0

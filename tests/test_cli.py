@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from flagsplit import cli
 from flagsplit.cli import main
 from flagsplit.fpoly import SparsePolynomial, save_poly
 
@@ -73,6 +74,18 @@ def test_char_commands(capsys):
     assert json.loads(out)["character"] == [{"weight": [-2, -2], "mult": 1}]
     code, out, _ = run(capsys, "char", "trunc", "A2", "--p", "2", "--json")
     assert json.loads(out)["dimension"] == 8
+
+
+def test_json_builds_no_text_lines(capsys, monkeypatch):
+    text, _ = run(capsys, "char", "weyl", "A2", "--weight", "1,1")[1:]
+    assert text.splitlines()[-1] == "  dimension 8"
+
+    def refuse(ch):
+        raise AssertionError("text lines built under --json")
+
+    monkeypatch.setattr(cli, "_char_lines", refuse)
+    code, out, _ = run(capsys, "char", "weyl", "A2", "--weight", "1,1", "--json")
+    assert code == 0 and json.loads(out)["dimension"] == 8
 
 
 def test_filt_command(capsys):

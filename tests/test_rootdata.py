@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from flagsplit.charalg import _dominant_weight_system
 from flagsplit.errors import InputError
 from flagsplit.rootdata import build_root_system, parabolic_subset, parse_system
 
-from oracles import dominance_by_descent
+from oracles import dominance_by_descent, make_dominant_by_reflect, orbit_by_bfs
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -254,3 +255,57 @@ def test_negative_roots_are_negated_positives():
         assert set(rs.negative_roots) == {
             tuple(-c for c in r.fund) for r in rs.positive_roots
         }
+
+
+# every simple type of rank <= 3, and the rank-4 types
+SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+               ("D", 3), ("G", 2)]
+RANK4_TYPES = [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4)]
+# the E-type highest weights of the benchmark's `char weyl` cases
+E_WEIGHTS = [("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)), ("E", 7, (0, 0, 1, 0, 0, 0, 0)),
+             ("E", 7, (1, 0, 0, 0, 0, 0, 1)), ("E", 6, (1, 1, 0, 0, 0, 1)),
+             ("E", 6, (0, 0, 0, 1, 1, 1))]
+
+
+def _assert_matches_oracles(rs, lam):
+    orbit = rs.weyl_orbit(lam)
+    assert orbit == orbit_by_bfs(rs, lam), (rs, lam)
+    assert rs.make_dominant(lam) == make_dominant_by_reflect(rs, lam), (rs, lam)
+
+
+@pytest.mark.parametrize("key", SMALL_TYPES, ids=lambda k: f"{k[0]}{k[1]}")
+def test_orbit_and_make_dominant_match_oracles_small(key):
+    rs = build_root_system(*key)
+    for lam in itertools.product(range(-2, 3), repeat=rs.rank):
+        _assert_matches_oracles(rs, lam)
+
+
+@pytest.mark.parametrize("key", RANK4_TYPES, ids=lambda k: f"{k[0]}{k[1]}")
+def test_orbit_and_make_dominant_match_oracles_rank4(key):
+    rs = build_root_system(*key)
+    for lam in itertools.product(range(-1, 2), repeat=rs.rank):
+        _assert_matches_oracles(rs, lam)
+
+
+@pytest.mark.parametrize("case", E_WEIGHTS, ids=lambda c: f"{c[0]}{c[1]}")
+def test_orbit_and_make_dominant_match_oracles_e_types(case):
+    type_label, rank, lam = case
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(rank * 1000 + sum(lam))
+    for mu in _dominant_weight_system(rs, lam):
+        moved = mu
+        while any(mu) and rs.is_dominant(moved):   # 0 is fixed by all of W
+            word = [rng.randint(1, rank) for _ in range(rng.randint(1, 12))]
+            moved = rs.weight_action(word, mu)
+        _assert_matches_oracles(rs, moved)
+        assert rs.weyl_orbit(mu) == rs.weyl_orbit(moved)
+        assert rs.make_dominant(mu) == make_dominant_by_reflect(rs, mu) == (mu, 0)
+
+
+@pytest.mark.parametrize("key", SMALL_TYPES, ids=lambda k: f"{k[0]}{k[1]}")
+def test_orbit_stabiliser(key):
+    rs = build_root_system(*key)
+    words = rs.weyl_elements()
+    for lam in itertools.product(range(-2, 3), repeat=rs.rank):
+        stabiliser = sum(1 for w in words if rs.weight_action(w, lam) == lam)
+        assert len(rs.weyl_orbit(lam)) * stabiliser == len(words), (rs, lam)

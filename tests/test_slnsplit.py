@@ -260,6 +260,24 @@ def test_verify_sln_builds_each_chart_once(monkeypatch):
     assert keys == [(3, 2, frozenset())] + [(3, 2, frozenset([i])) for i in (1, 2, 3)]
 
 
+def test_verify_sln_filters_each_component_once(monkeypatch):
+    slnsplit._last_chart.clear()
+    filtered = []
+    component = slnsplit.ChartFunction.x_degree_component
+
+    def counting(cf, d):
+        filtered.append((cf.n, cf.p, cf.subset, d))
+        return component(cf, d)
+
+    monkeypatch.setattr(slnsplit.ChartFunction, "x_degree_component", counting)
+    checks = suite_sln(RunConfig(), n=3, p=2)
+    assert all(c.status == "pass" for c in checks), checks
+    assert filtered == [(3, 2, frozenset(), 6)]
+    cf = build_chart_function(3, 2)
+    assert mvk_component(cf) is mvk_component(cf)
+    assert mvk_component(cf).terms == component(cf, 6).terms
+
+
 def test_compat_empty_subset_builds_nothing(monkeypatch):
     built = _count_builds(monkeypatch)
     assert compat_check(4, 2, []).ok
