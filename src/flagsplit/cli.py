@@ -56,10 +56,6 @@ def _emit(obj: dict, lines: Callable[[], list[str]], as_json: bool) -> None:
             print(line)
 
 
-def _char_json(ch: charalg.Character) -> list[dict]:
-    return ch.to_json_obj()
-
-
 def _char_lines(ch: charalg.Character) -> list[str]:
     out = [f"  {list(w)}  x{m}" for w, m in ch.items()]
     out.append(f"  dimension {ch.dimension()}")
@@ -250,7 +246,7 @@ def _cmd_char(args) -> int:
         "type": rs.type_label,
         "rank": rs.rank,
         "action": args.action,
-        "character": _char_json(ch),
+        "character": ch.to_json_obj(),
         "dimension": ch.dimension(),
     }
     _emit(obj, lambda: _char_lines(ch), args.json)
@@ -269,7 +265,7 @@ def _cmd_filt(args) -> int:
         degrees.append(
             {
                 "degree": n,
-                "character": _char_json(ch),
+                "character": ch.to_json_obj(),
                 "dimension": ch.dimension(),
                 "decomposition": dec.to_json_obj(),
             }
@@ -314,7 +310,7 @@ def _cmd_g1(args) -> int:
         "weight": list(lam),
         "p": args.p,
         "cohomology": [
-            {"i": i, "character": _char_json(ch), "dimension": ch.dimension()}
+            {"i": i, "character": ch.to_json_obj(), "dimension": ch.dimension()}
             for i, ch in sorted(table.items())
         ],
     }

@@ -67,9 +67,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
 
-    def normalize(self, x: int) -> int:
-        return x % self.p
-
     def inverse(self, x: int) -> int:
         x = x % self.p
         if x == 0:
@@ -145,9 +142,6 @@ class SparsePolynomial:
 
     def coefficient(self, exponents: Sequence[int]) -> int:
         return self.terms.get(tuple(exponents), 0)
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * len(self.variables), 0)
 
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.terms)
@@ -317,15 +311,6 @@ class SparsePolynomial:
         res.terms = out
         return res
 
-    def set_zero(self, names: Iterable[str]) -> "SparsePolynomial":
-        """Keep only the terms free of the given variables."""
-        idx = {self.variables.index(n) for n in names}
-        res = SparsePolynomial(self.p, self.variables, weights=self.weights)
-        res.terms = {
-            e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)
-        }
-        return res
-
 
 # -- the trace operator and the splitting criterion ---------------------------
 
@@ -410,9 +395,6 @@ class VariableIdeal:
     def contains_monomial(self, e: Sequence[int]) -> bool:
         return any(e[i] > 0 for i in self.generators)
 
-    def contains(self, f: SparsePolynomial) -> bool:
-        return all(self.contains_monomial(e) for e in f.terms)
-
 
 @dataclass(frozen=True)
 class CompatibilityCheck:
@@ -475,13 +457,21 @@ def poly_from_json_obj(obj: dict) -> SparsePolynomial:
     try:
         p = int(obj["p"])
         variables = [str(v) for v in obj["vars"]]
-        terms = {tuple(int(x) for x in t["e"]): int(t["c"]) for t in obj["terms"]}
+        terms = [(tuple(int(x) for x in t["e"]), int(t["c"])) for t in obj["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed polynomial object: {exc}") from exc
-    for e, c in terms.items():
+    # a repeated variable or term would let one term overwrite another
+    if len(set(variables)) != len(variables):
+        raise InputError(f"duplicate variable names in {variables}")
+    for (prev, _), (e, _) in zip(terms, terms[1:]):
+        if e == prev:
+            raise InputError(f"duplicate exponent vector {list(e)}")
+        if e < prev:
+            raise InputError(f"terms out of order: {list(e)} after {list(prev)}")
+    for e, c in terms:
         if not 1 <= c <= p - 1:
             raise InputError(f"coefficient {c} outside [1, p-1]")
-    return SparsePolynomial(p, variables, terms)
+    return SparsePolynomial(p, variables, dict(terms))
 
 
 def save_poly(f: SparsePolynomial, path: str) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 
 Weight = tuple[int, ...]
 
@@ -103,7 +103,8 @@ def _symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
                 todo.append(j)
-    assert all(x is not None for x in d)
+    if any(x is None for x in d):
+        raise InvariantError("the Dynkin graph is not connected: no symmetrizers")
     lcm = math.lcm(*(x.denominator for x in d))
     ints = [int(x * lcm) for x in d]
     g = math.gcd(*ints)
@@ -199,12 +200,14 @@ class RootSystem:
         d = self.symmetrizers
         n = self.rank
         norm = sum(m[i] * self.cartan[i][j] * d[j] * m[j] for i in range(n) for j in range(n))
-        assert norm > 0 and norm % 2 == 0
+        if norm <= 0 or norm % 2:
+            raise InvariantError(f"root {m} has squared length {norm}, not a positive even number")
         half = norm // 2
         out = []
         for i in range(n):
             num = d[i] * m[i]
-            assert num % half == 0, "coroot coefficients must be integral"
+            if num % half:
+                raise InvariantError(f"coroot of {m} has a non-integral coefficient {num}/{half}")
             out.append(num // half)
         return tuple(out)
 
@@ -394,7 +397,10 @@ class RootSystem:
 
     def make_dominant(self, lam: Sequence[int]) -> tuple[Weight, int]:
         """Dominant Weyl-orbit representative and the number of reflections used."""
-        cur = self._check_weight(lam)
+        return self._dominant(self._check_weight(lam))
+
+    def _dominant(self, cur: Weight) -> tuple[Weight, int]:
+        # make_dominant without validation, for weights built inside the library
         cartan = self.cartan
         count = 0
         while True:
@@ -459,7 +465,8 @@ def parabolic_subset(rs: RootSystem, subset: Iterable[int] = ()) -> ParabolicSub
             radical.append(r.fund)
     delta = tuple(sum(c) for c in zip(*radical)) if radical else (0,) * rs.rank
     for i in inside:
-        assert delta[i - 1] == 0, "delta_P must lie in X(P)"
+        if delta[i - 1] != 0:
+            raise InvariantError(f"delta_P = {delta} pairs to {delta[i - 1]} with alpha_{i}-vee")
     return ParabolicSubset(rs, inside, tuple(levi), tuple(radical), delta)
 
 

@@ -72,9 +72,6 @@ class ChartFunction:
     def num_x(self) -> int:
         return len(self.x_indices)
 
-    def x_degree(self, exponents: Sequence[int]) -> int:
-        return sum(exponents[self.x_start:])
-
     def max_x_degree(self) -> int:
         x_start = self.x_start
         return max((sum(e[x_start:]) for e in self.poly.terms), default=0)

@@ -220,9 +220,7 @@ def suite_charalg(cfg: RunConfig) -> list[CheckResult]:
             for lam in itertools.product(range(-1, 3), repeat=rs.rank):
                 for n in range(1, 5):
                     for i in range(1, rs.rank + 1):
-                        rep = charalg.koszul_check(
-                            rs, n, lam, i, dim_cap=cfg.dim_cap, term_cap=cfg.term_cap
-                        )
+                        rep = charalg.koszul_check(rs, n, lam, i, term_cap=cfg.term_cap)
                         if not rep.ok:
                             return False, f"{rs}: reduction identity fails at {lam}, n={n}, i={i}"
         return True, ""
@@ -284,6 +282,18 @@ def suite_charalg(cfg: RunConfig) -> list[CheckResult]:
             else:
                 outcome = "decomposes" if gs.all_ok else f"fails at {gs.counterexamples()}"
                 checks.append(CheckResult(name, "skip", f"recorded (non-dominant): {outcome}"))
+
+    def graded_sections_rank3():
+        for name, n_max in (("A3", 4), ("B3", 3), ("C3", 3)):
+            par = parabolic_subset(build_root_system(name[0], 3))
+            for lam in itertools.product((0, 1), repeat=3):
+                gs = charalg.graded_section_char(par, lam, n_max, cfg.dim_cap, cfg.term_cap)
+                if not gs.all_ok:
+                    return False, f"{name} at {lam}: counterexample degrees {gs.counterexamples()}"
+        return True, ""
+
+    if cfg.rank_cap >= 3:
+        _run(checks, "charalg.graded_sections_rank3", graded_sections_rank3)
     return checks
 
 

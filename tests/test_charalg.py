@@ -1,6 +1,7 @@
 """Characters: Weyl/Freudenthal, Euler characteristics, graded algebras,
 filtration decompositions and the reduction identities."""
 
+import inspect
 import itertools
 import os
 import random
@@ -34,6 +35,7 @@ from oracles import (
     brute_sym_power,
     euler_by_weyl_search,
     greedy_peel,
+    koszul_by_expansion,
     kostant_multiplicity,
 )
 
@@ -349,6 +351,28 @@ def test_graded_sections_rank3():
                 assert dec.reconstruct(rs) == ch
 
 
+def test_graded_sections_decompose_coefficients_directly(monkeypatch):
+    # each degree's Weyl-basis coefficients are decomposed as they are:
+    # no invariance scan (RootSystem.reflect) and no second Klimyk pass
+    # through decompose_good_filtration, yet the same decomposition
+    cases = [(rs, lam) for rs in (A1, A2, B2, C2, G2)
+             for lam in itertools.product(range(-1, 3), repeat=rs.rank)
+             if rs.in_cone_c(lam)]
+    public = decompose_good_filtration
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graded_section_char re-derived its coefficients")
+
+    with monkeypatch.context() as m:
+        m.setattr(charalg, "decompose_good_filtration", refuse)
+        m.setattr(RootSystem, "reflect", refuse)
+        sections = [graded_section_char(parabolic_subset(rs), lam, 3) for rs, lam in cases]
+    assert len(sections) == 59
+    for gs in sections:
+        for (_, ch), (_, dec) in zip(gs.graded.pieces, gs.decompositions):
+            assert dec == public(ch)
+
+
 def test_graded_sections_cone_weight():
     # a non-dominant weight in C is accepted for the Borel case
     gs = graded_section_char(parabolic_subset(A2), (-1, 1), 3)
@@ -399,7 +423,9 @@ def test_g1_preconditions():
 def test_koszul_examples():
     rep = koszul_check(A1, 1, (-1,), 1)
     assert rep.ok and rep.vanishing_applicable
-    assert rep.lhs == weyl_character(A1, (1,))
+    # chi(S^1 u* ox -1) = H0(1) on A1
+    whole = parabolic_subset(A1)
+    assert module_euler(A1, sym_power_char(whole, 1), (-1,)) == weyl_character(A1, (1,))
 
     rep = koszul_check(A2, 2, (-1, 1), 1)
     assert rep.ok and rep.identity_ok and rep.vanishing_ok
@@ -418,6 +444,64 @@ def test_koszul_sweep_small():
             for n in (1, 2):
                 for i in range(1, rs.rank + 1):
                     assert koszul_check(rs, n, lam, i).ok
+
+
+def _koszul_cases():
+    # the rank-2 sweep of `verify charalg` (528 cases), then A3 near zero
+    for rs in (A1, A2, B2, C2, G2):
+        for lam in itertools.product(range(-1, 3), repeat=rs.rank):
+            for n in range(1, 5):
+                for i in range(1, rs.rank + 1):
+                    yield rs, n, lam, i
+    a3 = build_root_system("A", 3)
+    for lam in itertools.product(range(-1, 2), repeat=3):
+        for n in (1, 2):
+            for i in (1, 2, 3):
+                yield a3, n, lam, i
+
+
+def test_koszul_matches_expansion_oracle():
+    count = 0
+    for rs, n, lam, i in _koszul_cases():
+        rep = koszul_check(rs, n, lam, i)
+        want = koszul_by_expansion(rs, n, lam, i)
+        case = (rs, n, lam, i)
+        assert (rep.ok, rep.identity_ok, rep.vanishing_applicable, rep.vanishing_ok) == (
+            want.ok, want.identity_ok, want.vanishing_applicable, want.vanishing_ok
+        ), case
+        expanded = charalg._expand(rs, rep.parabolic_term, charalg.DEFAULT_DIM_CAP,
+                                   charalg.DEFAULT_TERM_CAP)
+        assert expanded == want.parabolic_term, case
+        count += 1
+    assert count == 528 + 162
+
+
+def test_koszul_identity_failure_is_seen(monkeypatch):
+    # doubling the parabolic term breaks the identity exactly where that
+    # term is nonzero, in the coefficient test and in the expanded oracle
+    sym = charalg.sym_power_char
+    monkeypatch.setattr(charalg, "sym_power_char",
+                        lambda par, n, term_cap=10**6: 2 * sym(par, n, term_cap))
+    nonzero = 0
+    for lam in itertools.product(range(-1, 3), repeat=2):
+        for n in (1, 2):
+            for i in (1, 2):
+                rep = koszul_check(B2, n, lam, i)
+                assert rep.identity_ok == (not rep.parabolic_term), (lam, n, i)
+                nonzero += bool(rep.parabolic_term)
+    assert nonzero > 0
+
+
+def test_koszul_expands_no_weyl_character(monkeypatch):
+    assert "dim_cap" not in inspect.signature(koszul_check).parameters
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("koszul_check expanded a Weyl character")
+
+    monkeypatch.setattr(charalg, "weyl_character", refuse)
+    for rs in (A2, G2):
+        for lam in itertools.product(range(-1, 2), repeat=2):
+            assert koszul_check(rs, 3, lam, 1).ok
 
 
 # -- character container ------------------------------------------------------------

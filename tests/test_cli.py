@@ -135,6 +135,13 @@ def test_poly_check_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "poly", "check", "--file", str(broken))
     assert code == 2
 
+    # a repeated variable name used to let the second term overwrite the first
+    ambiguous = tmp_path / "ambiguous.json"
+    ambiguous.write_text(json.dumps({"p": 3, "vars": ["x", "x"], "terms": [
+        {"e": [1, 0], "c": 1}, {"e": [1, 0], "c": 2}]}))
+    code, out, err = run(capsys, "poly", "check", "--file", str(ambiguous))
+    assert code == 2 and out == "" and "duplicate variable" in err
+
 
 def test_poly_trace(capsys, tmp_path):
     f = tmp_path / "f.json"
@@ -210,6 +217,17 @@ def test_verify_charalg_rank_capped(capsys):
     assert obj["status"] == "pass"
     names = [c["name"] for c in obj["checks"]]
     assert any(name.startswith("charalg.graded_sections[A1") for name in names)
+    assert "charalg.graded_sections_rank3" not in names
+
+
+def test_verify_charalg_asserts_rank3_sections(capsys):
+    code, out, _ = run(capsys, "verify", "charalg", "--json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert {"name": "charalg.graded_sections_rank3", "status": "pass", "detail": ""} in checks
+    # every skip is a recorded non-dominant graded section, not a resource guard
+    skips = [c["detail"] for c in checks if c["status"] == "skip"]
+    assert skips and all(d.startswith("recorded (non-dominant)") for d in skips)
 
 
 def test_json_reports_are_byte_identical(capsys):

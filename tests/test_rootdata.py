@@ -1,13 +1,18 @@
 """Root-system construction, pairings, reflections, dominance and reduction."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import flagsplit
+from flagsplit import rootdata
 from flagsplit.charalg import _dominant_weight_system
-from flagsplit.errors import InputError
-from flagsplit.rootdata import build_root_system, parabolic_subset, parse_system
+from flagsplit.errors import InputError, InvariantError
+from flagsplit.rootdata import RootSystem, build_root_system, parabolic_subset, parse_system
 
 from oracles import dominance_by_descent, make_dominant_by_reflect, orbit_by_bfs
 
@@ -309,3 +314,55 @@ def test_orbit_stabiliser(key):
     for lam in itertools.product(range(-2, 3), repeat=rs.rank):
         stabiliser = sum(1 for w in words if rs.weight_action(w, lam) == lam)
         assert len(rs.weyl_orbit(lam)) * stabiliser == len(words), (rs, lam)
+
+
+# Each construction invariant broken by one patch, as (what breaks, module
+# attribute, replacement, system built, error message):
+#   * a disconnected Cartan matrix has no symmetrizers;
+#   * symmetrizers (1, 1) on B2 give alpha_1 + alpha_2 squared length 1;
+#   * symmetrizers (1, 3) on A2 give alpha_1 + alpha_2 a coroot coefficient 1/2.
+BROKEN_CONSTRUCTION = [
+    ("_cartan_matrix", "lambda t, n: [[2, 0], [0, 2]]", "A", "not connected"),
+    ("_symmetrizers", "lambda cartan: (1, 1)", "B", "squared length"),
+    ("_symmetrizers", "lambda cartan: (1, 3)", "A", "non-integral"),
+]
+
+
+@pytest.mark.parametrize("attr, patch, label, message", BROKEN_CONSTRUCTION,
+                         ids=["symmetrizers", "norm-parity", "coroot-integrality"])
+def test_construction_invariants_are_checked(monkeypatch, attr, patch, label, message):
+    monkeypatch.setattr(rootdata, attr, eval(patch))
+    with pytest.raises(InvariantError, match=message):
+        RootSystem(label, 2)
+
+
+def test_delta_p_invariant_is_checked():
+    rs = RootSystem("A", 2)   # a private copy, not the cached system
+    rs.positive_roots = rs.positive_roots[:2]   # without alpha_1 + alpha_2
+    with pytest.raises(InvariantError, match="delta_P"):
+        parabolic_subset(rs, [1])
+
+
+def test_rootdata_invariants_are_checked_under_optimisation():
+    script = (
+        "from flagsplit import rootdata\n"
+        "from flagsplit.errors import InvariantError\n"
+        "def raises(build):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except InvariantError:\n"
+        "        return\n"
+        "    raise SystemExit(1)\n"
+        f"for attr, patch, label, _ in {BROKEN_CONSTRUCTION!r}:\n"
+        "    original = getattr(rootdata, attr)\n"
+        "    setattr(rootdata, attr, eval(patch))\n"
+        "    raises(lambda: rootdata.RootSystem(label, 2))\n"
+        "    setattr(rootdata, attr, original)\n"
+        "rs = rootdata.RootSystem('A', 2)\n"
+        "rs.positive_roots = rs.positive_roots[:2]\n"
+        "raises(lambda: rootdata.parabolic_subset(rs, [1]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(flagsplit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert run.returncode == 0
