@@ -103,17 +103,6 @@ class Character:
             self.rs, {tuple(a + b for a, b in zip(w, lam)): m for w, m in self.mults.items()}
         )
 
-    def tensor(self, other: "Character", term_cap: int = DEFAULT_TERM_CAP) -> "Character":
-        self._check_compatible(other)
-        out: dict[Weight, int] = {}
-        for w1, m1 in self.mults.items():
-            for w2, m2 in other.mults.items():
-                w = tuple(a + b for a, b in zip(w1, w2))
-                out[w] = out.get(w, 0) + m1 * m2
-            if len(out) > term_cap:
-                raise ResourceLimitError(f"character tensor exceeds term cap {term_cap}")
-        return Character(self.rs, out)
-
     def _check_compatible(self, other: "Character") -> None:
         if other.rs != self.rs:
             raise InputError("characters live over different root systems")
@@ -138,9 +127,6 @@ class GradedCharacter:
             if d == n:
                 return c
         raise InputError(f"no graded piece of degree {n}")
-
-    def degrees(self) -> list[int]:
-        return [d for d, _ in self.pieces]
 
 
 # -- inner products ------------------------------------------------------

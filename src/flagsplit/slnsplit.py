@@ -3,14 +3,16 @@ cotangent-bundle model.
 
 The chart has coordinates y_{ij} (i > j, entries of a generic lower
 unipotent g) and x_{ij} (i < j, entries of a generic strictly upper
-triangular X).  The variable at matrix position (i, j) is tagged with the
-weight eps_i - eps_j written in fundamental coordinates of A_n, so that the
-built functions are literally weight-zero monomial by monomial.
+triangular X).  The variable at matrix position (i, j) has the weight
+eps_i - eps_j; ``ChartFunction.monomial_weight`` reads it off the recorded
+positions and writes a monomial's weight in fundamental coordinates of A_n,
+so that the built functions are weight-zero monomial by monomial.  The
+polynomials themselves are plain: no weight is stored in them.
 
 The main function conjugates I + X by g symbolically (the inverse of a
 unipotent matrix is its finite Neumann series) and multiplies the
 (p-1)-st powers of the leading principal minors.  Sign conventions: with
-these tags the x-variables carry positive-root weights; the one-parameter
+these weights the x-variables carry positive-root weights; the one-parameter
 subgroups used by the canonical-splitting condition are the lower elementary
 matrices x_k(t) = I + t E_{k+1,k}, the directions fixing the highest-weight
 vector of the pairing realised by the leading minors.
@@ -19,6 +21,7 @@ vector of the pairing realised by the leading minors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantError
@@ -40,29 +43,20 @@ Matrix = list[list[SparsePolynomial]]
 
 @dataclass(frozen=True)
 class ChartFunction:
-    """A weight-tagged polynomial on a chart of the cotangent-bundle model."""
+    """A polynomial on a chart of the cotangent-bundle model, with the matrix
+    position of each of its variables."""
 
     poly: SparsePolynomial
     n: int
     p: int
     positions: tuple[tuple[int, int], ...]   # matrix position per variable
-    x_indices: tuple[int, ...]
-    y_indices: tuple[int, ...]
+    x_start: int                             # the x-variables are the trailing ones
     subset: frozenset[int]                   # parabolic subset; empty = Borel
-    # the x-variables are the trailing ones (see _chart_table), from here on
-    x_start: int = field(init=False, repr=False)
     # filled by the first mvk_component call, so every compatibility check
     # on this chart filters it once
     _component: Optional[SparsePolynomial] = field(
         init=False, default=None, repr=False, compare=False
     )
-
-    def __post_init__(self):
-        nvars = len(self.poly.variables)
-        x_start = nvars - len(self.x_indices)
-        if self.x_indices != tuple(range(x_start, nvars)):
-            raise InputError("chart x-variables must come after the y-variables")
-        object.__setattr__(self, "x_start", x_start)
 
     @property
     def rs(self) -> RootSystem:
@@ -70,7 +64,7 @@ class ChartFunction:
 
     @property
     def num_x(self) -> int:
-        return len(self.x_indices)
+        return len(self.positions) - self.x_start
 
     def max_x_degree(self) -> int:
         x_start = self.x_start
@@ -78,60 +72,39 @@ class ChartFunction:
 
     def x_degree_component(self, d: int) -> SparsePolynomial:
         x_start = self.x_start
-        out = SparsePolynomial(self.p, self.poly.variables, weights=self.poly.weights)
+        out = SparsePolynomial(self.p, self.poly.variables)
         out.terms = {e: c for e, c in self.poly.terms.items() if sum(e[x_start:]) == d}
         return out
 
+    def monomial_weight(self, e: Sequence[int]) -> Weight:
+        """Weight of the monomial with exponent vector e, in fundamental
+        coordinates.  The variable at position (i, j) has weight
+        eps_i - eps_j; a weight sum_i c_i eps_i pairs with the k-th simple
+        coroot to c_k - c_{k+1}."""
+        c = [0] * (self.n + 2)
+        for (i, j), a in zip(self.positions, e):
+            if a:
+                c[i] += a
+                c[j] -= a
+        return tuple(map(sub, c[1:-1], c[2:]))
+
     def is_t_invariant(self) -> bool:
         zero = (0,) * self.n
-        return all(
-            self.poly.monomial_weight(e) == zero for e in self.poly.terms
-        )
-
-
-def _eps_diff(rs: RootSystem, i: int, j: int) -> Weight:
-    # eps_i - eps_j in fundamental coordinates; rows of the Cartan matrix are
-    # the simple roots and eps_i - eps_{i+1} = alpha_i.
-    if i == j:
-        return (0,) * rs.rank
-    sign = 1
-    if i > j:
-        i, j = j, i
-        sign = -1
-    out = [0] * rs.rank
-    for k in range(i, j):
-        for c in range(rs.rank):
-            out[c] += sign * rs.cartan[k - 1][c]
-    return tuple(out)
+        return all(self.monomial_weight(e) == zero for e in self.poly.terms)
 
 
 def _chart_table(n: int, subset: frozenset[int]) -> tuple[
-    tuple[str, ...], tuple[Weight, ...], tuple[tuple[int, int], ...],
-    tuple[int, ...], tuple[int, ...],
+    tuple[str, ...], tuple[tuple[int, int], ...], int
 ]:
-    rs = build_root_system("A", n)
+    # variable names and matrix positions, the y-variables (below the
+    # diagonal) first; the index of the first x-variable
     size = n + 1
     block = _block_ids(n, subset)
-    names: list[str] = []
-    weights: list[Weight] = []
-    positions: list[tuple[int, int]] = []
-    y_idx: list[int] = []
-    x_idx: list[int] = []
-    for i in range(1, size + 1):
-        for j in range(1, i):
-            if block[i - 1] != block[j - 1]:
-                y_idx.append(len(names))
-                names.append(f"y{i}{j}")
-                weights.append(_eps_diff(rs, i, j))
-                positions.append((i, j))
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            if block[i - 1] != block[j - 1]:
-                x_idx.append(len(names))
-                names.append(f"x{i}{j}")
-                weights.append(_eps_diff(rs, i, j))
-                positions.append((i, j))
-    return tuple(names), tuple(weights), tuple(positions), tuple(x_idx), tuple(y_idx)
+    lower = [(i, j) for i in range(1, size + 1) for j in range(1, i)
+             if block[i - 1] != block[j - 1]]
+    upper = sorted((j, i) for i, j in lower)
+    names = tuple(f"y{i}{j}" for i, j in lower) + tuple(f"x{i}{j}" for i, j in upper)
+    return names, tuple(lower + upper), len(lower)
 
 
 def _block_ids(n: int, subset: frozenset[int]) -> list[int]:
@@ -172,7 +145,7 @@ def _mat_mul(a: Matrix, b: Matrix, term_cap: int) -> Matrix:
 
 
 def _mat_identity(proto: SparsePolynomial, size: int) -> Matrix:
-    one = SparsePolynomial.constant(proto.p, proto.variables, 1, proto.weights)
+    one = SparsePolynomial.constant(proto.p, proto.variables, 1)
     zero = one.scale(0)
     return [[one if i == j else zero for j in range(size)] for i in range(size)]
 
@@ -218,17 +191,17 @@ def _det(m: Matrix, term_cap: int) -> SparsePolynomial:
 def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matrix, Matrix]:
     # the chart's variable table, the generic lower unipotent g and I + X
     table = _chart_table(n, subset)
-    names, weights, positions, x_idx, y_idx = table
-    one = SparsePolynomial.constant(p, names, 1, weights)
+    names, positions, x_start = table
+    one = SparsePolynomial.constant(p, names, 1)
 
-    def unipotent(indices: tuple[int, ...]) -> Matrix:
+    def unipotent(indices: range) -> Matrix:
         m = _mat_identity(one, n + 1)
         for k in indices:
             i, j = positions[k]
-            m[i - 1][j - 1] = SparsePolynomial.variable(p, names, names[k], weights)
+            m[i - 1][j - 1] = SparsePolynomial.variable(p, names, names[k])
         return m
 
-    return table, unipotent(y_idx), unipotent(x_idx)
+    return table, unipotent(range(x_start)), unipotent(range(x_start, len(names)))
 
 
 def _check_size(n: int, p: int) -> None:
@@ -244,7 +217,7 @@ def _build_chart(
     n: int, p: int, subset: frozenset[int], term_cap: int
 ) -> ChartFunction:
     _check_size(n, p)
-    (names, _, positions, x_idx, y_idx), g, i_plus_x = _chart_matrices(n, p, subset)
+    (names, positions, x_start), g, i_plus_x = _chart_matrices(n, p, subset)
     size = n + 1
 
     g_inv = _unipotent_inverse(g, term_cap)
@@ -257,18 +230,14 @@ def _build_chart(
     for s in range(1, n + 1):
         f = f.mul(_leading_minor_det(permuted, s, term_cap) ** (p - 1), term_cap)
 
-    cf = ChartFunction(
-        poly=f, n=n, p=p, positions=positions,
-        x_indices=x_idx, y_indices=y_idx, subset=subset,
-    )
     # conjugating the identity gives the identity, whose minors are all 1
-    at_x_zero = {e: c for e, c in f.terms.items() if not any(e[cf.x_start:])}
+    at_x_zero = {e: c for e, c in f.terms.items() if not any(e[x_start:])}
     if at_x_zero != {(0,) * len(names): 1}:
         raise InvariantError(
             f"chart function for n={n}, p={p}, subset={sorted(subset)} "
             "is not the constant 1 at X=0"
         )
-    return cf
+    return ChartFunction(poly=f, n=n, p=p, positions=positions, x_start=x_start, subset=subset)
 
 
 # The most recently built chart.  Callers that need one chart several times
@@ -336,7 +305,7 @@ def levi_x_ideal(cf: ChartFunction, subset: Sequence[int]) -> Optional[VariableI
             raise InputError(f"simple index {i} out of range 1..{cf.n}")
     block = _block_ids(cf.n, inside)
     gens = [
-        k for k in cf.x_indices
+        k for k in range(cf.x_start, len(cf.positions))
         if block[cf.positions[k][0] - 1] == block[cf.positions[k][1] - 1]
     ]
     if not gens:
@@ -392,12 +361,11 @@ def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Canonic
     invariant = cf.is_t_invariant()
     names = cf.poly.variables
     ext_names = names + ("t",)
-    ext_weights = cf.poly.weights + (None,)
 
-    f_ext = SparsePolynomial(p, ext_names, weights=ext_weights)
+    f_ext = SparsePolynomial(p, ext_names)
     f_ext.terms = {e + (0,): c for e, c in cf.poly.terms.items()}
-    t_var = SparsePolynomial.variable(p, ext_names, "t", ext_weights)
-    one_ext = SparsePolynomial.constant(p, ext_names, 1, ext_weights)
+    t_var = SparsePolynomial.variable(p, ext_names, "t")
+    one_ext = SparsePolynomial.constant(p, ext_names, 1)
 
     reports = []
     all_ok = invariant
@@ -408,26 +376,20 @@ def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Canonic
             target = f"y{k + 1}{j}"
             if target not in names:
                 continue
-            base = SparsePolynomial.variable(p, ext_names, target, ext_weights)
+            base = SparsePolynomial.variable(p, ext_names, target)
             if j == k:
                 g_kj = one_ext
             else:
-                g_kj = SparsePolynomial.variable(p, ext_names, f"y{k}{j}", ext_weights)
+                g_kj = SparsePolynomial.variable(p, ext_names, f"y{k}{j}")
             cur = cur.substitute(target, base - t_var.mul(g_kj, term_cap), term_cap)
-        slices: dict[int, dict[tuple[int, ...], int]] = {}
-        t_pos = len(ext_names) - 1
-        for e, c in cur.terms.items():
-            slices.setdefault(e[t_pos], {})[e[:t_pos]] = c
-        t_degree = max(slices) if slices else 0
-        degree_ok = t_degree <= p - 1
+        # the t^i slice must have weight i * alpha_k; the chart weight
+        # ignores the trailing t exponent
         alpha = rs.simple_root(k).fund
-        weights_ok = True
-        for i, terms in slices.items():
-            expected = tuple(i * a for a in alpha)
-            probe = SparsePolynomial(p, names, weights=cf.poly.weights)
-            probe.terms = dict(terms)
-            if any(probe.monomial_weight(e) != expected for e in probe.terms):
-                weights_ok = False
+        t_degree = max((e[-1] for e in cur.terms), default=0)
+        degree_ok = t_degree <= p - 1
+        weights_ok = all(
+            cf.monomial_weight(e) == tuple(e[-1] * a for a in alpha) for e in cur.terms
+        )
         reports.append(DirectionReport(k, t_degree, degree_ok, weights_ok))
         all_ok = all_ok and degree_ok and weights_ok
     return CanonicalCheck(all_ok, invariant, tuple(reports))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import charalg, fpoly, slnsplit
 from .errors import InputError, ResourceLimitError
@@ -30,14 +30,7 @@ class RunConfig:
     rank_cap: int = 3
 
     def to_json_obj(self) -> dict:
-        return {
-            "term_cap": self.term_cap,
-            "dim_cap": self.dim_cap,
-            "weyl_order_cap": self.weyl_order_cap,
-            "enum_cap": self.enum_cap,
-            "seed": self.seed,
-            "rank_cap": self.rank_cap,
-        }
+        return asdict(self)
 
 
 @dataclass

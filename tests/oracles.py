@@ -12,9 +12,13 @@ ideal compatibility by tracing every exponent in [0, p-1]^N instead of one
 pass over the terms of f, the Koszul reduction identity by comparing three
 expanded Euler characteristics weight by weight instead of their Weyl-basis
 coefficients, polynomial products by adding exponent tuples
-and reducing mod p pair by pair instead of adding packed exponent ints, and
+and reducing mod p pair by pair instead of adding packed exponent ints,
 Weyl orbits by a breadth-first search applying every validated simple
-reflection instead of walking down from the dominant member.
+reflection instead of walking down from the dominant member, substitution
+by adding exponent tuples of each term and each term of a power of the
+replacement instead of summing packed products f_k * r^k, and chart
+weights by summing Cartan-matrix rows per variable instead of pairing
+epsilon-coordinates with the simple coroots.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from flagsplit.fpoly import (
     frobenius_trace,
     is_splitting_function,
 )
-from flagsplit.rootdata import RootSystem, Weight, parabolic_subset
+from flagsplit.rootdata import RootSystem, Weight, build_root_system, parabolic_subset
 
 
 def kostant_partition_count(rs: RootSystem, vec: tuple[int, ...]) -> int:
@@ -356,9 +360,71 @@ def mul_by_tuples(
                 del out[e]
         if len(out) > term_cap:
             raise ResourceLimitError(f"product exceeds term cap {term_cap}")
-    res = SparsePolynomial(p, self.variables, weights=self._merged_weights(other))
+    res = SparsePolynomial(p, self.variables)
     res.terms = out
     return res
+
+
+def substitute_by_tuples(
+    self: SparsePolynomial, name: str, replacement: SparsePolynomial,
+    term_cap: int = DEFAULT_TERM_CAP,
+) -> SparsePolynomial:
+    """Replace one variable by a polynomial over the same table, adding the
+    exponent tuple of every term of f to that of every term of the matching
+    power of the replacement and reducing mod p pair by pair."""
+    self._check_compatible(replacement)
+    if name not in self.variables:
+        raise InputError(f"unknown variable {name!r}")
+    idx = self.variables.index(name)
+    powers: dict[int, SparsePolynomial] = {
+        0: SparsePolynomial.constant(self.p, self.variables, 1)
+    }
+    def power(k: int) -> SparsePolynomial:
+        if k not in powers:
+            powers[k] = power(k - 1).mul(replacement, term_cap)
+        return powers[k]
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in self.terms.items():
+        stripped = tuple(0 if i == idx else x for i, x in enumerate(e))
+        for e2, c2 in power(e[idx]).terms.items():
+            t = tuple(a + b for a, b in zip(stripped, e2))
+            v = (out.get(t, 0) + c * c2) % self.p
+            if v:
+                out[t] = v
+            elif t in out:
+                del out[t]
+    res = SparsePolynomial(self.p, self.variables)
+    res.terms = out
+    return res
+
+
+def _eps_diff(rs: RootSystem, i: int, j: int) -> Weight:
+    # eps_i - eps_j in fundamental coordinates; rows of the Cartan matrix are
+    # the simple roots and eps_i - eps_{i+1} = alpha_i.
+    if i == j:
+        return (0,) * rs.rank
+    sign = 1
+    if i > j:
+        i, j = j, i
+        sign = -1
+    out = [0] * rs.rank
+    for k in range(i, j):
+        for c in range(rs.rank):
+            out[c] += sign * rs.cartan[k - 1][c]
+    return tuple(out)
+
+
+def chart_weight_by_cartan_rows(cf, e) -> Weight:
+    """Weight of the chart monomial x^e in fundamental coordinates: each
+    variable at (i, j) is tagged eps_i - eps_j, summed from Cartan-matrix
+    rows, and the tags are added with multiplicity e."""
+    rs = build_root_system("A", cf.n)
+    tags = [_eps_diff(rs, i, j) for i, j in cf.positions]
+    out = [0] * rs.rank
+    for a, w in zip(e, tags):
+        for k in range(rs.rank):
+            out[k] += a * w[k]
+    return tuple(out)
 
 
 def orbit_by_bfs(rs: RootSystem, lam) -> list[Weight]:

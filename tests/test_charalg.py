@@ -376,7 +376,7 @@ def test_graded_sections_decompose_coefficients_directly(monkeypatch):
 def test_graded_sections_cone_weight():
     # a non-dominant weight in C is accepted for the Borel case
     gs = graded_section_char(parabolic_subset(A2), (-1, 1), 3)
-    assert gs.graded.degrees() == [0, 1, 2, 3]
+    assert [d for d, _ in gs.graded.pieces] == [0, 1, 2, 3]
 
 
 # -- Frobenius-kernel cohomology -------------------------------------------------
@@ -512,7 +512,6 @@ def test_character_arithmetic():
     assert (a + b).dimension() == 6
     assert (a - a).term_count() == 0
     assert (2 * a).dimension() == 6
-    assert a.tensor(b).dimension() == 9
     shifted = a.shift((1, 1))
     assert shifted.multiplicity((2, 1)) == a.multiplicity((1, 0))
     with pytest.raises(InputError):

@@ -143,6 +143,23 @@ def test_poly_check_exit_codes(capsys, tmp_path):
     assert code == 2 and out == "" and "duplicate variable" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p", 3.9), ("p", "3"), ("vars", "x"), ("e", [2.5]), ("e", "2"), ("c", True),
+], ids=["float-p", "string-p", "string-vars", "float-exponent", "string-exponents",
+        "bool-coefficient"])
+def test_poly_check_rejects_wrongly_typed_file(capsys, tmp_path, field, value):
+    # coercing the value would read each of these as a polynomial over F_3
+    obj = {"p": 3, "vars": ["x"], "terms": [{"e": [2], "c": 2}]}
+    if field in ("e", "c"):
+        obj["terms"][0][field] = value
+    else:
+        obj[field] = value
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "poly", "check", "--file", str(path))
+    assert code == 2 and out == "" and "not a" in err
+
+
 def test_poly_trace(capsys, tmp_path):
     f = tmp_path / "f.json"
     g = tmp_path / "g.json"

@@ -21,7 +21,9 @@ from flagsplit.fpoly import (
     splits_ideal_compatibly,
 )
 
-from oracles import compat_by_enumeration, mul_by_tuples
+from flagsplit.slnsplit import build_chart_function
+
+from oracles import compat_by_enumeration, mul_by_tuples, substitute_by_tuples
 
 
 def mk(p, names, terms):
@@ -30,7 +32,6 @@ def mk(p, names, terms):
 
 def test_prime_field():
     assert PrimeField(2).p == 2
-    assert PrimeField(7).inverse(3) == 5
     with pytest.raises(InputError):
         PrimeField(1)
     with pytest.raises(InputError):
@@ -72,6 +73,48 @@ def test_substitute():
     assert h == x.scale(2)
 
 
+def test_substitute_matches_tuple_oracle_randomised():
+    rng = random.Random(4242)
+    kinds = dict.fromkeys(["zero", "constant", "self", "other"], 0)
+    for _ in range(600):
+        p = rng.choice([2, 3, 5, 7])
+        nvars = rng.randint(0, 5)
+        names = tuple(f"v{i}" for i in range(nvars))
+        f = _random_poly(rng, p, nvars, rng.randint(0, 10), rng.randint(0, 4))
+        if not nvars:
+            for sub in (SparsePolynomial.substitute, substitute_by_tuples):
+                with pytest.raises(InputError):
+                    sub(f, "v0", f)
+            continue
+        name = rng.choice(names)
+        kind = rng.choice(list(kinds))
+        if kind == "zero":
+            r = mk(p, names, {})
+        elif kind == "constant":
+            r = SparsePolynomial.constant(p, names, rng.randint(1, p - 1))
+        else:
+            r = _random_poly(rng, p, nvars, rng.randint(1, 5), 2)
+            if kind == "self":
+                r = r + SparsePolynomial.variable(p, names, name)
+        idx = names.index(name)
+        if kind == "self" and not any(e[idx] for e in r.terms):
+            kind = "other"   # the added variable cancelled
+        kinds[kind] += 1
+        assert f.substitute(name, r) == substitute_by_tuples(f, name, r), (f, name, r)
+    assert min(kinds.values()) >= 80, kinds
+
+
+def test_substitute_term_cap_bounds_partial_products():
+    # f = (z^0 + ... + z^19) * x and x -> y^0 + ... + y^19: the power r^1
+    # has 20 terms, the partial product f_1 * r has 400
+    names = ("x", "y", "z")
+    f = mk(5, names, {(1, 0, i): 1 for i in range(20)})
+    r = mk(5, names, {(0, j, 0): 1 for j in range(20)})
+    assert f.substitute("x", r, term_cap=400).term_count() == 400
+    with pytest.raises(ResourceLimitError):
+        f.substitute("x", r, term_cap=100)
+
+
 def test_zero_coefficients_dropped():
     f = mk(3, ("x",), {(1,): 3, (2,): 4})
     assert dict(f.terms) == {(2,): 1}
@@ -91,7 +134,7 @@ def _product_or_refusal(mul, a, b, term_cap):
         res = mul(a, b, term_cap)
     except ResourceLimitError:
         return "refused"
-    return res.variables, res.weights, res.terms
+    return res.variables, res.p, res.terms
 
 
 def _assert_mul_matches_oracle(a, b, term_cap=10**6):
@@ -388,11 +431,24 @@ MALFORMED_POLYNOMIALS = [
      "duplicate exponent"),
     ({"p": 3, "vars": ["x", "y"], "terms": [{"e": [2, 0], "c": 1}, {"e": [0, 1], "c": 2}]},
      "out of order"),
+    # values of the wrong JSON type, which are refused, not coerced
+    ({"p": 3.9, "vars": ["x"], "terms": [{"e": [2], "c": 2}]}, "characteristic"),
+    ({"p": "3", "vars": ["x"], "terms": [{"e": [2], "c": 2}]}, "characteristic"),
+    ({"p": 3, "vars": ["x"], "terms": [{"e": [2.5], "c": 2}]}, "exponent vector"),
+    ({"p": 3, "vars": ["x"], "terms": [{"e": [True], "c": 2}]}, "exponent vector"),
+    ({"p": 3, "vars": ["x"], "terms": [{"e": "2", "c": 2}]}, "exponent vector"),
+    ({"p": 3, "vars": ["x"], "terms": [{"e": 2, "c": 2}]}, "exponent vector"),
+    ({"p": 3, "vars": "x", "terms": [{"e": [2], "c": 2}]}, "variables"),
+    ({"p": 3, "vars": [1], "terms": [{"e": [2], "c": 2}]}, "variables"),
+    ({"p": 3, "vars": ["x"], "terms": [{"e": [2], "c": True}]}, "coefficient"),
 ]
 
 
 @pytest.mark.parametrize("obj, message", MALFORMED_POLYNOMIALS,
-                         ids=["duplicate-variables", "duplicate-terms", "unsorted-terms"])
+                         ids=["duplicate-variables", "duplicate-terms", "unsorted-terms",
+                              "float-p", "string-p", "float-exponent", "bool-exponent",
+                              "string-exponents", "integer-exponents", "string-vars",
+                              "integer-var", "bool-coefficient"])
 def test_json_rejects_ambiguous_polynomials(tmp_path, obj, message):
     with pytest.raises(InputError, match=message):
         poly_from_json_obj(obj)
@@ -415,11 +471,9 @@ def test_saved_polynomials_load_back(tmp_path):
 
 
 def test_weight_tags():
-    f = SparsePolynomial(
-        3, ("x", "y"), {(1, 1): 1}, weights=((2,), (-2,))
-    )
-    assert f.monomial_weight((1, 1)) == (0,)
-    assert f.monomial_weight((2, 1)) == (2,)
-    untagged = mk(3, ("x",), {(1,): 1})
-    with pytest.raises(InputError):
-        untagged.monomial_weight((1,))
+    # the rank-1 chart: y21 at (2, 1) has weight -alpha, x12 at (1, 2) +alpha
+    cf = build_chart_function(1, 3)
+    assert cf.poly.variables == ("y21", "x12")
+    assert cf.monomial_weight((1, 1)) == (0,)
+    assert cf.monomial_weight((1, 2)) == (2,)
+    assert cf.monomial_weight((2, 0)) == (-4,)

@@ -3,6 +3,7 @@ homogeneous component, compatibility, canonical condition, parabolic case."""
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -26,10 +27,12 @@ from flagsplit.slnsplit import (
 from flagsplit.verify import RunConfig, suite_sln
 
 from oracles import (
+    chart_weight_by_cartan_rows,
     compat_by_enumeration,
     mul_by_tuples,
     rank1_chart_by_conjugation,
     rank1_chart_closed_form,
+    substitute_by_tuples,
 )
 
 
@@ -75,7 +78,7 @@ def test_chart_splitting_criterion(n, p):
 
 def test_chart_function_metadata():
     cf = build_chart_function(2, 3)
-    assert cf.num_x == 3 and len(cf.y_indices) == 3
+    assert cf.num_x == 3 and cf.x_start == 3
     assert cf.is_t_invariant()
     assert cf.max_x_degree() <= cf.num_x * (cf.p - 1)
     # the all-(p-1) monomial is present
@@ -163,6 +166,40 @@ def test_canonical_n2_p2():
     assert res.ok and res.t_invariant
     assert len(res.directions) == 2
     assert all(d.t_degree <= 1 for d in res.directions)
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 2)])
+def test_canonical_substitutions_match_tuple_oracle(monkeypatch, n, p):
+    # every row substitution canonical_check makes, checked against the
+    # tuple-loop substitution
+    substitute = SparsePolynomial.substitute
+    names = []
+
+    def checked(self, name, replacement, term_cap=DEFAULT_TERM_CAP):
+        got = substitute(self, name, replacement, term_cap)
+        assert got == substitute_by_tuples(self, name, replacement, term_cap), name
+        names.append(name)
+        return got
+
+    monkeypatch.setattr(SparsePolynomial, "substitute", checked)
+    assert canonical_check(n, p).ok
+    assert len(names) == n * (n + 1) // 2
+
+
+def test_chart_weights_match_cartan_row_oracle():
+    rng = random.Random(31)
+    for n in range(1, 5):
+        for subset in itertools.chain([()], _nonempty_subsets(n)):
+            cf = build_parabolic_chart_function(n, 2, subset)
+            nvars = len(cf.positions)
+            # the variable names follow the positions, x-variables last
+            for k, (i, j) in enumerate(cf.positions):
+                assert cf.poly.variables[k] == f"{'x' if k >= cf.x_start else 'y'}{i}{j}"
+                assert (i < j) == (k >= cf.x_start)
+            monomials = [tuple(int(k == v) for k in range(nvars)) for v in range(nvars)]
+            monomials += [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(40)]
+            for e in monomials:
+                assert cf.monomial_weight(e) == chart_weight_by_cartan_rows(cf, e), (n, subset, e)
 
 
 def test_parabolic_empty_subset_reduces_to_main():
@@ -293,7 +330,7 @@ def test_x_zero_identity_is_checked(monkeypatch):
 
     def broken(m, s, term_cap):
         d = minor(m, s, term_cap)
-        return d - SparsePolynomial.constant(d.p, d.variables, 1, d.weights)
+        return d - SparsePolynomial.constant(d.p, d.variables, 1)
 
     monkeypatch.setattr(slnsplit, "_leading_minor_det", broken)
     with pytest.raises(InvariantError, match="X=0"):
