@@ -45,7 +45,6 @@ from .slnsplit import (
     build_chart_function,
     build_parabolic_chart_function,
     canonical_check,
-    check_chart_splitting,
     compat_check,
     mvk_component,
 )

@@ -355,8 +355,9 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_sln(args) -> int:
-    if args.action == "build":
+    if args.action != "parabolic":
         cf = slnsplit.build_chart_function(args.n, args.p, term_cap=args.term_cap)
+    if args.action == "build":
         if args.out:
             fpoly.save_poly(cf.poly, args.out)
             _emit(
@@ -368,7 +369,7 @@ def _cmd_sln(args) -> int:
             _emit(fpoly.poly_to_json_obj(cf.poly), lambda: [repr(cf.poly)], args.json)
         return 0
     if args.action == "check":
-        res = slnsplit.check_chart_splitting(args.n, args.p, term_cap=args.term_cap)
+        res = fpoly.is_splitting_function(cf.poly)
         obj = {"splitting": res.ok}
         if res.witness is not None:
             obj["witness"] = list(res.witness)
@@ -377,27 +378,24 @@ def _cmd_sln(args) -> int:
         ], args.json)
         return 0 if res.ok else 1
     if args.action == "mvk":
-        cf = slnsplit.build_chart_function(args.n, args.p, term_cap=args.term_cap)
         comp = slnsplit.mvk_component(cf)
-        res = fpoly.is_splitting_function(comp)
+        res = fpoly.is_splitting_function(comp.poly)
         obj = {
-            "component_terms": comp.term_count(),
+            "component_terms": comp.poly.term_count(),
             "splitting": res.ok,
-            "component": fpoly.poly_to_json_obj(comp),
+            "component": fpoly.poly_to_json_obj(comp.poly),
         }
         code = 0 if res.ok else 1
         if args.compat:
             subset = _parse_ints(args.compat)
-            cres = slnsplit.compat_check(
-                args.n, args.p, subset, term_cap=args.term_cap, enum_cap=args.enum_cap
-            )
+            cres = slnsplit.compat_check(comp, subset, enum_cap=args.enum_cap)
             obj["compatible"] = cres.ok
             if cres.witness_exponent is not None:
                 obj["witness_exponent"] = list(cres.witness_exponent)
             code = max(code, 0 if cres.ok else 1)
 
         def lines() -> list[str]:
-            out = [f"component has {comp.term_count()} terms; splitting: {res.ok}"]
+            out = [f"component has {comp.poly.term_count()} terms; splitting: {res.ok}"]
             if args.compat:
                 out.append(f"compatibility with I={list(subset)}: {cres.ok}")
             return out
@@ -405,7 +403,7 @@ def _cmd_sln(args) -> int:
         _emit(obj, lines, args.json)
         return code
     if args.action == "canonical":
-        res = slnsplit.canonical_check(args.n, args.p, term_cap=args.term_cap)
+        res = slnsplit.canonical_check(cf, term_cap=args.term_cap)
         obj = {
             "canonical": res.ok,
             "t_invariant": res.t_invariant,

@@ -100,6 +100,18 @@ class SparsePolynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _from_terms(cls, p: int, variables: tuple[str, ...],
+                    terms: dict[tuple[int, ...], int]) -> "SparsePolynomial":
+        # arithmetic results: p and the variable table come from operands
+        # that were validated when they were built, and the terms are
+        # already reduced mod p, so nothing is checked again
+        res = cls.__new__(cls)
+        res.p = p
+        res.variables = variables
+        res.terms = terms
+        return res
+
+    @classmethod
     def constant(cls, p: int, variables: Sequence[str], value: int) -> "SparsePolynomial":
         zero = (0,) * len(variables)
         return cls(p, variables, {zero: value})
@@ -173,25 +185,23 @@ class SparsePolynomial:
                 out[e] = v
             elif e in out:
                 del out[e]
-        res = SparsePolynomial(self.p, self.variables)
-        res.terms = out
-        return res
+        return SparsePolynomial._from_terms(self.p, self.variables, out)
 
     def __neg__(self) -> "SparsePolynomial":
-        res = SparsePolynomial(self.p, self.variables)
-        res.terms = {e: self.p - c for e, c in self.terms.items()}
-        return res
+        p = self.p
+        return SparsePolynomial._from_terms(
+            p, self.variables, {e: p - c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + (-other)
 
     def scale(self, k: int) -> "SparsePolynomial":
-        k %= self.p
-        res = SparsePolynomial(self.p, self.variables)
-        if k:
-            res.terms = {e: (c * k) % self.p for e, c in self.terms.items()}
-            res.terms = {e: c for e, c in res.terms.items() if c}
-        return res
+        p = self.p
+        k %= p
+        # p is prime, so c * k is nonzero mod p for nonzero c and k
+        terms = {e: c * k % p for e, c in self.terms.items()} if k else {}
+        return SparsePolynomial._from_terms(p, self.variables, terms)
 
     def mul(self, other: "SparsePolynomial", term_cap: int = DEFAULT_TERM_CAP) -> "SparsePolynomial":
         """Product, refused once a partial product (after any row of
@@ -204,7 +214,7 @@ class SparsePolynomial:
         """
         self._check_compatible(other)
         p = self.p
-        res = SparsePolynomial(p, self.variables)
+        res = SparsePolynomial._from_terms(p, self.variables, {})
         if not self.terms or not other.terms:
             return res
         nvars = len(self.variables)
@@ -241,7 +251,9 @@ class SparsePolynomial:
     def __pow__(self, n: int) -> "SparsePolynomial":
         if n < 0:
             raise InputError("negative powers are not defined")
-        result = SparsePolynomial.constant(self.p, self.variables, 1)
+        result = SparsePolynomial._from_terms(
+            self.p, self.variables, {(0,) * len(self.variables): 1}
+        )
         base = self
         while n:
             if n & 1:
@@ -262,15 +274,16 @@ class SparsePolynomial:
         self._check_compatible(replacement)
         if name not in self.variables:
             raise InputError(f"unknown variable {name!r}")
-        idx = self.variables.index(name)
+        p, variables = self.p, self.variables
+        idx = variables.index(name)
         slices: dict[int, SparsePolynomial] = {}
         for e, c in self.terms.items():
             f_k = slices.get(e[idx])
             if f_k is None:
-                f_k = slices[e[idx]] = SparsePolynomial(self.p, self.variables)
+                f_k = slices[e[idx]] = SparsePolynomial._from_terms(p, variables, {})
             f_k.terms[e[:idx] + (0,) + e[idx + 1:]] = c
-        out = SparsePolynomial(self.p, self.variables)
-        power = SparsePolynomial.constant(self.p, self.variables, 1)
+        out = SparsePolynomial._from_terms(p, variables, {})
+        power = SparsePolynomial._from_terms(p, variables, {(0,) * len(variables): 1})
         for k in range(max(slices, default=-1) + 1):
             if k:
                 power = power.mul(replacement, term_cap)
@@ -304,9 +317,7 @@ def frobenius_trace(
                 out[target] = v
             elif target in out:
                 del out[target]
-    res = SparsePolynomial(p, f.variables)
-    res.terms = out
-    return res
+    return SparsePolynomial._from_terms(p, f.variables, out)
 
 
 @dataclass(frozen=True)

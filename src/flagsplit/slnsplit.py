@@ -10,17 +10,19 @@ so that the built functions are weight-zero monomial by monomial.  The
 polynomials themselves are plain: no weight is stored in them.
 
 The main function conjugates I + X by g symbolically (the inverse of a
-unipotent matrix is its finite Neumann series) and multiplies the
-(p-1)-st powers of the leading principal minors.  Sign conventions: with
-these weights the x-variables carry positive-root weights; the one-parameter
-subgroups used by the canonical-splitting condition are the lower elementary
-matrices x_k(t) = I + t E_{k+1,k}, the directions fixing the highest-weight
-vector of the pairing realised by the leading minors.
+unipotent matrix by forward substitution) and multiplies the (p-1)-st
+powers of the leading principal minors.  A chart is a value with no cache
+behind it: the caller builds it once and passes it, or its homogeneous
+component, to each check.  Sign conventions: with these weights the
+x-variables carry positive-root weights; the one-parameter subgroups used
+by the canonical-splitting condition are the lower elementary matrices
+x_k(t) = I + t E_{k+1,k}, the directions fixing the highest-weight vector
+of the pairing realised by the leading minors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from operator import sub
 from typing import Optional, Sequence
 
@@ -30,10 +32,9 @@ from .fpoly import (
     DEFAULT_TERM_CAP,
     CompatibilityCheck,
     SparsePolynomial,
-    SplittingCheck,
     VariableIdeal,
     is_prime,
-    is_splitting_function,
+    is_splitting_function,   # re-exported: callers test a chart's poly with it
     splits_ideal_compatibly,
 )
 from .rootdata import RootSystem, Weight, build_root_system
@@ -52,11 +53,6 @@ class ChartFunction:
     positions: tuple[tuple[int, int], ...]   # matrix position per variable
     x_start: int                             # the x-variables are the trailing ones
     subset: frozenset[int]                   # parabolic subset; empty = Borel
-    # filled by the first mvk_component call, so every compatibility check
-    # on this chart filters it once
-    _component: Optional[SparsePolynomial] = field(
-        init=False, default=None, repr=False, compare=False
-    )
 
     @property
     def rs(self) -> RootSystem:
@@ -151,22 +147,16 @@ def _mat_identity(proto: SparsePolynomial, size: int) -> Matrix:
 
 
 def _unipotent_inverse(g: Matrix, term_cap: int) -> Matrix:
-    # (I + L)^{-1} = sum (-L)^k, a finite sum for nilpotent L
+    # g h = I with h lower unipotent: h_ij = -sum_{j<=k<i} g_ik h_kj for i > j
     size = len(g)
-    ident = _mat_identity(g[0][0], size)
-    low = [[g[i][j] - ident[i][j] for j in range(size)] for i in range(size)]
-    out = [row[:] for row in ident]
-    power = [row[:] for row in ident]
-    sign = 1
-    for _ in range(size):
-        power = _mat_mul(power, low, term_cap)
-        if all(e.is_zero() for row in power for e in row):
-            break
-        sign = -sign
-        for i in range(size):
-            for j in range(size):
-                out[i][j] = out[i][j] + power[i][j].scale(sign)
-    return out
+    h = _mat_identity(g[0][0], size)
+    for j in range(size):
+        for i in range(j + 1, size):
+            acc = h[i][j]
+            for k in range(j, i):
+                acc = acc + g[i][k].mul(h[k][j], term_cap)
+            h[i][j] = -acc
+    return h
 
 
 def _leading_minor_det(m: Matrix, s: int, term_cap: int) -> SparsePolynomial:
@@ -204,19 +194,23 @@ def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matr
     return table, unipotent(range(x_start)), unipotent(range(x_start, len(names)))
 
 
-def _check_size(n: int, p: int) -> None:
+def _simple_subset(n: int, subset: Sequence[int]) -> frozenset[int]:
+    inside = frozenset(int(i) for i in subset)
+    for i in inside:
+        if not 1 <= i <= n:
+            raise InputError(f"simple index {i} out of range 1..{n}")
+    return inside
+
+
+def _build_chart(
+    n: int, p: int, subset: frozenset[int], term_cap: int
+) -> ChartFunction:
     if n < 1:
         raise InputError("n must be at least 1")
     if n > 8:
         raise InputError("n is capped at 8")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-
-
-def _build_chart(
-    n: int, p: int, subset: frozenset[int], term_cap: int
-) -> ChartFunction:
-    _check_size(n, p)
     (names, positions, x_start), g, i_plus_x = _chart_matrices(n, p, subset)
     size = n + 1
 
@@ -240,28 +234,11 @@ def _build_chart(
     return ChartFunction(poly=f, n=n, p=p, positions=positions, x_start=x_start, subset=subset)
 
 
-# The most recently built chart.  Callers that need one chart several times
-# in a row (verify sln, mvk --compat) share one build; holding a single
-# chart keeps memory flat when a process walks through many of them.
-_last_chart: dict[tuple[int, int, frozenset[int], int], ChartFunction] = {}
-
-
-def _chart(n: int, p: int, subset: frozenset[int], term_cap: int) -> ChartFunction:
-    key = (n, p, subset, term_cap)
-    cf = _last_chart.get(key)
-    if cf is None:
-        _last_chart.clear()
-        cf = _last_chart[key] = _build_chart(n, p, subset, term_cap)
-    return cf
-
-
 def build_chart_function(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> ChartFunction:
     """Product of the (p-1)-st powers of the leading principal minors of
     g (I + X) g^{-1}, the chart form of the extreme-vector splitting.
-
-    Charts are shared between calls with the same arguments: treat the
-    returned polynomial as read-only."""
-    return _chart(n, p, frozenset(), term_cap)
+    Whether it splits is ``is_splitting_function(cf.poly)``."""
+    return _build_chart(n, p, frozenset(), term_cap)
 
 
 def build_parabolic_chart_function(
@@ -274,36 +251,19 @@ def build_parabolic_chart_function(
     the pairing against the Levi-translated extreme weight vectors, and it
     reduces to :func:`build_chart_function` when the subset is empty.
     """
-    inside = frozenset(int(i) for i in subset)
-    for i in inside:
-        if not 1 <= i <= n:
-            raise InputError(f"simple index {i} out of range 1..{n}")
-    return _chart(n, p, inside, term_cap)
+    return _build_chart(n, p, _simple_subset(n, subset), term_cap)
 
 
-def check_chart_splitting(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> SplittingCheck:
-    """Splitting criterion for the main chart function, including the
-    nonvanishing of the all-(p-1) coefficient."""
-    cf = build_chart_function(n, p, term_cap)
-    return is_splitting_function(cf.poly)
-
-
-def mvk_component(cf: ChartFunction) -> SparsePolynomial:
+def mvk_component(cf: ChartFunction) -> ChartFunction:
     """Homogeneous component of fibre degree N(p-1), the distinguished
-    homogeneous splitting.  Computed once per chart: treat it as read-only."""
-    if cf._component is None:
-        object.__setattr__(cf, "_component", cf.x_degree_component(cf.num_x * (cf.p - 1)))
-    return cf._component
+    homogeneous splitting, as a function on the same chart."""
+    return replace(cf, poly=cf.x_degree_component(cf.num_x * (cf.p - 1)))
 
 
 def levi_x_ideal(cf: ChartFunction, subset: Sequence[int]) -> Optional[VariableIdeal]:
     """Chart ideal of the parabolic subbundle: the x-variables at positions
     inside the Levi blocks of the subset.  None when the subset is empty."""
-    inside = frozenset(int(i) for i in subset)
-    for i in inside:
-        if not 1 <= i <= cf.n:
-            raise InputError(f"simple index {i} out of range 1..{cf.n}")
-    block = _block_ids(cf.n, inside)
+    block = _block_ids(cf.n, _simple_subset(cf.n, subset))
     gens = [
         k for k in range(cf.x_start, len(cf.positions))
         if block[cf.positions[k][0] - 1] == block[cf.positions[k][1] - 1]
@@ -314,21 +274,16 @@ def levi_x_ideal(cf: ChartFunction, subset: Sequence[int]) -> Optional[VariableI
 
 
 def compat_check(
-    n: int,
-    p: int,
-    subset: Sequence[int],
-    term_cap: int = DEFAULT_TERM_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    cf: ChartFunction, subset: Sequence[int], enum_cap: int = DEFAULT_ENUM_CAP
 ) -> CompatibilityCheck:
-    """Does the homogeneous splitting preserve the chart ideal of the
-    parabolic subbundle?  Vacuously true for the empty subset, which
-    builds no chart."""
-    if not subset:
-        _check_size(n, p)
-        return CompatibilityCheck(True)
-    cf = build_chart_function(n, p, term_cap)
+    """Does the splitting defined by ``cf.poly`` preserve the chart ideal of
+    the parabolic subbundle?  Pass ``mvk_component(chart)`` to ask it of the
+    homogeneous splitting.  Vacuously true when the ideal has no generators,
+    as for the empty subset."""
     ideal = levi_x_ideal(cf, subset)
-    return splits_ideal_compatibly(mvk_component(cf), ideal, enum_cap=enum_cap)
+    if ideal is None:
+        return CompatibilityCheck(True)
+    return splits_ideal_compatibly(cf.poly, ideal, enum_cap=enum_cap)
 
 
 @dataclass(frozen=True)
@@ -349,14 +304,17 @@ class CanonicalCheck:
         return self.ok
 
 
-def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> CanonicalCheck:
-    """Canonical-splitting condition for the main chart function.
+def canonical_check(cf: ChartFunction, term_cap: int = DEFAULT_TERM_CAP) -> CanonicalCheck:
+    """Canonical-splitting condition for a Borel chart function, such as
+    :func:`build_chart_function`'s.
 
     (a) Every monomial has weight zero.  (b) Translating g by the lower
     elementary x_k(-t) expands in t with degree at most p-1 and the t^i
     coefficient purely of weight i * alpha_k.
     """
-    cf = build_chart_function(n, p, term_cap)
+    if cf.subset:
+        raise InputError("the canonical condition is checked on a Borel chart")
+    n, p = cf.n, cf.p
     rs = cf.rs
     invariant = cf.is_t_invariant()
     names = cf.poly.variables

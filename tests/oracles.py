@@ -16,9 +16,10 @@ and reducing mod p pair by pair instead of adding packed exponent ints,
 Weyl orbits by a breadth-first search applying every validated simple
 reflection instead of walking down from the dominant member, substitution
 by adding exponent tuples of each term and each term of a power of the
-replacement instead of summing packed products f_k * r^k, and chart
+replacement instead of summing packed products f_k * r^k, chart
 weights by summing Cartan-matrix rows per variable instead of pairing
-epsilon-coordinates with the simple coroots.
+epsilon-coordinates with the simple coroots, and the inverse of a unipotent
+matrix by its Neumann series instead of forward substitution.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from flagsplit.fpoly import (
     is_splitting_function,
 )
 from flagsplit.rootdata import RootSystem, Weight, build_root_system, parabolic_subset
+from flagsplit.slnsplit import _mat_identity, _mat_mul
 
 
 def kostant_partition_count(rs: RootSystem, vec: tuple[int, ...]) -> int:
@@ -396,6 +398,26 @@ def substitute_by_tuples(
     res = SparsePolynomial(self.p, self.variables)
     res.terms = out
     return res
+
+
+def unipotent_inverse_by_neumann(g, term_cap: int = DEFAULT_TERM_CAP):
+    """Inverse of a lower unipotent polynomial matrix g = I + L as the
+    finite Neumann series sum_k (-L)^k, stopped at the first zero power."""
+    size = len(g)
+    ident = _mat_identity(g[0][0], size)
+    low = [[g[i][j] - ident[i][j] for j in range(size)] for i in range(size)]
+    out = [row[:] for row in ident]
+    power = [row[:] for row in ident]
+    sign = 1
+    for _ in range(size):
+        power = _mat_mul(power, low, term_cap)
+        if all(e.is_zero() for row in power for e in row):
+            break
+        sign = -sign
+        for i in range(size):
+            for j in range(size):
+                out[i][j] = out[i][j] + power[i][j].scale(sign)
+    return out
 
 
 def _eps_diff(rs: RootSystem, i: int, j: int) -> Weight:

@@ -67,15 +67,16 @@ def test_criterion_02_homogeneous_component():
         cf = build_chart_function(n, p)
         comp = mvk_component(cf)
         target = cf.num_x * (p - 1)
-        ok &= all(sum(e[cf.x_start:]) == target for e in comp.terms)
-        ok &= is_splitting_function(comp).ok
+        ok &= all(sum(e[cf.x_start:]) == target for e in comp.poly.terms)
+        ok &= is_splitting_function(comp.poly).ok
     _report(2, "fibre-degree N(p-1) components split",
             ok, time.monotonic() - start, 5.0)
 
 
 def test_criterion_03_compatibility():
     start = time.monotonic()
-    ok = compat_check(2, 2, [1]).ok and compat_check(2, 2, [2]).ok
+    comp = mvk_component(build_chart_function(2, 2))
+    ok = compat_check(comp, [1]).ok and compat_check(comp, [2]).ok
     _report(3, "homogeneous splitting preserves both parabolic chart ideals (n=2, p=2)",
             ok, time.monotonic() - start, 10.0)
 
@@ -84,7 +85,7 @@ def test_criterion_04_canonical():
     start = time.monotonic()
     ok = True
     for n, p in [(1, 2), (1, 3), (1, 5), (2, 2)]:
-        res = canonical_check(n, p)
+        res = canonical_check(build_chart_function(n, p))
         ok &= res.ok and res.t_invariant
         ok &= all(d.t_degree <= p - 1 for d in res.directions)
     _report(4, "canonical condition: t-degree <= p-1, pure weight i*alpha",

@@ -213,6 +213,19 @@ def test_sln_commands(capsys, tmp_path):
     assert json.loads(out)["splitting"] is True
 
 
+def test_sln_mvk_compat_builds_and_filters_once(capsys, monkeypatch):
+    from flagsplit import slnsplit
+    calls = []
+    build, component = slnsplit._build_chart, slnsplit.ChartFunction.x_degree_component
+    monkeypatch.setattr(slnsplit, "_build_chart",
+                        lambda *args: calls.append("build") or build(*args))
+    monkeypatch.setattr(slnsplit.ChartFunction, "x_degree_component",
+                        lambda cf, d: calls.append("filter") or component(cf, d))
+    code, out, _ = run(capsys, "sln", "mvk", "--n", "3", "--p", "2", "--compat", "1,3", "--json")
+    assert code == 0 and json.loads(out)["compatible"] is True
+    assert calls == ["build", "filter"]
+
+
 def test_verify_fpoly(capsys):
     code, out, _ = run(capsys, "verify", "fpoly", "--json")
     assert code == 0

@@ -43,6 +43,45 @@ def test_prime_field():
         PrimeField(2**31 + 11)
 
 
+def test_arithmetic_does_not_revalidate_the_characteristic(monkeypatch):
+    from flagsplit import fpoly
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(fpoly, "is_prime", counting)
+    p = 2**31 - 1
+    names = ("x", "y")
+    x = SparsePolynomial.variable(p, names, "x")
+    y = SparsePolynomial.variable(p, names, "y")
+    assert calls == [p, p]
+    calls.clear()
+    s = (x + y) ** 20
+    results = [
+        s, x - y, -x, x.scale(3), x.scale(p), x.mul(y), x * y,
+        s.substitute("y", x - y), frobenius_trace(s, x), x ** 0,
+    ]
+    assert calls == []
+    assert results[-1] == SparsePolynomial.constant(p, names, 1)
+    assert s.coefficient((10, 10)) == 184756   # C(20, 10) < p
+    assert results[4].is_zero()
+
+
+def test_public_constructors_check_the_characteristic():
+    obj = {"p": 6, "vars": ["x"], "terms": [{"e": [1], "c": 1}]}
+    for build in (
+        lambda: SparsePolynomial(6, ("x",)),
+        lambda: SparsePolynomial.constant(6, ("x",), 1),
+        lambda: SparsePolynomial.variable(6, ("x",), "x"),
+        lambda: SparsePolynomial.monomial(6, ("x",), (1,)),
+        lambda: poly_from_json_obj(obj),
+    ):
+        with pytest.raises(InputError, match="6 is not prime"):
+            build()
+
+
 def test_add_mul_basic():
     names = ("x",)
     one = SparsePolynomial.constant(5, names, 1)

@@ -17,7 +17,6 @@ from flagsplit.slnsplit import (
     build_chart_function,
     build_parabolic_chart_function,
     canonical_check,
-    check_chart_splitting,
     compat_check,
     levi_x_ideal,
     mvk_component,
@@ -33,6 +32,7 @@ from oracles import (
     rank1_chart_by_conjugation,
     rank1_chart_closed_form,
     substitute_by_tuples,
+    unipotent_inverse_by_neumann,
 )
 
 
@@ -72,7 +72,7 @@ def test_x_zero_specialisation():
 
 @pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (1, 5), (1, 7), (2, 2), (2, 3)])
 def test_chart_splitting_criterion(n, p):
-    check = check_chart_splitting(n, p)
+    check = is_splitting_function(build_chart_function(n, p).poly)
     assert check.ok, check.witness
 
 
@@ -96,8 +96,11 @@ def test_mvk_rank1():
     for p in (2, 3, 5, 7):
         cf = build_chart_function(1, p)
         comp = mvk_component(cf)
-        assert list(comp.terms) == [(p - 1, p - 1)]
-        assert is_splitting_function(comp).ok
+        assert list(comp.poly.terms) == [(p - 1, p - 1)]
+        assert is_splitting_function(comp.poly).ok
+        # the component lives on the same chart
+        assert (comp.n, comp.p, comp.positions, comp.x_start, comp.subset) == \
+            (cf.n, cf.p, cf.positions, cf.x_start, cf.subset)
 
 
 def test_mvk_n2():
@@ -105,8 +108,8 @@ def test_mvk_n2():
         cf = build_chart_function(2, p)
         comp = mvk_component(cf)
         target = cf.num_x * (p - 1)
-        assert all(sum(e[cf.x_start:]) == target for e in comp.terms)
-        assert is_splitting_function(comp).ok
+        assert all(sum(e[cf.x_start:]) == target for e in comp.poly.terms)
+        assert is_splitting_function(comp.poly).ok
 
 
 def test_levi_ideal_positions():
@@ -123,10 +126,11 @@ def test_levi_ideal_positions():
 
 
 def test_compat_n2_p2():
-    assert compat_check(2, 2, [1]).ok
-    assert compat_check(2, 2, [2]).ok
-    assert compat_check(2, 2, []).ok          # empty subset is vacuous
-    assert compat_check(2, 2, [1, 2]).ok      # whole set: ideal of all x's
+    comp = mvk_component(build_chart_function(2, 2))
+    assert compat_check(comp, [1]).ok
+    assert compat_check(comp, [2]).ok
+    assert compat_check(comp, []).ok          # empty subset is vacuous
+    assert compat_check(comp, [1, 2]).ok      # whole set: ideal of all x's
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2)])
@@ -134,27 +138,28 @@ def test_compat_matches_enumeration(n, p):
     cf = build_chart_function(n, p)
     comp = mvk_component(cf)
     for subset in _nonempty_subsets(n):
-        got = compat_check(n, p, subset)
-        want = compat_by_enumeration(comp, levi_x_ideal(cf, subset))
+        got = compat_check(comp, subset)
+        want = compat_by_enumeration(comp.poly, levi_x_ideal(cf, subset))
         assert (got.ok, got.witness_exponent, got.witness_trace) == \
             (want.ok, want.witness_exponent, want.witness_trace), subset
 
 
 def test_compat_reach_n3_p3():
     # 3^12 exponent vectors: beyond the enumeration's default cap
+    comp = mvk_component(build_chart_function(3, 3))
     for subset in _nonempty_subsets(3):
-        assert compat_check(3, 3, subset).ok, subset
+        assert compat_check(comp, subset).ok, subset
 
 
 @pytest.mark.parametrize("subset", [[2], [1, 2, 3, 4]])
 def test_compat_reach_n4_p2(subset):
     # 2^20 exponent vectors: beyond the enumeration's default cap
-    assert compat_check(4, 2, subset).ok
+    assert compat_check(mvk_component(build_chart_function(4, 2)), subset).ok
 
 
 def test_canonical_rank1():
     for p in (2, 3, 5):
-        res = canonical_check(1, p)
+        res = canonical_check(build_chart_function(1, p))
         assert res.ok and res.t_invariant
         (direction,) = res.directions
         assert direction.t_degree == p - 1
@@ -162,7 +167,7 @@ def test_canonical_rank1():
 
 
 def test_canonical_n2_p2():
-    res = canonical_check(2, 2)
+    res = canonical_check(build_chart_function(2, 2))
     assert res.ok and res.t_invariant
     assert len(res.directions) == 2
     assert all(d.t_degree <= 1 for d in res.directions)
@@ -181,8 +186,9 @@ def test_canonical_substitutions_match_tuple_oracle(monkeypatch, n, p):
         names.append(name)
         return got
 
+    cf = build_chart_function(n, p)
     monkeypatch.setattr(SparsePolynomial, "substitute", checked)
-    assert canonical_check(n, p).ok
+    assert canonical_check(cf).ok
     assert len(names) == n * (n + 1) // 2
 
 
@@ -259,10 +265,10 @@ def test_n3_beyond_acceptance_guards():
     assert cf.is_t_invariant()
     assert cf.max_x_degree() == cf.num_x == 6
     comp = mvk_component(cf)
-    assert is_splitting_function(comp).ok
-    assert compat_check(3, 2, [2]).ok
-    assert compat_check(3, 2, [1, 3]).ok
-    assert canonical_check(3, 2).ok
+    assert is_splitting_function(comp.poly).ok
+    assert compat_check(comp, [2]).ok
+    assert compat_check(comp, [1, 3]).ok
+    assert canonical_check(cf).ok
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (2, 13)])
@@ -282,7 +288,6 @@ def _count_builds(monkeypatch) -> list:
         built.append(args)
         return build(*args)
 
-    slnsplit._last_chart.clear()
     monkeypatch.setattr(slnsplit, "_build_chart", counting)
     return built
 
@@ -296,7 +301,6 @@ def test_verify_sln_builds_each_chart_once(monkeypatch):
 
 
 def test_verify_sln_filters_each_component_once(monkeypatch):
-    slnsplit._last_chart.clear()
     filtered = []
     component = slnsplit.ChartFunction.x_degree_component
 
@@ -309,19 +313,47 @@ def test_verify_sln_filters_each_component_once(monkeypatch):
     assert all(c.status == "pass" for c in checks), checks
     assert filtered == [(3, 2, frozenset(), 6)]
     cf = build_chart_function(3, 2)
-    assert mvk_component(cf) is mvk_component(cf)
-    assert mvk_component(cf).terms == component(cf, 6).terms
+    assert mvk_component(cf).poly.terms == component(cf, 6).terms
+
+
+def test_verify_sln_refused_chart_is_built_once(monkeypatch):
+    # at the parent commit each of the five checks on the Borel chart
+    # attempted the refused build again
+    built = _count_builds(monkeypatch)
+    checks = suite_sln(RunConfig(term_cap=100), n=3, p=3)
+    assert [args[:3] for args in built].count((3, 3, frozenset())) == 1
+    refused = "resource guard: product exceeds term cap 100"
+    assert [(c.name, c.status, c.detail) for c in checks] == [
+        ("sln.springer_equivariance[n=3,p=3]", "pass", ""),
+        ("sln.weight_zero_and_degree_bound[n=3,p=3]", "skip", refused),
+        ("sln.splitting_criterion[n=3,p=3]", "skip", refused),
+        ("sln.homogeneous_component[n=3,p=3]", "skip", refused),
+        ("sln.parabolic_compatibility[n=3,p=3]", "skip", refused),
+        ("sln.canonical_condition[n=3,p=3]", "skip", refused),
+        ("sln.parabolic_splitting[n=3,p=3]", "skip", refused),
+    ]
 
 
 def test_compat_empty_subset_builds_nothing(monkeypatch):
+    comps = [mvk_component(build_chart_function(n, p)) for n, p in [(3, 2), (2, 3)]]
     built = _count_builds(monkeypatch)
-    assert compat_check(4, 2, []).ok
-    assert compat_check(3, 3, ()).ok
+    assert compat_check(comps[0], []).ok
+    assert compat_check(comps[1], ()).ok
     assert built == []
-    with pytest.raises(InputError):
-        compat_check(0, 2, [])
-    with pytest.raises(InputError):
-        compat_check(2, 4, [])
+
+
+def test_canonical_check_refuses_parabolic_chart():
+    with pytest.raises(InputError, match="Borel"):
+        canonical_check(build_parabolic_chart_function(2, 2, [1]))
+
+
+def test_unipotent_inverse_matches_neumann_oracle():
+    for n in range(1, 6):
+        for subset in itertools.chain([()], _nonempty_subsets(n)):
+            for p in (2, 3):
+                _, g, _ = slnsplit._chart_matrices(n, p, frozenset(subset))
+                got = slnsplit._unipotent_inverse(g, DEFAULT_TERM_CAP)
+                assert got == unipotent_inverse_by_neumann(g), (n, subset, p)
 
 
 def test_x_zero_identity_is_checked(monkeypatch):
