@@ -43,6 +43,7 @@ from .rootdata import (
 from .slnsplit import (
     ChartFunction,
     build_chart_function,
+    build_mvk_component,
     build_parabolic_chart_function,
     canonical_check,
     compat_check,

@@ -355,7 +355,10 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_sln(args) -> int:
-    if args.action != "parabolic":
+    if args.action in ("check", "mvk"):
+        # the criterion reads only the fibre-degree N(p-1) component
+        comp = slnsplit.build_mvk_component(args.n, args.p, term_cap=args.term_cap)
+    elif args.action != "parabolic":
         cf = slnsplit.build_chart_function(args.n, args.p, term_cap=args.term_cap)
     if args.action == "build":
         if args.out:
@@ -369,7 +372,7 @@ def _cmd_sln(args) -> int:
             _emit(fpoly.poly_to_json_obj(cf.poly), lambda: [repr(cf.poly)], args.json)
         return 0
     if args.action == "check":
-        res = fpoly.is_splitting_function(cf.poly)
+        res = fpoly.is_splitting_function(comp.poly)
         obj = {"splitting": res.ok}
         if res.witness is not None:
             obj["witness"] = list(res.witness)
@@ -378,7 +381,6 @@ def _cmd_sln(args) -> int:
         ], args.json)
         return 0 if res.ok else 1
     if args.action == "mvk":
-        comp = slnsplit.mvk_component(cf)
         res = fpoly.is_splitting_function(comp.poly)
         obj = {
             "component_terms": comp.poly.term_count(),

@@ -224,17 +224,34 @@ class SparsePolynomial:
         right = [(from_bytes(pack(e), "big"), c) for e, c in other.terms.items()]
         out: dict[int, int] = {}
         get = out.get
-        for e1, c1 in self.terms.items():
+        rows = iter(self.terms.items())
+        for e1, c1 in rows:
             k1 = from_bytes(pack(e1), "big")
             for k2, c2 in right:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
             if len(out) > term_cap:
-                # only keys nonzero mod p count against the cap
+                # only keys nonzero mod p count against the cap: drop the
+                # others once, then go on below
                 for k in [k for k, c in out.items() if not c % p]:
                     del out[k]
                 if len(out) > term_cap:
                     raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+                break
+        # near the cap: after the prune only a key a later row touches can
+        # become 0 mod p, so each such key is reduced as it is touched and
+        # len(out) stays the number of nonzero terms
+        for e1, c1 in rows:
+            k1 = from_bytes(pack(e1), "big")
+            for k2, c2 in right:
+                k = k1 + k2
+                c = (get(k, 0) + c1 * c2) % p
+                if c:
+                    out[k] = c
+                else:   # c1 * c2 is nonzero mod p, so k was in out
+                    del out[k]
+            if len(out) > term_cap:
+                raise ResourceLimitError(f"product exceeds term cap {term_cap}")
         # drain while unpacking, so the packed and the tuple dict are never
         # both at full size
         terms = res.terms

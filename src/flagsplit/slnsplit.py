@@ -11,9 +11,11 @@ polynomials themselves are plain: no weight is stored in them.
 
 The main function conjugates I + X by g symbolically (the inverse of a
 unipotent matrix by forward substitution) and multiplies the (p-1)-st
-powers of the leading principal minors.  A chart is a value with no cache
-behind it: the caller builds it once and passes it, or its homogeneous
-component, to each check.  Sign conventions: with these weights the
+powers of the leading principal minors.  Its fibre-degree N(p-1)
+component, all that the splitting criterion reads, is built alone from the
+minors of g X g^{-1} (``build_mvk_component``).  A chart is a value with no
+cache behind it: the caller builds it once and passes it, or its
+homogeneous component, to each check.  Sign conventions: with these weights the
 x-variables carry positive-root weights; the one-parameter subgroups used
 by the canonical-splitting condition are the lower elementary matrices
 x_k(t) = I + t E_{k+1,k}, the directions fixing the highest-weight vector
@@ -140,6 +142,10 @@ def _mat_mul(a: Matrix, b: Matrix, term_cap: int) -> Matrix:
     return out
 
 
+def _mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return [[u + v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def _mat_identity(proto: SparsePolynomial, size: int) -> Matrix:
     one = SparsePolynomial.constant(proto.p, proto.variables, 1)
     zero = one.scale(0)
@@ -179,19 +185,31 @@ def _det(m: Matrix, term_cap: int) -> SparsePolynomial:
 
 
 def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matrix, Matrix]:
-    # the chart's variable table, the generic lower unipotent g and I + X
+    # the chart's variable table, the generic lower unipotent g and the
+    # generic strictly upper triangular X
     table = _chart_table(n, subset)
     names, positions, x_start = table
     one = SparsePolynomial.constant(p, names, 1)
 
-    def unipotent(indices: range) -> Matrix:
-        m = _mat_identity(one, n + 1)
+    def place(m: Matrix, indices: range) -> Matrix:
         for k in indices:
             i, j = positions[k]
             m[i - 1][j - 1] = SparsePolynomial.variable(p, names, names[k])
         return m
 
-    return table, unipotent(range(x_start)), unipotent(range(x_start, len(names)))
+    g = place(_mat_identity(one, n + 1), range(x_start))
+    zero = one.scale(0)
+    x = place([[zero] * (n + 1) for _ in range(n + 1)], range(x_start, len(names)))
+    return table, g, x
+
+
+def _conjugation(
+    n: int, p: int, subset: frozenset[int], term_cap: int
+) -> tuple[tuple, Matrix, Matrix, Matrix, Matrix]:
+    # the chart's variable table, g, X, g^{-1} and g X g^{-1}
+    table, g, x = _chart_matrices(n, p, subset)
+    g_inv = _unipotent_inverse(g, term_cap)
+    return table, g, x, g_inv, _mat_mul(_mat_mul(g, x, term_cap), g_inv, term_cap)
 
 
 def _simple_subset(n: int, subset: Sequence[int]) -> frozenset[int]:
@@ -202,27 +220,35 @@ def _simple_subset(n: int, subset: Sequence[int]) -> frozenset[int]:
     return inside
 
 
-def _build_chart(
-    n: int, p: int, subset: frozenset[int], term_cap: int
-) -> ChartFunction:
+def _check_size(n: int, p: int) -> None:
     if n < 1:
         raise InputError("n must be at least 1")
     if n > 8:
         raise InputError("n is capped at 8")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    (names, positions, x_start), g, i_plus_x = _chart_matrices(n, p, subset)
-    size = n + 1
 
-    g_inv = _unipotent_inverse(g, term_cap)
-    conj = _mat_mul(_mat_mul(g, i_plus_x, term_cap), g_inv, term_cap)
+
+def _minor_power_product(m: Matrix, p: int, term_cap: int) -> SparsePolynomial:
+    # prod_s det(m_[s])^(p-1) over the leading principal minors but the last
+    f = SparsePolynomial.constant(p, m[0][0].variables, 1)
+    for s in range(1, len(m)):
+        f = f.mul(_leading_minor_det(m, s, term_cap) ** (p - 1), term_cap)
+    return f
+
+
+def _build_chart(
+    n: int, p: int, subset: frozenset[int], term_cap: int
+) -> ChartFunction:
+    _check_size(n, p)
+    (names, positions, x_start), _, _, _, gxg = _conjugation(n, p, subset, term_cap)
+    size = n + 1
+    # g (I + X) g^{-1} = I + g X g^{-1}
+    conj = _mat_add(_mat_identity(gxg[0][0], size), gxg)
 
     perm = _block_reversal(n, subset)
     permuted = [[conj[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
-
-    f = g[0][0]   # the constant 1: g is unipotent
-    for s in range(1, n + 1):
-        f = f.mul(_leading_minor_det(permuted, s, term_cap) ** (p - 1), term_cap)
+    f = _minor_power_product(permuted, p, term_cap)
 
     # conjugating the identity gives the identity, whose minors are all 1
     at_x_zero = {e: c for e, c in f.terms.items() if not any(e[x_start:])}
@@ -252,6 +278,28 @@ def build_parabolic_chart_function(
     reduces to :func:`build_chart_function` when the subset is empty.
     """
     return _build_chart(n, p, _simple_subset(n, subset), term_cap)
+
+
+def build_mvk_component(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> ChartFunction:
+    """The fibre-degree N(p-1) component of :func:`build_chart_function`'s
+    chart, built without the rest of the chart: the product of the (p-1)-st
+    powers of the leading principal minors of g X g^{-1}.
+
+    Every entry of I + g X g^{-1} has x-degree at most 1, so the top x-degree
+    part of its s-th minor is the s-th minor of g X g^{-1}, and the top part
+    of a product is the product of the top parts.  The splitting criterion
+    reads only monomials of x-degree at least N(p-1), so it gets the same
+    verdict and witness here as on the whole chart.
+    """
+    _check_size(n, p)
+    (_, positions, x_start), g, x, _, gxg = _conjugation(n, p, frozenset(), term_cap)
+    # (g X g^{-1}) g = g X, checked without assert so -O keeps it
+    if _mat_mul(gxg, g, term_cap) != _mat_mul(g, x, term_cap):
+        raise InvariantError(f"g X g^-1 for n={n}, p={p} is not conjugate to X by g")
+    return ChartFunction(
+        poly=_minor_power_product(gxg, p, term_cap), n=n, p=p,
+        positions=positions, x_start=x_start, subset=frozenset(),
+    )
 
 
 def mvk_component(cf: ChartFunction) -> ChartFunction:
@@ -356,16 +404,7 @@ def canonical_check(cf: ChartFunction, term_cap: int = DEFAULT_TERM_CAP) -> Cano
 def springer_equivariance_ok(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> bool:
     """Chart-level equivariance of X -> I + X: conjugating I + X equals
     I + (conjugate of X), as an identity of polynomial matrices."""
-    _, g, i_plus_x = _chart_matrices(n, p, frozenset())
-    size = n + 1
-    ident = _mat_identity(g[0][0], size)
-    x = [[i_plus_x[i][j] - ident[i][j] for j in range(size)] for i in range(size)]
-
-    g_inv = _unipotent_inverse(g, term_cap)
-    lhs = _mat_mul(_mat_mul(g, i_plus_x, term_cap), g_inv, term_cap)
-    gxg = _mat_mul(_mat_mul(g, x, term_cap), g_inv, term_cap)
-    for i in range(size):
-        for j in range(size):
-            if lhs[i][j] != gxg[i][j] + ident[i][j]:
-                return False
-    return True
+    _, g, x, g_inv, gxg = _conjugation(n, p, frozenset(), term_cap)
+    ident = _mat_identity(g[0][0], n + 1)
+    lhs = _mat_mul(_mat_mul(g, _mat_add(ident, x), term_cap), g_inv, term_cap)
+    return lhs == _mat_add(ident, gxg)

@@ -371,7 +371,8 @@ def suite_fpoly(cfg: RunConfig) -> list[CheckResult]:
 def suite_sln(cfg: RunConfig, n: int = 1, p: int = 2) -> list[CheckResult]:
     """The chart checks at one (n, p).  The Borel chart and its homogeneous
     component are built once and shared by the five checks on them; when
-    the build trips a resource guard, those five are skipped, not retried."""
+    the build trips a resource guard, those five are skipped, not retried.
+    The homogeneous check also builds the component directly and compares."""
     checks: list[CheckResult] = []
     tag = f"[n={n},p={p}]"
 
@@ -392,6 +393,9 @@ def suite_sln(cfg: RunConfig, n: int = 1, p: int = 2) -> list[CheckResult]:
         return check.ok, "" if check.ok else f"witness {check.witness}"
 
     def homogeneous():
+        # the component built alone from g X g^{-1} against the chart's
+        if slnsplit.build_mvk_component(n, p, term_cap=cfg.term_cap) != comp:
+            return False, "the directly built component differs from the chart's"
         check = fpoly.is_splitting_function(comp.poly)
         return check.ok, "" if check.ok else f"witness {check.witness}"
 

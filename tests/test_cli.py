@@ -213,17 +213,25 @@ def test_sln_commands(capsys, tmp_path):
     assert json.loads(out)["splitting"] is True
 
 
-def test_sln_mvk_compat_builds_and_filters_once(capsys, monkeypatch):
+def test_sln_check_and_mvk_build_only_the_component(capsys, monkeypatch):
+    # neither command builds or filters the whole chart; each builds the
+    # component once
     from flagsplit import slnsplit
     calls = []
     build, component = slnsplit._build_chart, slnsplit.ChartFunction.x_degree_component
+    direct = slnsplit.build_mvk_component
     monkeypatch.setattr(slnsplit, "_build_chart",
                         lambda *args: calls.append("build") or build(*args))
     monkeypatch.setattr(slnsplit.ChartFunction, "x_degree_component",
                         lambda cf, d: calls.append("filter") or component(cf, d))
+    monkeypatch.setattr(slnsplit, "build_mvk_component",
+                        lambda *args, **kw: calls.append("component") or direct(*args, **kw))
     code, out, _ = run(capsys, "sln", "mvk", "--n", "3", "--p", "2", "--compat", "1,3", "--json")
-    assert code == 0 and json.loads(out)["compatible"] is True
-    assert calls == ["build", "filter"]
+    obj = json.loads(out)
+    assert code == 0 and obj["splitting"] is True and obj["compatible"] is True
+    code, out, _ = run(capsys, "sln", "check", "--n", "3", "--p", "2", "--json")
+    assert code == 0 and json.loads(out) == {"splitting": True}
+    assert calls == ["component", "component"]
 
 
 def test_verify_fpoly(capsys):

@@ -1,6 +1,7 @@
 """Chart splitting functions for SL_{n+1}: construction, splitting checks,
 homogeneous component, compatibility, canonical condition, parabolic case."""
 
+import dataclasses
 import itertools
 import os
 import random
@@ -15,6 +16,7 @@ from flagsplit.errors import InputError, InvariantError
 from flagsplit.fpoly import DEFAULT_TERM_CAP, SparsePolynomial, is_splitting_function
 from flagsplit.slnsplit import (
     build_chart_function,
+    build_mvk_component,
     build_parabolic_chart_function,
     canonical_check,
     compat_check,
@@ -110,6 +112,83 @@ def test_mvk_n2():
         target = cf.num_x * (p - 1)
         assert all(sum(e[cf.x_start:]) == target for e in comp.poly.terms)
         assert is_splitting_function(comp.poly).ok
+
+
+# (1,2), (1,3) and every Borel chart size of the benchmark
+DIRECT_SIZES = [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5), (2, 7), (2, 11), (2, 13),
+                (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,p", DIRECT_SIZES)
+def test_direct_component_equals_chart_component(n, p):
+    cf = build_chart_function(n, p)
+    comp = mvk_component(cf)
+    direct = build_mvk_component(n, p)
+    assert direct.poly.variables == comp.poly.variables
+    assert direct.poly.terms == comp.poly.terms
+    assert direct == comp
+    # the monomials the criterion reads all lie in the component, so it
+    # gives the same verdict and witness on both
+    congruent = [e for e in cf.poly.terms if all(x % p == p - 1 for x in e)]
+    assert congruent and all(e in direct.poly.terms for e in congruent)
+    assert is_splitting_function(direct.poly) == is_splitting_function(cf.poly)
+
+
+def test_direct_component_reach_n3_p5():
+    # the whole (3,5) chart has 2.84M terms and is refused by the default cap
+    comp = build_mvk_component(3, 5)
+    assert comp.poly.term_count() == 9056
+    assert is_splitting_function(comp.poly).ok
+    for subset in _nonempty_subsets(3):
+        assert compat_check(comp, subset).ok, subset
+
+
+def test_direct_component_reach_n3_p7():
+    comp = build_mvk_component(3, 7)
+    assert comp.poly.term_count() == 67777
+    assert is_splitting_function(comp.poly).ok
+
+
+def test_direct_component_checks_conjugation(monkeypatch):
+    # an inverse off by one entry makes g X g^{-1} g differ from g X
+    inverse = slnsplit._unipotent_inverse
+
+    def broken(g, term_cap):
+        h = inverse(g, term_cap)
+        h[2][0] = h[2][0].scale(2)
+        return h
+
+    monkeypatch.setattr(slnsplit, "_unipotent_inverse", broken)
+    with pytest.raises(InvariantError, match="conjugate"):
+        build_mvk_component(2, 3)
+
+
+def test_direct_component_checks_conjugation_under_optimisation():
+    script = (
+        "from flagsplit import slnsplit\n"
+        "from flagsplit.errors import InvariantError\n"
+        "inverse = slnsplit._unipotent_inverse\n"
+        "def broken(g, cap):\n"
+        "    h = inverse(g, cap)\n"
+        "    h[1][0] = h[1][0].scale(2)\n"
+        "    return h\n"
+        "slnsplit._unipotent_inverse = broken\n"
+        "try:\n"
+        "    slnsplit.build_mvk_component(1, 3)\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(flagsplit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert run.returncode == 0
+
+
+def test_direct_component_input_validation():
+    for n, p in [(0, 2), (9, 2), (1, 4)]:
+        with pytest.raises(InputError):
+            build_mvk_component(n, p)
 
 
 def test_levi_ideal_positions():
@@ -298,6 +377,35 @@ def test_verify_sln_builds_each_chart_once(monkeypatch):
     assert all(c.status == "pass" for c in checks), checks
     keys = [(n, p, subset) for n, p, subset, _ in built]
     assert keys == [(3, 2, frozenset())] + [(3, 2, frozenset([i])) for i in (1, 2, 3)]
+
+
+def test_verify_sln_builds_the_direct_component_once(monkeypatch):
+    built = _count_builds(monkeypatch)
+    direct = []
+    component = slnsplit.build_mvk_component
+    monkeypatch.setattr(slnsplit, "build_mvk_component",
+                        lambda *args, **kw: direct.append(args) or component(*args, **kw))
+    checks = suite_sln(RunConfig(), n=3, p=2)
+    assert all(c.status == "pass" for c in checks), checks
+    assert {"name": "sln.homogeneous_component[n=3,p=2]", "status": "pass", "detail": ""} in \
+        [vars(c) for c in checks]
+    assert direct == [(3, 2)]
+    assert len(built) == len(set(args[:3] for args in built)) == 4
+
+
+def test_verify_sln_flags_a_direct_component_that_differs(monkeypatch):
+    component = slnsplit.build_mvk_component
+
+    def shifted(n, p, term_cap):
+        comp = component(n, p, term_cap)
+        one = SparsePolynomial.constant(p, comp.poly.variables, 1)
+        return dataclasses.replace(comp, poly=comp.poly + one)
+
+    monkeypatch.setattr(slnsplit, "build_mvk_component", shifted)
+    checks = {c.name: c for c in suite_sln(RunConfig(), n=2, p=2)}
+    homogeneous = checks["sln.homogeneous_component[n=2,p=2]"]
+    assert (homogeneous.status, homogeneous.detail) == \
+        ("fail", "the directly built component differs from the chart's")
 
 
 def test_verify_sln_filters_each_component_once(monkeypatch):
