@@ -185,12 +185,6 @@ def test_direct_component_checks_conjugation_under_optimisation():
     assert run.returncode == 0
 
 
-def test_direct_component_input_validation():
-    for n, p in [(0, 2), (9, 2), (1, 4)]:
-        with pytest.raises(InputError):
-            build_mvk_component(n, p)
-
-
 def test_levi_ideal_positions():
     cf = build_chart_function(2, 2)
     ideal = levi_x_ideal(cf, [1])
@@ -334,6 +328,9 @@ def test_input_validation():
         build_chart_function(1, 4)
     with pytest.raises(InputError):
         build_parabolic_chart_function(2, 2, [5])
+    for n, p in [(0, 2), (9, 2), (1, 4)]:
+        with pytest.raises(InputError):
+            build_mvk_component(n, p)
 
 
 def test_n3_beyond_acceptance_guards():
