@@ -47,6 +47,14 @@ class Character:
                     self.mults[tuple(w)] = int(m)
 
     @classmethod
+    def _from_mults(cls, rs: RootSystem, mults: dict[Weight, int]) -> "Character":
+        # library results: weights are tuples and multiplicities nonzero ints
+        ch = cls.__new__(cls)
+        ch.rs = rs
+        ch.mults = mults
+        return ch
+
+    @classmethod
     def zero(cls, rs: RootSystem) -> "Character":
         return cls(rs)
 
@@ -81,25 +89,25 @@ class Character:
         out = dict(self.mults)
         for w, m in other.mults.items():
             out[w] = out.get(w, 0) + m
-        return Character(self.rs, out)
+        return Character._from_mults(self.rs, {w: m for w, m in out.items() if m})
 
     def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
 
     def __neg__(self) -> "Character":
-        return Character(self.rs, {w: -m for w, m in self.mults.items()})
+        return Character._from_mults(self.rs, {w: -m for w, m in self.mults.items()})
 
     def __mul__(self, k: int) -> "Character":
         if not isinstance(k, int):
             return NotImplemented
-        return Character(self.rs, {w: k * m for w, m in self.mults.items()})
+        return Character._from_mults(self.rs, {w: k * m for w, m in self.mults.items() if k})
 
     __rmul__ = __mul__
 
     def shift(self, lam: Sequence[int]) -> "Character":
         """Tensor with the one-dimensional character of weight ``lam``."""
         lam = tuple(lam)
-        return Character(
+        return Character._from_mults(
             self.rs, {tuple(a + b for a, b in zip(w, lam)): m for w, m in self.mults.items()}
         )
 
@@ -221,12 +229,12 @@ def weyl_character(
         raise ResourceLimitError(f"Weyl dimension {dim} exceeds cap {dim_cap}")
     cached = _WEYL_CHARACTERS.get((rs, lam))
     if cached is not None:
-        return Character(rs, cached)
+        return Character._from_mults(rs, dict(cached))
     out: dict[Weight, int] = {}
     for mu, m in _freudenthal_multiplicities(rs, lam).items():
         for w in rs.weyl_orbit(mu):
             out[w] = m
-    ch = Character(rs, out)
+    ch = Character._from_mults(rs, out)
     if ch.dimension() != dim:
         raise InvariantError(
             f"Freudenthal gives dimension {ch.dimension()} for {lam}, Weyl's formula {dim}"
@@ -292,7 +300,7 @@ def _expand(
                 del out[w]
         if len(out) > term_cap:
             raise ResourceLimitError(f"module Euler characteristic exceeds term cap {term_cap}")
-    return Character(rs, out)
+    return Character._from_mults(rs, out)
 
 
 # -- symmetric / exterior / truncated algebras -----------------------------
@@ -316,7 +324,7 @@ def sym_power_graded(
             if len(table[d]) > term_cap:
                 raise ResourceLimitError(f"symmetric power exceeds term cap {term_cap}")
     return GradedCharacter(
-        tuple((d, Character(rs, t)) for d, t in enumerate(table))
+        tuple((d, Character._from_mults(rs, t)) for d, t in enumerate(table))
     )
 
 
@@ -347,7 +355,7 @@ def exterior_power_char(
                 table[d][shifted] = table[d].get(shifted, 0) + m
             if len(table[d]) > term_cap:
                 raise ResourceLimitError(f"exterior power exceeds term cap {term_cap}")
-    return Character(rs, table[j])
+    return Character._from_mults(rs, table[j])
 
 
 def truncated_char(
@@ -368,7 +376,7 @@ def truncated_char(
         if len(nxt) > term_cap:
             raise ResourceLimitError(f"truncated algebra exceeds term cap {term_cap}")
         out = nxt
-    return Character(rs, out)
+    return Character._from_mults(rs, out)
 
 
 # -- good-filtration decomposition ------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Optional, Sequence
 
 from . import charalg, fpoly, slnsplit, verify
@@ -47,10 +48,69 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"cannot parse integer list {text!r}") from exc
 
 
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    ``indent`` sends ``json`` to its pure-Python encoder, one small string per
+    token; here an int list is one ``join`` and a list of like-shaped int
+    records (character entries, polynomial terms) is one ``%`` format.
+    ``nl`` is the newline and indent of the line ``obj`` starts on.
+    """
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {int}:
+            return _wrap(list(map(str, obj)), nl, "[]")
+        return _records(obj, nl) or _wrap([_dumps(x, inner) for x in obj], nl, "[]")
+    if isinstance(obj, dict) and all(type(k) is str for k in obj):
+        return _wrap([_escape(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)], nl, "{}")
+    if isinstance(obj, dict):
+        # json writes int, float, bool and None keys as strings
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+    return json.dumps(obj)
+
+
+def _wrap(parts: list[str], nl: str, brackets: str) -> str:
+    # json's layout of a list or dict whose items are already encoded
+    if not parts:
+        return brackets
+    inner = nl + "  "
+    body = ("," + inner).join(parts)
+    # an f-string copies body once, where a chain of + would copy it thrice
+    return f"{brackets[0]}{inner}{body}{nl}{brackets[1]}"
+
+
+def _records(items: Sequence, nl: str) -> Optional[str]:
+    # dicts with one str key set whose values are ints, or int lists of one
+    # length per key, as one template formatted once; None for other shapes
+    first = items[0] if items else None
+    if type(first) is not dict or any(type(k) is not str for k in first):
+        return None
+    shape = [(k, len(v) if type(v) is list else -1) for k, v in sorted(first.items())]
+    values: list = []
+    for d in items:
+        if type(d) is not dict or len(d) != len(shape):
+            return None
+        for k, size in shape:
+            v = d.get(k)
+            if size < 0:
+                values.append(v)
+            elif type(v) is list and len(v) == size:
+                values.extend(v)
+            else:
+                return None
+    if not set(map(type, values)) <= {int}:
+        return None
+    field = nl + "    "
+    record = _wrap([_escape(k).replace("%", "%%") + ": "
+                    + ("%d" if size < 0 else _wrap(["%d"] * size, field, "[]"))
+                    for k, size in shape], nl + "  ", "{}")
+    return _wrap([record] * len(items), nl, "[]") % tuple(values)
+
+
 def _emit(obj: dict, lines: Callable[[], list[str]], as_json: bool) -> None:
     # text lines are built only when they are printed
     if as_json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        print(_dumps(obj))
     else:
         for line in lines():
             print(line)
@@ -451,17 +511,18 @@ def _cmd_verify(args) -> int:
         rank_cap=args.rank_cap,
     )
     report = verify.run_suite(args.suite, cfg, n=args.n, p=args.p)
-    if args.json:
-        print(json.dumps(report.to_json_obj(), sort_keys=True, indent=2))
-    else:
-        for c in report.checks:
-            mark = {"pass": "ok  ", "fail": "FAIL", "skip": "skip"}[c.status]
-            print(f"[{mark}] {c.name}" + (f"  ({c.detail})" if c.detail else ""))
+
+    def lines() -> list[str]:
+        marks = {"pass": "ok  ", "fail": "FAIL", "skip": "skip"}
+        out = [
+            f"[{marks[c.status]}] {c.name}" + (f"  ({c.detail})" if c.detail else "")
+            for c in report.checks
+        ]
         n_fail = sum(1 for c in report.checks if c.status == "fail")
-        print(
-            f"{len(report.checks)} checks, {n_fail} failures, "
-            f"{report.elapsed_s:.2f}s"
-        )
+        out.append(f"{len(report.checks)} checks, {n_fail} failures, {report.elapsed_s:.2f}s")
+        return out
+
+    _emit(report.to_json_obj(), lines, args.json)
     return report.exit_code
 
 

@@ -512,10 +512,20 @@ def test_character_arithmetic():
     assert (a + b).dimension() == 6
     assert (a - a).term_count() == 0
     assert (2 * a).dimension() == 6
+    # internal results store no zero multiplicity, so they compare equal
+    # to the normalised public construction
+    assert a - a == 0 * a == Character(A2, {(0, 0): 0})
+    assert (a + b) - b == a == Character(A2, dict(a.mults))
+    assert (-a).dimension() == -3
     shifted = a.shift((1, 1))
     assert shifted.multiplicity((2, 1)) == a.multiplicity((1, 0))
     with pytest.raises(InputError):
         a + weyl_character(B2, (1, 0))
+    # a returned character is a copy, fresh or from the memo: changing it
+    # leaves the memo intact
+    a.mults.clear()
+    weyl_character(A2, (1, 0)).mults.clear()
+    assert weyl_character(A2, (1, 0)).dimension() == 3
 
 
 # An off-by-one inner product breaks Freudenthal: on A2 at (1,1) the

@@ -1,6 +1,8 @@
 """Command-line interface: dispatch, exit codes, JSON determinism."""
 
 import json
+import random
+import re
 
 import pytest
 
@@ -12,7 +14,78 @@ from flagsplit.fpoly import SparsePolynomial, save_poly
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if "--json" in argv and captured.out:
+        # every --json document is exactly what json.dumps writes for it
+        canonical = json.dumps(json.loads(captured.out), sort_keys=True, indent=2)
+        assert captured.out == canonical + "\n"
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("obj", [
+    {"quote\"back\\slash": "a\"b\\c\n\t\x01\x7f\u00e9\u20ac\U0001f600", "plain": "x"},
+    [{"%d": 1, "w\u00e9\"": [1, 2]}, {"%d": 2, "w\u00e9\"": [3, 4]}],
+    [], {}, [[]], [{}],
+    {"a": [], "b": {}, "c": [[], {}, [[]], [{}], [[], [1]]], "d": {"e": {"f": []}}},
+    [{"c": 1, "e": []}, {"c": 2, "e": []}], [{}, {}],
+    [1, True, 2], [True, False], [0, False], {"flag": True, "n": 0, "off": False},
+    [{"mult": True, "weight": [1]}, {"mult": 1, "weight": [2]}],
+    [{"mult": 1, "weight": [2]}, {"mult": False, "weight": [2]}],
+    [{"mult": 1, "weight": [True]}, {"mult": 1, "weight": [2]}],
+    [None, -1, 2**70, -(2**70)], {"x": None, "y": -7}, [[None], [None]],
+    [{"c": 2**80, "e": [-3, 2**65]}, {"c": -1, "e": [0, -(2**64)]}],
+    (1, 2), {"t": (1, (2, 3))}, [(1, 2), (3, 4)], [{"e": (1, 2)}, {"e": (3, 4)}],
+    [{"c": 1, "e": [1, 2]}, {"c": 2, "e": [1]}],
+    [{"c": 1, "e": [1]}, {"c": 1, "f": [1]}],
+    [{"c": 1}, {"c": 1, "e": 2}], [{"c": 1, "e": 2}, {"c": 1}],
+    [{"c": 1}, 5], [{"c": 1}, {"c": "x"}], [{"c": [1]}, {"c": 1}], [{"c": 1}, {"c": [1]}],
+    [{"c": [1, "x"]}, {"c": [2, 3]}], [{"c": 1.5}, {"c": 2}], [{1: 2}, {1: 3}],
+    {1: "a", 10: [1, 2], 2: {"x": 1}}, {"outer": {3: [1], 1: {}, 2: [{"c": 1}]}},
+    {None: 1}, [{True: [1]}], [1.5, float("inf"), -0.0], "solo", 7, None,
+])
+def test_dumps_matches_json(obj):
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_dumps_matches_json_randomised():
+    rng = random.Random(5)
+
+    def draw(depth):
+        kind = rng.randrange(9 if depth < 4 else 4)
+        if kind == 0:
+            return rng.choice([0, -1, 2**70, True, False, None, 1.25])
+        if kind == 1:
+            return rng.choice(["", "a%d", "\u00e9\n", "q\"", "\\"])
+        if kind in (2, 3):
+            return [rng.randrange(-3, 4) for _ in range(rng.randrange(4))]
+        if kind in (4, 5):
+            # like-shaped int records, sometimes broken part-way
+            size = rng.randrange(3)
+            recs = [{"c": rng.randrange(5), "e": [rng.randrange(3) for _ in range(size)]}
+                    for _ in range(rng.randrange(1, 5))]
+            if rng.random() < 0.5:
+                recs[rng.randrange(len(recs))][rng.choice(["c", "e", "f"])] = draw(depth + 1)
+            return recs
+        if kind == 6:
+            return [draw(depth + 1) for _ in range(rng.randrange(4))]
+        return {rng.choice(["a", "b", "%s", "\u00e9"]): draw(depth + 1)
+                for _ in range(rng.randrange(4))}
+
+    for _ in range(500):
+        obj = draw(0)
+        assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_poly_json_outputs(capsys, tmp_path):
+    f = tmp_path / "f.json"
+    save_poly(SparsePolynomial(3, ("x1", "x2"), {(0, 0): 1, (2, 2): 2}), str(f))
+    g = tmp_path / "g.json"
+    save_poly(SparsePolynomial(3, ("x1", "x2"), {(1, 0): 1}), str(g))
+    code, out, _ = run(capsys, "poly", "check", "--file", str(f), "--json")
+    assert code == 0 and json.loads(out) == {"splitting": True}
+    code, out, _ = run(capsys, "poly", "trace", "--file", str(f), "--times", str(g), "--json")
+    assert code == 0 and json.loads(out)["p"] == 3
+    code, out, _ = run(capsys, "poly", "compat", "--file", str(f), "--ideal", "x1", "--json")
+    assert code == 1 and json.loads(out)["witness_trace"]["terms"]
 
 
 def test_rs_show_json(capsys):
@@ -246,6 +319,11 @@ def test_verify_sln(capsys):
     code, out, _ = run(capsys, "verify", "sln", "--n", "1", "--p", "5", "--json")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    code, text, _ = run(capsys, "verify", "sln", "--n", "1", "--p", "5")
+    lines = text.splitlines()
+    assert code == 0 and lines[:-1] == [f"[ok  ] {name}" for name in names]
+    assert re.fullmatch(rf"{len(names)} checks, 0 failures, \d+\.\d\ds", lines[-1])
 
 
 def test_verify_charalg_rank_capped(capsys):
