@@ -418,9 +418,8 @@ def _cmd_sln(args) -> int:
     if args.action in ("check", "mvk"):
         # the criterion reads only the fibre-degree N(p-1) component
         comp = slnsplit.build_mvk_component(args.n, args.p, term_cap=args.term_cap)
-    elif args.action != "parabolic":
-        cf = slnsplit.build_chart_function(args.n, args.p, term_cap=args.term_cap)
     if args.action == "build":
+        cf = slnsplit.build_chart_function(args.n, args.p, term_cap=args.term_cap)
         if args.out:
             fpoly.save_poly(cf.poly, args.out)
             _emit(
@@ -465,7 +464,7 @@ def _cmd_sln(args) -> int:
         _emit(obj, lines, args.json)
         return code
     if args.action == "canonical":
-        res = slnsplit.canonical_check(cf, term_cap=args.term_cap)
+        res = slnsplit.canonical_check(args.n, args.p, term_cap=args.term_cap)
         obj = {
             "canonical": res.ok,
             "t_invariant": res.t_invariant,

@@ -11,21 +11,25 @@ polynomials themselves are plain: no weight is stored in them.
 
 The main function conjugates I + X by g symbolically (the inverse of a
 unipotent matrix by forward substitution) and multiplies the (p-1)-st
-powers of the leading principal minors.  Its fibre-degree N(p-1)
+powers of the leading principal minors Delta_s, all read off one table of
+minors built row by row over column subsets.  Its fibre-degree N(p-1)
 component, all that the splitting criterion reads, is built alone from the
 minors of g X g^{-1} (``build_mvk_component``).  A chart is a value with no
 cache behind it: the caller builds it once and passes it, or its
-homogeneous component, to each check.  Sign conventions: with these weights the
-x-variables carry positive-root weights; the one-parameter subgroups used
-by the canonical-splitting condition are the lower elementary matrices
-x_k(t) = I + t E_{k+1,k}, the directions fixing the highest-weight vector
-of the pairing realised by the leading minors.
+homogeneous component, to each check.  Sign conventions: with these
+weights the x-variables carry positive-root weights; the canonical
+condition translates g by the lower elementary x_k(t) = I + t E_{k+1,k}.
+That changes only the k-th leading minor Delta_k of I + g X g^{-1}, to
+Delta_k + t D_k, so ``canonical_check`` reads the condition off the same
+minor table, without the chart: the ring is a domain and the weight
+grading torsion-free, so the t-degree and weights follow from the minors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import sub
+from itertools import combinations
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantError
@@ -39,7 +43,7 @@ from .fpoly import (
     is_splitting_function,   # re-exported: callers test a chart's poly with it
     splits_ideal_compatibly,
 )
-from .rootdata import RootSystem, Weight, build_root_system
+from .rootdata import Weight, build_root_system
 
 Matrix = list[list[SparsePolynomial]]
 
@@ -57,10 +61,6 @@ class ChartFunction:
     subset: frozenset[int]                   # parabolic subset; empty = Borel
 
     @property
-    def rs(self) -> RootSystem:
-        return build_root_system("A", self.n)
-
-    @property
     def num_x(self) -> int:
         return len(self.positions) - self.x_start
 
@@ -75,20 +75,23 @@ class ChartFunction:
         return out
 
     def monomial_weight(self, e: Sequence[int]) -> Weight:
-        """Weight of the monomial with exponent vector e, in fundamental
-        coordinates.  The variable at position (i, j) has weight
-        eps_i - eps_j; a weight sum_i c_i eps_i pairs with the k-th simple
-        coroot to c_k - c_{k+1}."""
-        c = [0] * (self.n + 2)
-        for (i, j), a in zip(self.positions, e):
-            if a:
-                c[i] += a
-                c[j] -= a
-        return tuple(map(sub, c[1:-1], c[2:]))
+        """Weight of the monomial x^e in fundamental coordinates."""
+        return _monomial_weight(self.n, self.positions, e)
 
     def is_t_invariant(self) -> bool:
         zero = (0,) * self.n
         return all(self.monomial_weight(e) == zero for e in self.poly.terms)
+
+
+def _monomial_weight(n: int, positions: Sequence[tuple[int, int]], e: Sequence[int]) -> Weight:
+    # the variable at position (i, j) has weight eps_i - eps_j; a weight
+    # sum_i c_i eps_i pairs with the k-th simple coroot to c_k - c_{k+1}
+    c = [0] * (n + 2)
+    for (i, j), a in zip(positions, e):
+        if a:
+            c[i] += a
+            c[j] -= a
+    return tuple(map(sub, c[1:-1], c[2:]))
 
 
 def _chart_table(n: int, subset: frozenset[int]) -> tuple[
@@ -165,23 +168,26 @@ def _unipotent_inverse(g: Matrix, term_cap: int) -> Matrix:
     return h
 
 
-def _leading_minor_det(m: Matrix, s: int, term_cap: int) -> SparsePolynomial:
-    sub = [[m[i][j] for j in range(s)] for i in range(s)]
-    return _det(sub, term_cap)
-
-
-def _det(m: Matrix, term_cap: int) -> SparsePolynomial:
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    acc = m[0][0].scale(0)
-    for j in range(size):
-        if m[0][j].is_zero():
-            continue
-        minor = [[m[r][c] for c in range(size) if c != j] for r in range(1, size)]
-        term = m[0][j].mul(_det(minor, term_cap), term_cap)
-        acc = acc + (term if j % 2 == 0 else term.scale(-1))
-    return acc
+def _minor_table(m: Matrix, width: int, term_cap: int) -> dict[int, SparsePolynomial]:
+    # det(rows 1..|S|, columns S) for each set S of the first `width` columns
+    # with |S| < len(m), keyed by bitmask, expanding along the last row:
+    # det(rows 1..k, S) = sum_{j in S} +-m[k][j] det(rows 1..k-1, S - {j})
+    one = SparsePolynomial.constant(m[0][0].p, m[0][0].variables, 1)
+    zero = one.scale(0)
+    table = {0: one}
+    for k in range(min(width, len(m) - 1)):
+        row = m[k]
+        for cols in combinations(range(width), k + 1):
+            mask = sum(1 << j for j in cols)
+            acc = zero
+            for q, j in enumerate(cols):
+                minor = table[mask ^ (1 << j)]
+                if row[j].is_zero() or minor.is_zero():
+                    continue
+                term = row[j].mul(minor, term_cap)
+                acc = acc + (term if (k + q) % 2 == 0 else term.scale(-1))
+            table[mask] = acc
+    return table
 
 
 def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matrix, Matrix]:
@@ -231,9 +237,10 @@ def _check_size(n: int, p: int) -> None:
 
 def _minor_power_product(m: Matrix, p: int, term_cap: int) -> SparsePolynomial:
     # prod_s det(m_[s])^(p-1) over the leading principal minors but the last
+    minors = _minor_table(m, len(m) - 1, term_cap)
     f = SparsePolynomial.constant(p, m[0][0].variables, 1)
     for s in range(1, len(m)):
-        f = f.mul(_leading_minor_det(m, s, term_cap) ** (p - 1), term_cap)
+        f = f.mul(minors[(1 << s) - 1] ** (p - 1), term_cap)
     return f
 
 
@@ -352,53 +359,43 @@ class CanonicalCheck:
         return self.ok
 
 
-def canonical_check(cf: ChartFunction, term_cap: int = DEFAULT_TERM_CAP) -> CanonicalCheck:
-    """Canonical-splitting condition for a Borel chart function, such as
-    :func:`build_chart_function`'s.
-
-    (a) Every monomial has weight zero.  (b) Translating g by the lower
-    elementary x_k(-t) expands in t with degree at most p-1 and the t^i
+def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> CanonicalCheck:
+    """Canonical-splitting condition for :func:`build_chart_function`'s
+    chart f = prod_s Delta_s^(p-1), Delta_s the leading minors of
+    M = I + g X g^{-1}: (a) every monomial has weight zero; (b) translating
+    g by x_k(-t) expands f in t with degree at most p-1 and the t^i
     coefficient purely of weight i * alpha_k.
+
+    Decided without f.  The translation turns Delta_k into Delta_k + t D_k
+    (D_k on rows 1..k, columns 1..k-1, k+1) and leaves the other Delta_s
+    alone, so the t^i coefficient is C(p-1, i) Delta_k^(p-1-i) D_k^i
+    prod_{s != k} Delta_s^(p-1), with C(p-1, i) nonzero mod p.  The ring is
+    a domain, so the t-degree is p-1 if D_k != 0 and 0 otherwise (the bound
+    holds by construction).  The weight grading is torsion-free, so a
+    product of nonzero polynomials is homogeneous iff its factors are: (a)
+    holds iff the Delta_s are homogeneous with weights summing to 0, and
+    then (b) iff D_k = 0 or D_k is homogeneous of weight w(Delta_k) + alpha_k.
     """
-    if cf.subset:
-        raise InputError("the canonical condition is checked on a Borel chart")
-    n, p = cf.n, cf.p
-    rs = cf.rs
-    invariant = cf.is_t_invariant()
-    names = cf.poly.variables
-    ext_names = names + ("t",)
+    _check_size(n, p)
+    (_, positions, _), _, _, _, gxg = _conjugation(n, p, frozenset(), term_cap)
+    size = n + 1
+    minors = _minor_table(_mat_add(_mat_identity(gxg[0][0], size), gxg), size, term_cap)
 
-    f_ext = SparsePolynomial(p, ext_names)
-    f_ext.terms = {e + (0,): c for e, c in cf.poly.terms.items()}
-    t_var = SparsePolynomial.variable(p, ext_names, "t")
-    one_ext = SparsePolynomial.constant(p, ext_names, 1)
+    def weight(d: SparsePolynomial) -> Optional[Weight]:   # None unless homogeneous
+        weights = {_monomial_weight(n, positions, e) for e in d.terms}
+        return weights.pop() if len(weights) == 1 else None
 
+    deltas = [weight(minors[(1 << s) - 1]) for s in range(1, size)]
+    invariant = None not in deltas and tuple(map(sum, zip(*deltas))) == (0,) * n
+    rs = build_root_system("A", n)
     reports = []
-    all_ok = invariant
-    for k in range(1, n + 1):
-        cur = f_ext
-        # row operation: row k+1 of g becomes row_{k+1} - t * row_k
-        for j in range(1, k + 1):
-            target = f"y{k + 1}{j}"
-            if target not in names:
-                continue
-            base = SparsePolynomial.variable(p, ext_names, target)
-            if j == k:
-                g_kj = one_ext
-            else:
-                g_kj = SparsePolynomial.variable(p, ext_names, f"y{k}{j}")
-            cur = cur.substitute(target, base - t_var.mul(g_kj, term_cap), term_cap)
-        # the t^i slice must have weight i * alpha_k; the chart weight
-        # ignores the trailing t exponent
-        alpha = rs.simple_root(k).fund
-        t_degree = max((e[-1] for e in cur.terms), default=0)
-        degree_ok = t_degree <= p - 1
-        weights_ok = all(
-            cf.monomial_weight(e) == tuple(e[-1] * a for a in alpha) for e in cur.terms
-        )
-        reports.append(DirectionReport(k, t_degree, degree_ok, weights_ok))
-        all_ok = all_ok and degree_ok and weights_ok
-    return CanonicalCheck(all_ok, invariant, tuple(reports))
+    for k in range(1, size):
+        d_k = minors[((1 << (k - 1)) - 1) | (1 << k)]
+        weights_ok = invariant and (d_k.is_zero() or weight(d_k) == tuple(
+            map(add, deltas[k - 1], rs.simple_root(k).fund)))
+        reports.append(DirectionReport(k, 0 if d_k.is_zero() else p - 1, True, weights_ok))
+    return CanonicalCheck(invariant and all(d.weights_ok for d in reports),
+                          invariant, tuple(reports))
 
 
 def springer_equivariance_ok(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> bool:

@@ -18,8 +18,13 @@ reflection instead of walking down from the dominant member, substitution
 by adding exponent tuples of each term and each term of a power of the
 replacement instead of summing packed products f_k * r^k, chart
 weights by summing Cartan-matrix rows per variable instead of pairing
-epsilon-coordinates with the simple coroots, and the inverse of a unipotent
-matrix by its Neumann series instead of forward substitution.
+epsilon-coordinates with the simple coroots, the inverse of a unipotent
+matrix by its Neumann series instead of forward substitution, determinants
+by recursive Laplace expansion along the first row instead of one table of
+minors built over column subsets, and the canonical condition by
+substituting the translated row of g into the whole chart and reading the
+weight of every monomial of every t-slice instead of reading it off the
+leading and shifted minors.
 """
 
 from __future__ import annotations
@@ -50,7 +55,13 @@ from flagsplit.fpoly import (
     is_splitting_function,
 )
 from flagsplit.rootdata import RootSystem, Weight, build_root_system, parabolic_subset
-from flagsplit.slnsplit import _mat_identity, _mat_mul
+from flagsplit.slnsplit import (
+    CanonicalCheck,
+    ChartFunction,
+    DirectionReport,
+    _mat_identity,
+    _mat_mul,
+)
 
 
 def kostant_partition_count(rs: RootSystem, vec: tuple[int, ...]) -> int:
@@ -478,3 +489,72 @@ def make_dominant_by_reflect(rs: RootSystem, lam) -> tuple[Weight, int]:
             return cur, count
         cur = rs.reflect(k + 1, cur)
         count += 1
+
+
+def det_by_laplace(m, term_cap: int = DEFAULT_TERM_CAP) -> SparsePolynomial:
+    """Determinant of a square polynomial matrix by Laplace expansion along
+    the first row, recursing on every minor afresh."""
+    size = len(m)
+    if size == 1:
+        return m[0][0]
+    acc = m[0][0].scale(0)
+    for j in range(size):
+        if m[0][j].is_zero():
+            continue
+        minor = [[m[r][c] for c in range(size) if c != j] for r in range(1, size)]
+        term = m[0][j].mul(det_by_laplace(minor, term_cap), term_cap)
+        acc = acc + (term if j % 2 == 0 else term.scale(-1))
+    return acc
+
+
+def canonical_by_substitution(
+    cf: ChartFunction, term_cap: int = DEFAULT_TERM_CAP
+) -> CanonicalCheck:
+    """Canonical-splitting condition for a Borel chart function, such as
+    :func:`build_chart_function`'s.
+
+    (a) Every monomial has weight zero.  (b) Translating g by the lower
+    elementary x_k(-t) expands in t with degree at most p-1 and the t^i
+    coefficient purely of weight i * alpha_k.  Each translation substitutes
+    the new row k+1 of g into the t-extended chart, and every monomial of
+    the result has its weight read.
+    """
+    if cf.subset:
+        raise InputError("the canonical condition is checked on a Borel chart")
+    n, p = cf.n, cf.p
+    rs = build_root_system("A", n)
+    invariant = cf.is_t_invariant()
+    names = cf.poly.variables
+    ext_names = names + ("t",)
+
+    f_ext = SparsePolynomial(p, ext_names)
+    f_ext.terms = {e + (0,): c for e, c in cf.poly.terms.items()}
+    t_var = SparsePolynomial.variable(p, ext_names, "t")
+    one_ext = SparsePolynomial.constant(p, ext_names, 1)
+
+    reports = []
+    all_ok = invariant
+    for k in range(1, n + 1):
+        cur = f_ext
+        # row operation: row k+1 of g becomes row_{k+1} - t * row_k
+        for j in range(1, k + 1):
+            target = f"y{k + 1}{j}"
+            if target not in names:
+                continue
+            base = SparsePolynomial.variable(p, ext_names, target)
+            if j == k:
+                g_kj = one_ext
+            else:
+                g_kj = SparsePolynomial.variable(p, ext_names, f"y{k}{j}")
+            cur = cur.substitute(target, base - t_var.mul(g_kj, term_cap), term_cap)
+        # the t^i slice must have weight i * alpha_k; the chart weight
+        # ignores the trailing t exponent
+        alpha = rs.simple_root(k).fund
+        t_degree = max((e[-1] for e in cur.terms), default=0)
+        degree_ok = t_degree <= p - 1
+        weights_ok = all(
+            cf.monomial_weight(e) == tuple(e[-1] * a for a in alpha) for e in cur.terms
+        )
+        reports.append(DirectionReport(k, t_degree, degree_ok, weights_ok))
+        all_ok = all_ok and degree_ok and weights_ok
+    return CanonicalCheck(all_ok, invariant, tuple(reports))

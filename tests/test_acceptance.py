@@ -85,7 +85,7 @@ def test_criterion_04_canonical():
     start = time.monotonic()
     ok = True
     for n, p in [(1, 2), (1, 3), (1, 5), (2, 2)]:
-        res = canonical_check(build_chart_function(n, p))
+        res = canonical_check(n, p)
         ok &= res.ok and res.t_invariant
         ok &= all(d.t_degree <= p - 1 for d in res.directions)
     _report(4, "canonical condition: t-degree <= p-1, pure weight i*alpha",

@@ -28,8 +28,10 @@ from flagsplit.slnsplit import (
 from flagsplit.verify import RunConfig, suite_sln
 
 from oracles import (
+    canonical_by_substitution,
     chart_weight_by_cartan_rows,
     compat_by_enumeration,
+    det_by_laplace,
     mul_by_tuples,
     rank1_chart_by_conjugation,
     rank1_chart_closed_form,
@@ -232,7 +234,7 @@ def test_compat_reach_n4_p2(subset):
 
 def test_canonical_rank1():
     for p in (2, 3, 5):
-        res = canonical_check(build_chart_function(1, p))
+        res = canonical_check(1, p)
         assert res.ok and res.t_invariant
         (direction,) = res.directions
         assert direction.t_degree == p - 1
@@ -240,7 +242,7 @@ def test_canonical_rank1():
 
 
 def test_canonical_n2_p2():
-    res = canonical_check(build_chart_function(2, 2))
+    res = canonical_check(2, 2)
     assert res.ok and res.t_invariant
     assert len(res.directions) == 2
     assert all(d.t_degree <= 1 for d in res.directions)
@@ -248,8 +250,8 @@ def test_canonical_n2_p2():
 
 @pytest.mark.parametrize("n,p", [(2, 5), (3, 2)])
 def test_canonical_substitutions_match_tuple_oracle(monkeypatch, n, p):
-    # every row substitution canonical_check makes, checked against the
-    # tuple-loop substitution
+    # every row substitution the substitution oracle of the canonical
+    # condition makes, checked against the tuple-loop substitution
     substitute = SparsePolynomial.substitute
     names = []
 
@@ -261,8 +263,54 @@ def test_canonical_substitutions_match_tuple_oracle(monkeypatch, n, p):
 
     cf = build_chart_function(n, p)
     monkeypatch.setattr(SparsePolynomial, "substitute", checked)
-    assert canonical_check(cf).ok
+    assert canonical_by_substitution(cf).ok
     assert len(names) == n * (n + 1) // 2
+
+
+# the cases where the whole chart is small enough to substitute into
+CANONICAL_SIZES = [(1, 2), (1, 3), (1, 7), (2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n,p", CANONICAL_SIZES)
+def test_canonical_matches_substitution_oracle(n, p):
+    assert canonical_check(n, p) == canonical_by_substitution(build_chart_function(n, p))
+
+
+@pytest.mark.parametrize("n,p", [(3, 5), (4, 3)])
+def test_canonical_reach(n, p):
+    # the (3,5) and (4,3) charts are refused by the default term cap
+    res = canonical_check(n, p)
+    assert res.ok and res.t_invariant
+    assert [d.t_degree for d in res.directions] == [p - 1] * n
+
+
+def _minor_cases():
+    # I + g X g^{-1}, g X g^{-1} and every parabolic block-permuted matrix
+    for n in range(1, 5):
+        for p in (2, 3):
+            _, _, _, _, gxg = slnsplit._conjugation(n, p, frozenset(), DEFAULT_TERM_CAP)
+            ident = slnsplit._mat_identity(gxg[0][0], n + 1)
+            yield (n, p, ()), slnsplit._mat_add(ident, gxg)
+            yield (n, p, "gxg"), gxg
+            for subset in _nonempty_subsets(n):
+                _, _, _, _, gxg = slnsplit._conjugation(n, p, frozenset(subset), DEFAULT_TERM_CAP)
+                ident = slnsplit._mat_identity(gxg[0][0], n + 1)
+                conj = slnsplit._mat_add(ident, gxg)
+                perm = slnsplit._block_reversal(n, frozenset(subset))
+                yield (n, p, subset), [[conj[i][j] for j in perm] for i in perm]
+
+
+def test_minor_table_matches_laplace_oracle():
+    for case, m in _minor_cases():
+        size = len(m)
+        table = slnsplit._minor_table(m, size, DEFAULT_TERM_CAP)
+        for s in range(1, size):
+            leading = [row[:s] for row in m[:s]]
+            assert table[(1 << s) - 1] == det_by_laplace(leading), (case, s)
+            shifted = [row[:s - 1] + [row[s]] for row in m[:s]]
+            assert table[((1 << (s - 1)) - 1) | (1 << s)] == det_by_laplace(shifted), (case, s)
+        # the chart's table stops at its last leading minor's columns
+        assert slnsplit._minor_table(m, size - 1, DEFAULT_TERM_CAP).items() <= table.items()
 
 
 def test_chart_weights_match_cartan_row_oracle():
@@ -331,6 +379,8 @@ def test_input_validation():
     for n, p in [(0, 2), (9, 2), (1, 4)]:
         with pytest.raises(InputError):
             build_mvk_component(n, p)
+        with pytest.raises(InputError):
+            canonical_check(n, p)
 
 
 def test_n3_beyond_acceptance_guards():
@@ -344,7 +394,7 @@ def test_n3_beyond_acceptance_guards():
     assert is_splitting_function(comp.poly).ok
     assert compat_check(comp, [2]).ok
     assert compat_check(comp, [1, 3]).ok
-    assert canonical_check(cf).ok
+    assert canonical_check(3, 2).ok
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (2, 13)])
@@ -434,7 +484,8 @@ def test_verify_sln_refused_chart_is_built_once(monkeypatch):
         ("sln.splitting_criterion[n=3,p=3]", "skip", refused),
         ("sln.homogeneous_component[n=3,p=3]", "skip", refused),
         ("sln.parabolic_compatibility[n=3,p=3]", "skip", refused),
-        ("sln.canonical_condition[n=3,p=3]", "skip", refused),
+        # decided from the minors, which fit under the cap
+        ("sln.canonical_condition[n=3,p=3]", "pass", ""),
         ("sln.parabolic_splitting[n=3,p=3]", "skip", refused),
     ]
 
@@ -447,11 +498,6 @@ def test_compat_empty_subset_builds_nothing(monkeypatch):
     assert built == []
 
 
-def test_canonical_check_refuses_parabolic_chart():
-    with pytest.raises(InputError, match="Borel"):
-        canonical_check(build_parabolic_chart_function(2, 2, [1]))
-
-
 def test_unipotent_inverse_matches_neumann_oracle():
     for n in range(1, 6):
         for subset in itertools.chain([()], _nonempty_subsets(n)):
@@ -462,14 +508,16 @@ def test_unipotent_inverse_matches_neumann_oracle():
 
 
 def test_x_zero_identity_is_checked(monkeypatch):
-    # a minor that vanishes at X=0 makes the chart 0 there instead of 1
-    minor = slnsplit._leading_minor_det
+    # minors that vanish at X=0 make the chart 0 there instead of 1
+    minor_table = slnsplit._minor_table
 
-    def broken(m, s, term_cap):
-        d = minor(m, s, term_cap)
-        return d - SparsePolynomial.constant(d.p, d.variables, 1)
+    def broken(m, width, term_cap):
+        return {
+            cols: d - SparsePolynomial.constant(d.p, d.variables, 1)
+            for cols, d in minor_table(m, width, term_cap).items()
+        }
 
-    monkeypatch.setattr(slnsplit, "_leading_minor_det", broken)
+    monkeypatch.setattr(slnsplit, "_minor_table", broken)
     with pytest.raises(InvariantError, match="X=0"):
         slnsplit._build_chart(2, 3, frozenset(), DEFAULT_TERM_CAP)
 
@@ -478,7 +526,9 @@ def test_x_zero_identity_is_checked_under_optimisation():
     script = (
         "from flagsplit import slnsplit\n"
         "from flagsplit.errors import InvariantError\n"
-        "slnsplit._leading_minor_det = lambda m, s, cap: m[0][0].scale(0)\n"
+        "minor_table = slnsplit._minor_table\n"
+        "slnsplit._minor_table = lambda m, width, cap: {\n"
+        "    cols: d.scale(0) for cols, d in minor_table(m, width, cap).items()}\n"
         "try:\n"
         "    slnsplit.build_chart_function(1, 2)\n"
         "except InvariantError:\n"
