@@ -48,6 +48,7 @@ from .slnsplit import (
     canonical_check,
     compat_check,
     mvk_component,
+    splitting_check,
 )
 
 __version__ = "0.1.0"

@@ -415,9 +415,6 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_sln(args) -> int:
-    if args.action in ("check", "mvk"):
-        # the criterion reads only the fibre-degree N(p-1) component
-        comp = slnsplit.build_mvk_component(args.n, args.p, term_cap=args.term_cap)
     if args.action == "build":
         cf = slnsplit.build_chart_function(args.n, args.p, term_cap=args.term_cap)
         if args.out:
@@ -431,7 +428,7 @@ def _cmd_sln(args) -> int:
             _emit(fpoly.poly_to_json_obj(cf.poly), lambda: [repr(cf.poly)], args.json)
         return 0
     if args.action == "check":
-        res = fpoly.is_splitting_function(comp.poly)
+        _, res = slnsplit.splitting_check(args.n, args.p, term_cap=args.term_cap)
         obj = {"splitting": res.ok}
         if res.witness is not None:
             obj["witness"] = list(res.witness)
@@ -440,6 +437,7 @@ def _cmd_sln(args) -> int:
         ], args.json)
         return 0 if res.ok else 1
     if args.action == "mvk":
+        comp = slnsplit.build_mvk_component(args.n, args.p, term_cap=args.term_cap)
         res = fpoly.is_splitting_function(comp.poly)
         obj = {
             "component_terms": comp.poly.term_count(),
@@ -485,13 +483,10 @@ def _cmd_sln(args) -> int:
         ], args.json)
         return 0 if res.ok else 1
     subset = _parse_ints(args.subset)
-    cf = slnsplit.build_parabolic_chart_function(
-        args.n, args.p, subset, term_cap=args.term_cap
-    )
-    res = fpoly.is_splitting_function(cf.poly)
+    variables, res = slnsplit.splitting_check(args.n, args.p, subset, term_cap=args.term_cap)
     obj = {
         "subset": list(subset),
-        "variables": list(cf.poly.variables),
+        "variables": list(variables),
         "splitting": res.ok,
     }
     if res.witness is not None:

@@ -266,6 +266,11 @@ class SparsePolynomial:
         return self.mul(other)
 
     def __pow__(self, n: int) -> "SparsePolynomial":
+        return self.power(n)
+
+    def power(self, n: int, term_cap: int = DEFAULT_TERM_CAP) -> "SparsePolynomial":
+        """The n-th power by repeated squaring; ``term_cap`` bounds every
+        product, as in :meth:`mul`."""
         if n < 0:
             raise InputError("negative powers are not defined")
         result = SparsePolynomial._from_terms(
@@ -274,10 +279,10 @@ class SparsePolynomial:
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = result.mul(base, term_cap)
             n >>= 1
             if n:
-                base = base * base
+                base = base.mul(base, term_cap)
         return result
 
     def substitute(self, name: str, replacement: "SparsePolynomial",

@@ -13,10 +13,13 @@ The main function conjugates I + X by g symbolically (the inverse of a
 unipotent matrix by forward substitution) and multiplies the (p-1)-st
 powers of the leading principal minors Delta_s, all read off one table of
 minors built row by row over column subsets.  Its fibre-degree N(p-1)
-component, all that the splitting criterion reads, is built alone from the
-minors of g X g^{-1} (``build_mvk_component``).  A chart is a value with no
-cache behind it: the caller builds it once and passes it, or its
-homogeneous component, to each check.  Sign conventions: with these
+component is built alone from the minors of g X g^{-1}
+(``build_mvk_component``).  The splitting criterion reads still less: only
+the terms whose x-part is x^(p-1), which ``splitting_check`` builds for
+the Borel and every parabolic chart by a truncated product of the minors'
+top parts, without the chart.  A chart is a value with no cache behind it:
+the caller builds it once and passes it, or its homogeneous component, to
+each check.  Sign conventions: with these
 weights the x-variables carry positive-root weights; the canonical
 condition translates g by the lower elementary x_k(t) = I + t E_{k+1,k}.
 That changes only the k-th leading minor Delta_k of I + g X g^{-1}, to
@@ -32,15 +35,16 @@ from itertools import combinations
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .fpoly import (
     DEFAULT_ENUM_CAP,
     DEFAULT_TERM_CAP,
     CompatibilityCheck,
     SparsePolynomial,
+    SplittingCheck,
     VariableIdeal,
     is_prime,
-    is_splitting_function,   # re-exported: callers test a chart's poly with it
+    is_splitting_function,
     splits_ideal_compatibly,
 )
 from .rootdata import Weight, build_root_system
@@ -235,42 +239,63 @@ def _check_size(n: int, p: int) -> None:
         raise InputError(f"{p} is not prime")
 
 
-def _minor_power_product(m: Matrix, p: int, term_cap: int) -> SparsePolynomial:
-    # prod_s det(m_[s])^(p-1) over the leading principal minors but the last
-    minors = _minor_table(m, len(m) - 1, term_cap)
-    f = SparsePolynomial.constant(p, m[0][0].variables, 1)
-    for s in range(1, len(m)):
-        f = f.mul(minors[(1 << s) - 1] ** (p - 1), term_cap)
+def _checked_conjugation(
+    n: int, p: int, subset: frozenset[int], term_cap: int
+) -> tuple[tuple, Matrix]:
+    # the chart's variable table and g X g^{-1}; (g X g^{-1}) g = g X is
+    # checked without assert so -O keeps it
+    _check_size(n, p)
+    table, g, x, _, gxg = _conjugation(n, p, subset, term_cap)
+    if _mat_mul(gxg, g, term_cap) != _mat_mul(g, x, term_cap):
+        raise InvariantError(f"g X g^-1 for n={n}, p={p} is not conjugate to X by g")
+    return table, gxg
+
+
+def _leading_minors(
+    n: int, p: int, subset: frozenset[int], term_cap: int
+) -> tuple[tuple, list[SparsePolynomial]]:
+    # the chart's variable table and Delta_1..Delta_n of the block-permuted
+    # g (I + X) g^{-1} = I + g X g^{-1}; conjugating the identity gives the
+    # identity, so each Delta_s is checked to be 1 at X=0
+    table, gxg = _checked_conjugation(n, p, subset, term_cap)
+    names, _, x_start = table
+    size = n + 1
+    conj = _mat_add(_mat_identity(gxg[0][0], size), gxg)
+    perm = _block_reversal(n, subset)
+    permuted = [[conj[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
+    minors = _minor_table(permuted, n, term_cap)
+    deltas = [minors[(1 << s) - 1] for s in range(1, size)]
+    one = {(0,) * len(names): 1}
+    for s, d in enumerate(deltas, 1):
+        if {e: c for e, c in d.terms.items() if not any(e[x_start:])} != one:
+            raise InvariantError(
+                f"leading minor {s} for n={n}, p={p}, subset={sorted(subset)} "
+                "is not 1 at X=0"
+            )
+    return table, deltas
+
+
+def _power_product(deltas: Sequence[SparsePolynomial], p: int, term_cap: int) -> SparsePolynomial:
+    # prod_s Delta_s^(p-1)
+    f = SparsePolynomial.constant(p, deltas[0].variables, 1)
+    for d in deltas:
+        f = f.mul(d.power(p - 1, term_cap), term_cap)
     return f
 
 
 def _build_chart(
     n: int, p: int, subset: frozenset[int], term_cap: int
 ) -> ChartFunction:
-    _check_size(n, p)
-    (names, positions, x_start), _, _, _, gxg = _conjugation(n, p, subset, term_cap)
-    size = n + 1
-    # g (I + X) g^{-1} = I + g X g^{-1}
-    conj = _mat_add(_mat_identity(gxg[0][0], size), gxg)
-
-    perm = _block_reversal(n, subset)
-    permuted = [[conj[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
-    f = _minor_power_product(permuted, p, term_cap)
-
-    # conjugating the identity gives the identity, whose minors are all 1
-    at_x_zero = {e: c for e, c in f.terms.items() if not any(e[x_start:])}
-    if at_x_zero != {(0,) * len(names): 1}:
-        raise InvariantError(
-            f"chart function for n={n}, p={p}, subset={sorted(subset)} "
-            "is not the constant 1 at X=0"
-        )
-    return ChartFunction(poly=f, n=n, p=p, positions=positions, x_start=x_start, subset=subset)
+    (_, positions, x_start), deltas = _leading_minors(n, p, subset, term_cap)
+    return ChartFunction(poly=_power_product(deltas, p, term_cap), n=n, p=p,
+                         positions=positions, x_start=x_start, subset=subset)
 
 
 def build_chart_function(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> ChartFunction:
     """Product of the (p-1)-st powers of the leading principal minors of
     g (I + X) g^{-1}, the chart form of the extreme-vector splitting.
-    Whether it splits is ``is_splitting_function(cf.poly)``."""
+    Whether it splits is ``is_splitting_function(cf.poly)``, which
+    :func:`splitting_check` decides without building it."""
     return _build_chart(n, p, frozenset(), term_cap)
 
 
@@ -298,15 +323,114 @@ def build_mvk_component(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Cha
     reads only monomials of x-degree at least N(p-1), so it gets the same
     verdict and witness here as on the whole chart.
     """
-    _check_size(n, p)
-    (_, positions, x_start), g, x, _, gxg = _conjugation(n, p, frozenset(), term_cap)
-    # (g X g^{-1}) g = g X, checked without assert so -O keeps it
-    if _mat_mul(gxg, g, term_cap) != _mat_mul(g, x, term_cap):
-        raise InvariantError(f"g X g^-1 for n={n}, p={p} is not conjugate to X by g")
+    (_, positions, x_start), gxg = _checked_conjugation(n, p, frozenset(), term_cap)
+    minors = _minor_table(gxg, n, term_cap)
     return ChartFunction(
-        poly=_minor_power_product(gxg, p, term_cap), n=n, p=p,
-        positions=positions, x_start=x_start, subset=frozenset(),
+        poly=_power_product([minors[(1 << s) - 1] for s in range(1, n + 1)], p, term_cap),
+        n=n, p=p, positions=positions, x_start=x_start, subset=frozenset(),
     )
+
+
+def _truncated_product(
+    factors: Sequence[SparsePolynomial], x_start: int, term_cap: int
+) -> SparsePolynomial:
+    """The terms of the product of ``factors`` whose x-part (the variables
+    from ``x_start`` on) is x^(p-1): every x-exponent exactly p-1.
+
+    Exponents only grow, so a partial term is dropped once an x-exponent is
+    above p-1, or is further below p-1 than the factors still to come can
+    add.  Keys pack each x-field one guard bit wider than its values, below
+    the y-fields, so each test is one add and one mask.  As in :meth:`mul`,
+    refused once a partial product has more than ``term_cap`` terms after a
+    row.
+    """
+    p, variables = factors[0].p, factors[0].variables
+    top = p - 1
+    nx = len(variables) - x_start
+    # a factor term with an x-exponent above p-1 reaches no kept term
+    kept = sorted(([(e, c) for e, c in f.terms.items() if max(e[x_start:], default=0) <= top]
+                   for f in factors), key=len, reverse=True)
+    width = (2 * top).bit_length() + 1   # a partial x-field is at most 2(p-1)
+    y_width = max(1, sum(max((max(e[:x_start], default=0) for e, _ in terms), default=0)
+                         for terms in kept).bit_length())
+    shifts = ([nx * width + j * y_width for j in range(x_start)]
+              + [i * width for i in range(nx)])
+    guard = 1 << (width - 1)
+
+    def x_fields(values: Sequence[int]) -> int:
+        return sum(v << s for v, s in zip(values, shifts[x_start:]))
+
+    guards = x_fields([guard] * nx)
+    over = x_fields([guard - p] * nx)   # sets a field's guard bit iff it is above p-1
+    maxes = [[max((e[i] for e, _ in terms), default=0) for i in range(x_start, len(variables))]
+             for terms in kept]
+    reach = [sum(col) for col in zip(*maxes)]   # what the factors to come can add
+
+    out: dict[int, int] = {0: 1}
+    for terms, added in zip(kept, maxes):
+        reach = list(map(sub, reach, added))
+        # sets every guard bit iff each field can still reach p-1
+        under = x_fields([guard - max(top - r, 0) for r in reach])
+        right = [(sum(a << s for a, s in zip(e, shifts)), c) for e, c in terms]
+        left, out = out, {}
+        get = out.get
+        for k1, c1 in left.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                if (k + over) & guards or (k + under) & guards != guards:
+                    continue
+                c = (get(k, 0) + c1 * c2) % p
+                if c:
+                    out[k] = c
+                else:   # c1 * c2 is nonzero mod p, so k was in out
+                    del out[k]
+            if len(out) > term_cap:
+                raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+    masks = [(1 << y_width) - 1] * x_start + [(1 << width) - 1] * nx
+    return SparsePolynomial._from_terms(p, variables, {
+        tuple((k >> s) & m for s, m in zip(shifts, masks)): c for k, c in out.items()})
+
+
+def _x_slice(
+    n: int, p: int, subset: frozenset[int], term_cap: int
+) -> tuple[tuple[str, ...], Optional[SparsePolynomial]]:
+    # the chart's variable names and the terms of its function f whose
+    # x-part is x^(p-1); None when f has x-degree above N'(p-1), N' the
+    # number of x-variables
+    (names, _, x_start), deltas = _leading_minors(n, p, subset, term_cap)
+    tops = []
+    for d in deltas:
+        degree = max(sum(e[x_start:]) for e in d.terms)
+        tops.append((degree, SparsePolynomial._from_terms(p, d.variables, {
+            e: c for e, c in d.terms.items() if sum(e[x_start:]) == degree})))
+    # the ring is a domain, so f's top x-degree part is the product of the
+    # top parts' powers, of x-degree (p-1) * sum of their degrees
+    if sum(degree for degree, _ in tops) > len(names) - x_start:
+        return names, None
+    powers = [top.power(p - 1, term_cap) for _, top in tops]
+    return names, _truncated_product(powers, x_start, term_cap)
+
+
+def splitting_check(
+    n: int, p: int, subset: Sequence[int] = (), term_cap: int = DEFAULT_TERM_CAP
+) -> tuple[tuple[str, ...], SplittingCheck]:
+    """The variable names of the chart of :func:`build_parabolic_chart_function`
+    (the Borel chart for the empty subset) and the splitting criterion on
+    its function f, decided without building f.
+
+    A monomial with every exponent congruent to p-1 has every x-exponent at
+    least p-1.  When f's top x-degree is N'(p-1), N' the number of
+    x-variables, such a monomial therefore has x-part exactly x^(p-1), and
+    the criterion gives the same verdict and witness on those terms of f,
+    which a truncated product of the minors' top parts builds alone.  Below
+    N'(p-1) there are none, and the centre is the witness; above it, the
+    chart is built.  ``term_cap`` bounds every product.
+    """
+    inside = _simple_subset(n, subset)
+    names, slice_ = _x_slice(n, p, inside, term_cap)
+    if slice_ is None:
+        return names, is_splitting_function(_build_chart(n, p, inside, term_cap).poly)
+    return names, is_splitting_function(slice_)
 
 
 def mvk_component(cf: ChartFunction) -> ChartFunction:

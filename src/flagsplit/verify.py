@@ -370,10 +370,12 @@ def suite_fpoly(cfg: RunConfig) -> list[CheckResult]:
 
 def suite_sln(cfg: RunConfig, n: int = 1, p: int = 2) -> list[CheckResult]:
     """The chart checks at one (n, p).  The Borel chart and its homogeneous
-    component are built once and shared by the four checks on them; when
-    the build trips a resource guard, those four are skipped, not retried.
-    The homogeneous check compares a directly built component; the canonical
-    condition needs only minors."""
+    component are built once and shared by the three checks that need them;
+    when the build trips a resource guard, those three are skipped, not
+    retried.  The splitting criterion is decided on the x^(p-1) slice of the
+    minors, and matched against the chart when it was built; the homogeneous
+    check compares a directly built component; the canonical condition needs
+    only minors."""
     checks: list[CheckResult] = []
     tag = f"[n={n},p={p}]"
 
@@ -390,7 +392,9 @@ def suite_sln(cfg: RunConfig, n: int = 1, p: int = 2) -> list[CheckResult]:
         return True, ""
 
     def splitting():
-        check = fpoly.is_splitting_function(cf.poly)
+        _, check = slnsplit.splitting_check(n, p, term_cap=cfg.term_cap)
+        if cf is not None and fpoly.is_splitting_function(cf.poly) != check:
+            return False, "the chart's verdict differs from the slice's"
         return check.ok, "" if check.ok else f"witness {check.witness}"
 
     def homogeneous():
@@ -415,30 +419,30 @@ def suite_sln(cfg: RunConfig, n: int = 1, p: int = 2) -> list[CheckResult]:
 
     def parabolic():
         for i in range(1, n + 1):
-            cf = slnsplit.build_parabolic_chart_function(n, p, [i], term_cap=cfg.term_cap)
-            check = fpoly.is_splitting_function(cf.poly)
+            _, check = slnsplit.splitting_check(n, p, [i], term_cap=cfg.term_cap)
             if not check.ok:
                 return False, f"I={{{i}}}: witness {check.witness}"
         return True, ""
 
-    on_chart = [
-        ("weight_zero_and_degree_bound", invariance_and_degree),
-        ("splitting_criterion", splitting),
-        ("homogeneous_component", homogeneous),
-        ("parabolic_compatibility", compatibility),
-    ]
     _run(checks, f"sln.springer_equivariance{tag}", equivariance)
     try:
         cf = slnsplit.build_chart_function(n, p, term_cap=cfg.term_cap)
     except ResourceLimitError as exc:
-        for name, _ in on_chart:
-            checks.append(CheckResult(f"sln.{name}{tag}", "skip", f"resource guard: {exc}"))
+        cf, refused = None, f"resource guard: {exc}"
     else:
-        comp = slnsplit.mvk_component(cf)
-        for name, fn in on_chart:
+        comp, refused = slnsplit.mvk_component(cf), None
+    for name, fn, on_chart in [
+        ("weight_zero_and_degree_bound", invariance_and_degree, True),
+        ("splitting_criterion", splitting, False),
+        ("homogeneous_component", homogeneous, True),
+        ("parabolic_compatibility", compatibility, True),
+        ("canonical_condition", canonical, False),
+        ("parabolic_splitting", parabolic, False),
+    ]:
+        if on_chart and refused:
+            checks.append(CheckResult(f"sln.{name}{tag}", "skip", refused))
+        else:
             _run(checks, f"sln.{name}{tag}", fn)
-    _run(checks, f"sln.canonical_condition{tag}", canonical)
-    _run(checks, f"sln.parabolic_splitting{tag}", parabolic)
     return checks
 
 

@@ -558,3 +558,25 @@ def canonical_by_substitution(
         reports.append(DirectionReport(k, t_degree, degree_ok, weights_ok))
         all_ok = all_ok and degree_ok and weights_ok
     return CanonicalCheck(all_ok, invariant, tuple(reports))
+
+
+def big_cell_slice(n: int, p: int) -> SparsePolynomial:
+    """prod_{s=1..n} B_s(g)^(p-1), B_s the bottom-left s x s minor (the last
+    s rows, the first s columns) of the generic lower unipotent g of
+    SL_{n+1}, over g's entries y_ij (i > j) in row order: the Mehta-Ramanathan
+    splitting of the big cell of G/B.  Needs no inverse, no conjugation and
+    no X; determinants by Laplace expansion, products over exponent tuples."""
+    size = n + 1
+    names = tuple(f"y{i}{j}" for i in range(1, size + 1) for j in range(1, i))
+    one = SparsePolynomial.constant(p, names, 1)
+    zero = one.scale(0)
+    g = [[one if i == j else zero for j in range(1, size + 1)] for i in range(1, size + 1)]
+    for i in range(1, size + 1):
+        for j in range(1, i):
+            g[i - 1][j - 1] = SparsePolynomial.variable(p, names, f"y{i}{j}")
+    out = one
+    for s in range(1, n + 1):
+        minor = det_by_laplace([row[:s] for row in g[size - s:]])
+        for _ in range(p - 1):
+            out = mul_by_tuples(out, minor)
+    return out

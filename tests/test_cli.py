@@ -287,8 +287,9 @@ def test_sln_commands(capsys, tmp_path):
 
 
 def test_sln_check_and_mvk_build_only_the_component(capsys, monkeypatch):
-    # neither command builds or filters the whole chart; each builds the
-    # component once
+    # no command builds or filters the whole chart; `sln mvk` builds the
+    # component once, while `sln check` and `sln parabolic` decide the
+    # criterion on the x^(p-1) slice of the minors and build neither
     from flagsplit import slnsplit
     calls = []
     build, component = slnsplit._build_chart, slnsplit.ChartFunction.x_degree_component
@@ -302,9 +303,13 @@ def test_sln_check_and_mvk_build_only_the_component(capsys, monkeypatch):
     code, out, _ = run(capsys, "sln", "mvk", "--n", "3", "--p", "2", "--compat", "1,3", "--json")
     obj = json.loads(out)
     assert code == 0 and obj["splitting"] is True and obj["compatible"] is True
+    assert calls == ["component"]
     code, out, _ = run(capsys, "sln", "check", "--n", "3", "--p", "2", "--json")
     assert code == 0 and json.loads(out) == {"splitting": True}
-    assert calls == ["component", "component"]
+    code, out, _ = run(capsys, "sln", "parabolic", "--n", "3", "--p", "2", "--subset", "1,3",
+                       "--json")
+    assert code == 0 and json.loads(out)["splitting"] is True
+    assert calls == ["component"]
 
 
 def test_verify_fpoly(capsys):

@@ -168,6 +168,18 @@ def test_mul_term_cap():
         f.mul(g, term_cap=100)
 
 
+def test_power_term_cap():
+    # (x + y)^4 has 5 terms mod 7, its square step (x + y)^2 has 3
+    names = ("x", "y")
+    s = mk(7, names, {(1, 0): 1, (0, 1): 1})
+    assert s.power(4, term_cap=5) == s ** 4 == s * s * s * s
+    assert s.power(0, term_cap=0) == SparsePolynomial.constant(7, names, 1)
+    with pytest.raises(ResourceLimitError):
+        s.power(4, term_cap=4)
+    with pytest.raises(ResourceLimitError):
+        s.power(2, term_cap=2)
+
+
 def _product_or_refusal(mul, a, b, term_cap):
     try:
         res = mul(a, b, term_cap)

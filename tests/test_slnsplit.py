@@ -12,8 +12,13 @@ import pytest
 
 import flagsplit
 from flagsplit import slnsplit
-from flagsplit.errors import InputError, InvariantError
-from flagsplit.fpoly import DEFAULT_TERM_CAP, SparsePolynomial, is_splitting_function
+from flagsplit.errors import InputError, InvariantError, ResourceLimitError
+from flagsplit.fpoly import (
+    DEFAULT_TERM_CAP,
+    SparsePolynomial,
+    SplittingCheck,
+    is_splitting_function,
+)
 from flagsplit.slnsplit import (
     build_chart_function,
     build_mvk_component,
@@ -22,12 +27,14 @@ from flagsplit.slnsplit import (
     compat_check,
     levi_x_ideal,
     mvk_component,
+    splitting_check,
     springer_equivariance_ok,
 )
 
 from flagsplit.verify import RunConfig, suite_sln
 
 from oracles import (
+    big_cell_slice,
     canonical_by_substitution,
     chart_weight_by_cartan_rows,
     compat_by_enumeration,
@@ -134,6 +141,7 @@ def test_direct_component_equals_chart_component(n, p):
     congruent = [e for e in cf.poly.terms if all(x % p == p - 1 for x in e)]
     assert congruent and all(e in direct.poly.terms for e in congruent)
     assert is_splitting_function(direct.poly) == is_splitting_function(cf.poly)
+    assert splitting_check(n, p) == (cf.poly.variables, is_splitting_function(cf.poly))
 
 
 def test_direct_component_reach_n3_p5():
@@ -422,8 +430,9 @@ def test_verify_sln_builds_each_chart_once(monkeypatch):
     built = _count_builds(monkeypatch)
     checks = suite_sln(RunConfig(), n=3, p=2)
     assert all(c.status == "pass" for c in checks), checks
+    # the parabolic charts are decided on the slice, not built
     keys = [(n, p, subset) for n, p, subset, _ in built]
-    assert keys == [(3, 2, frozenset())] + [(3, 2, frozenset([i])) for i in (1, 2, 3)]
+    assert keys == [(3, 2, frozenset())]
 
 
 def test_verify_sln_builds_the_direct_component_once(monkeypatch):
@@ -437,7 +446,7 @@ def test_verify_sln_builds_the_direct_component_once(monkeypatch):
     assert {"name": "sln.homogeneous_component[n=3,p=2]", "status": "pass", "detail": ""} in \
         [vars(c) for c in checks]
     assert direct == [(3, 2)]
-    assert len(built) == len(set(args[:3] for args in built)) == 4
+    assert len(built) == len(set(args[:3] for args in built)) == 1
 
 
 def test_verify_sln_flags_a_direct_component_that_differs(monkeypatch):
@@ -453,6 +462,20 @@ def test_verify_sln_flags_a_direct_component_that_differs(monkeypatch):
     homogeneous = checks["sln.homogeneous_component[n=2,p=2]"]
     assert (homogeneous.status, homogeneous.detail) == \
         ("fail", "the directly built component differs from the chart's")
+
+
+def test_verify_sln_flags_a_slice_verdict_that_differs(monkeypatch):
+    check = slnsplit.splitting_check
+
+    def wrong(n, p, subset=(), term_cap=DEFAULT_TERM_CAP):
+        names, res = check(n, p, subset, term_cap)
+        return names, SplittingCheck(not res.ok, None if not res.ok else (0,) * len(names))
+
+    monkeypatch.setattr(slnsplit, "splitting_check", wrong)
+    checks = {c.name: c for c in suite_sln(RunConfig(), n=2, p=2)}
+    criterion = checks["sln.splitting_criterion[n=2,p=2]"]
+    assert (criterion.status, criterion.detail) == \
+        ("fail", "the chart's verdict differs from the slice's")
 
 
 def test_verify_sln_filters_each_component_once(monkeypatch):
@@ -472,8 +495,9 @@ def test_verify_sln_filters_each_component_once(monkeypatch):
 
 
 def test_verify_sln_refused_chart_is_built_once(monkeypatch):
-    # at the parent commit each of the five checks on the Borel chart
-    # attempted the refused build again
+    # each check on the Borel chart once attempted the refused build again;
+    # the criterion and the parabolic splittings run on the slice, which
+    # fits under the cap
     built = _count_builds(monkeypatch)
     checks = suite_sln(RunConfig(term_cap=100), n=3, p=3)
     assert [args[:3] for args in built].count((3, 3, frozenset())) == 1
@@ -481,12 +505,12 @@ def test_verify_sln_refused_chart_is_built_once(monkeypatch):
     assert [(c.name, c.status, c.detail) for c in checks] == [
         ("sln.springer_equivariance[n=3,p=3]", "pass", ""),
         ("sln.weight_zero_and_degree_bound[n=3,p=3]", "skip", refused),
-        ("sln.splitting_criterion[n=3,p=3]", "skip", refused),
+        ("sln.splitting_criterion[n=3,p=3]", "pass", ""),
         ("sln.homogeneous_component[n=3,p=3]", "skip", refused),
         ("sln.parabolic_compatibility[n=3,p=3]", "skip", refused),
         # decided from the minors, which fit under the cap
         ("sln.canonical_condition[n=3,p=3]", "pass", ""),
-        ("sln.parabolic_splitting[n=3,p=3]", "skip", refused),
+        ("sln.parabolic_splitting[n=3,p=3]", "pass", ""),
     ]
 
 
@@ -539,3 +563,171 @@ def test_x_zero_identity_is_checked_under_optimisation():
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
     assert run.returncode == 0
+
+
+# every subset, the empty one and the multi-element ones included
+SLICE_SIZES = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,p", SLICE_SIZES)
+def test_splitting_check_matches_chart(n, p, monkeypatch):
+    built = _count_builds(monkeypatch)
+    for subset in itertools.chain([()], _nonempty_subsets(n)):
+        cf = build_parabolic_chart_function(n, p, subset)
+        # the top x-degree is N'(p-1), so the fallback to the chart is unreached
+        assert cf.max_x_degree() == cf.num_x * (p - 1), subset
+        del built[:]
+        names, check = splitting_check(n, p, subset)
+        assert built == [], subset
+        assert names == cf.poly.variables, subset
+        assert check == is_splitting_function(cf.poly), subset
+
+
+def test_splitting_check_term_cap_bounds_the_powers():
+    # at (2,13) the top part of Delta_1 has 3 terms and its 12th power 91,
+    # while every partial product of the slice has one
+    with pytest.raises(ResourceLimitError):
+        splitting_check(2, 13, term_cap=90)
+    assert splitting_check(2, 13, term_cap=91)[1].ok
+
+
+def _patch_leading_minor(monkeypatch, s, change):
+    minor_table = slnsplit._minor_table
+
+    def patched(m, width, term_cap):
+        table = minor_table(m, width, term_cap)
+        mask = (1 << s) - 1
+        return {**table, mask: change(table[mask])}
+
+    monkeypatch.setattr(slnsplit, "_minor_table", patched)
+
+
+def test_splitting_check_falls_back_above_the_top_degree(monkeypatch):
+    # Delta_1 + x12^2 still is 1 at X=0, but lifts f's top x-degree above
+    # N'(p-1), where the slice no longer decides the criterion
+    _patch_leading_minor(monkeypatch, 1, lambda d: d + SparsePolynomial.monomial(
+        2, d.variables, [0, 0, 0, 2, 0, 0]))
+    cf = slnsplit._build_chart(2, 2, frozenset(), DEFAULT_TERM_CAP)
+    assert cf.max_x_degree() > cf.num_x
+    built = _count_builds(monkeypatch)
+    assert splitting_check(2, 2) == (cf.poly.variables, is_splitting_function(cf.poly))
+    assert [args[:3] for args in built] == [(2, 2, frozenset())]
+
+
+def test_splitting_check_below_the_top_degree_fails_at_the_centre(monkeypatch):
+    # Delta_2 = 1 lowers f's top x-degree below N'(p-1): no congruent monomial
+    _patch_leading_minor(monkeypatch, 2, lambda d: SparsePolynomial.constant(3, d.variables, 1))
+    cf = slnsplit._build_chart(2, 3, frozenset(), DEFAULT_TERM_CAP)
+    assert cf.max_x_degree() < cf.num_x * 2
+    built = _count_builds(monkeypatch)
+    _, check = splitting_check(2, 3)
+    assert check == is_splitting_function(cf.poly) == SplittingCheck(False, (2,) * 6)
+    assert built == []
+
+
+def test_splitting_check_checks_both_invariants(monkeypatch):
+    with monkeypatch.context() as m:
+        _patch_leading_minor(m, 2, lambda d: d + SparsePolynomial.constant(3, d.variables, 1))
+        with pytest.raises(InvariantError, match="leading minor 2 .* X=0"):
+            splitting_check(3, 3, [1])
+    inverse = slnsplit._unipotent_inverse
+
+    def broken(g, term_cap):
+        h = inverse(g, term_cap)
+        h[2][0] = h[2][0].scale(2)
+        return h
+
+    monkeypatch.setattr(slnsplit, "_unipotent_inverse", broken)
+    with pytest.raises(InvariantError, match="conjugate"):
+        splitting_check(2, 3)
+
+
+def test_splitting_check_invariants_under_optimisation():
+    script = (
+        "from flagsplit import slnsplit\n"
+        "from flagsplit.errors import InvariantError\n"
+        "minor_table, inverse = slnsplit._minor_table, slnsplit._unipotent_inverse\n"
+        "def broken(g, cap):\n"
+        "    h = inverse(g, cap)\n"
+        "    h[1][0] = h[1][0].scale(2)\n"
+        "    return h\n"
+        "for name, patch in [\n"
+        "    ('_minor_table', lambda m, width, cap: {\n"
+        "        cols: d.scale(0) for cols, d in minor_table(m, width, cap).items()}),\n"
+        "    ('_unipotent_inverse', broken)]:\n"
+        "    setattr(slnsplit, name, patch)\n"
+        "    try:\n"
+        "        slnsplit.splitting_check(1, 3)\n"
+        "    except InvariantError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(1)\n"
+        "    slnsplit._minor_table, slnsplit._unipotent_inverse = minor_table, inverse\n"
+    )
+    src = os.path.dirname(os.path.dirname(flagsplit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert run.returncode == 0
+
+
+def _random_factor(rng, p, names, x_start, degree):
+    # 1..6 terms with y-exponents in [0, 2p-1]; of x-degree `degree`, or
+    # when `degree` is None with x-exponents in [0, p] or, to overflow an
+    # x-field of the packed keys, up to 4p+3
+    nx = len(names) - x_start
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        if degree is None:
+            x = [rng.randint(0, rng.choice([p, 4 * p + 3])) for _ in range(nx)]
+        else:
+            x = [0] * nx
+            for _ in range(degree):
+                x[rng.randrange(nx)] += 1
+        terms[tuple(rng.randint(0, 2 * p - 1) for _ in range(x_start)) + tuple(x)] = \
+            rng.randint(1, p - 1)
+    return SparsePolynomial(p, names, terms)
+
+
+def test_truncated_product_matches_mul_then_filter():
+    rng = random.Random(7)
+    outcomes = set()
+    for trial in range(600):
+        p = rng.choice([2, 3, 5])
+        ny, nx = rng.randint(0, 2), rng.randint(1, 3)
+        names = tuple(f"y{j}" for j in range(ny)) + tuple(f"x{i}" for i in range(nx))
+        # 1..3 factors whose x-degrees add up to nx (p-1), as the minors' top
+        # parts, or (every other trial) of any x-degrees
+        cuts = sorted(rng.randint(0, nx * (p - 1)) for _ in range(rng.randint(0, 2)))
+        degrees = [b - a for a, b in zip([0] + cuts, cuts + [nx * (p - 1)])]
+        homogeneous = trial % 2 == 0
+        factors = [_random_factor(rng, p, names, ny, d if homogeneous else None)
+                   for d in degrees]
+        full = factors[0]
+        for f in factors[1:]:
+            full = full.mul(f)
+        want = {e: c for e, c in full.terms.items() if e[ny:] == (p - 1,) * nx}
+        got = slnsplit._truncated_product(factors, ny, DEFAULT_TERM_CAP)
+        assert got.variables == names and got.terms == want, (factors, p)
+        if len(want) > 1:
+            with pytest.raises(ResourceLimitError):
+                slnsplit._truncated_product(factors, ny, len(want) - 1)
+        if homogeneous:
+            # every monomial of the product has x-degree nx (p-1), so the
+            # criterion reads only the slice
+            check = is_splitting_function(got)
+            assert check == is_splitting_function(full)
+            outcomes.add("ok" if check.ok else
+                         "centre" if check.witness == (p - 1,) * len(names) else "other")
+    assert outcomes == {"ok", "centre", "other"}
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3), (4, 2), (3, 5), (4, 3)])
+def test_slice_is_the_big_cell_splitting(n, p):
+    # the coefficient of x^(p-1) in the Borel chart is the Mehta-Ramanathan
+    # splitting prod_s B_s(g)^(p-1) of the big cell, in the y-variables
+    names, slice_ = slnsplit._x_slice(n, p, frozenset(), DEFAULT_TERM_CAP)
+    oracle = big_cell_slice(n, p)
+    ny = len(oracle.variables)
+    assert names[:ny] == oracle.variables
+    assert all(e[ny:] == (p - 1,) * (len(names) - ny) for e in slice_.terms)
+    assert {e[:ny]: c for e, c in slice_.terms.items()} == oracle.terms
