@@ -9,22 +9,24 @@ positions and writes a monomial's weight in fundamental coordinates of A_n,
 so that the built functions are weight-zero monomial by monomial.  The
 polynomials themselves are plain: no weight is stored in them.
 
-The main function conjugates I + X by g symbolically (the inverse of a
-unipotent matrix by forward substitution) and multiplies the (p-1)-st
-powers of the leading principal minors Delta_s, all read off one table of
-minors built row by row over column subsets.  Its fibre-degree N(p-1)
-component is built alone from the minors of g X g^{-1}
-(``build_mvk_component``).  The splitting criterion reads still less: only
-the terms whose x-part is x^(p-1), which ``splitting_check`` builds for
-the Borel and every parabolic chart by a truncated product of the minors'
-top parts, without the chart.  A chart is a value with no cache behind it:
-the caller builds it once and passes it, or its homogeneous component, to
-each check.  Sign conventions: with these
+The main function multiplies the (p-1)-st powers of the leading principal
+minors Delta_s of g (I + X) g^{-1}.  Every minor read lies on rows 1..k,
+and left multiplication by the lower unitriangular g leaves those alone,
+so all are read off one table of minors of (I + X) g^{-1} (the inverse of
+a unipotent matrix by forward substitution), built row by row over column
+subsets; no conjugation is formed.  Its fibre-degree N(p-1) component is
+built alone from the x-degree-s parts of the Delta_s, the minors of
+X g^{-1} (``build_mvk_component``).  The splitting criterion reads still
+less: only the terms whose x-part is x^(p-1), which ``splitting_check``
+builds for the Borel and every parabolic chart by a truncated product of
+the minors' top parts, without the chart.  A chart is a value with no
+cache behind it: the caller builds it once and passes it, or its
+homogeneous component, to each check.  Sign conventions: with these
 weights the x-variables carry positive-root weights; the canonical
 condition translates g by the lower elementary x_k(t) = I + t E_{k+1,k}.
-That changes only the k-th leading minor Delta_k of I + g X g^{-1}, to
-Delta_k + t D_k, so ``canonical_check`` reads the condition off the same
-minor table, without the chart: the ring is a domain and the weight
+That changes only the k-th leading minor Delta_k, to Delta_k + t D_k, so
+``canonical_check`` reads the condition off the same minor table, one
+column wider, without the chart: the ring is a domain and the weight
 grading torsion-free, so the t-degree and weights follow from the minors.
 """
 
@@ -73,10 +75,7 @@ class ChartFunction:
         return max((sum(e[x_start:]) for e in self.poly.terms), default=0)
 
     def x_degree_component(self, d: int) -> SparsePolynomial:
-        x_start = self.x_start
-        out = SparsePolynomial(self.p, self.poly.variables)
-        out.terms = {e: c for e, c in self.poly.terms.items() if sum(e[x_start:]) == d}
-        return out
+        return _x_part(self.poly, self.x_start, d)
 
     def monomial_weight(self, e: Sequence[int]) -> Weight:
         """Weight of the monomial x^e in fundamental coordinates."""
@@ -85,6 +84,12 @@ class ChartFunction:
     def is_t_invariant(self) -> bool:
         zero = (0,) * self.n
         return all(self.monomial_weight(e) == zero for e in self.poly.terms)
+
+
+def _x_part(f: SparsePolynomial, x_start: int, d: int) -> SparsePolynomial:
+    # the terms of f of x-degree d, the x-variables from x_start on
+    return SparsePolynomial._from_terms(f.p, f.variables, {
+        e: c for e, c in f.terms.items() if sum(e[x_start:]) == d})
 
 
 def _monomial_weight(n: int, positions: Sequence[tuple[int, int]], e: Sequence[int]) -> Weight:
@@ -213,15 +218,6 @@ def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matr
     return table, g, x
 
 
-def _conjugation(
-    n: int, p: int, subset: frozenset[int], term_cap: int
-) -> tuple[tuple, Matrix, Matrix, Matrix, Matrix]:
-    # the chart's variable table, g, X, g^{-1} and g X g^{-1}
-    table, g, x = _chart_matrices(n, p, subset)
-    g_inv = _unipotent_inverse(g, term_cap)
-    return table, g, x, g_inv, _mat_mul(_mat_mul(g, x, term_cap), g_inv, term_cap)
-
-
 def _simple_subset(n: int, subset: Sequence[int]) -> frozenset[int]:
     inside = frozenset(int(i) for i in subset)
     for i in inside:
@@ -239,32 +235,26 @@ def _check_size(n: int, p: int) -> None:
         raise InputError(f"{p} is not prime")
 
 
-def _checked_conjugation(
-    n: int, p: int, subset: frozenset[int], term_cap: int
-) -> tuple[tuple, Matrix]:
-    # the chart's variable table and g X g^{-1}; (g X g^{-1}) g = g X is
-    # checked without assert so -O keeps it
+def _chart_minors(
+    n: int, p: int, subset: frozenset[int], width: int, term_cap: int
+) -> tuple[tuple, list[SparsePolynomial], dict[int, SparsePolynomial]]:
+    # the chart's variable table, Delta_1..Delta_n and the minor table at
+    # `width` columns of the block-permuted g (I + X) g^{-1}.  Every minor
+    # lies on rows 1..k, and (L B)[1..k, S] = L[1..k, 1..k] B[1..k, S] for
+    # the lower unitriangular block-permuted g = L, so the table is read off
+    # (I + X) g^{-1}.  ((I + X) g^{-1}) g = I + X and Delta_s = 1 at X=0 are
+    # checked without assert so -O keeps them
     _check_size(n, p)
-    table, g, x, _, gxg = _conjugation(n, p, subset, term_cap)
-    if _mat_mul(gxg, g, term_cap) != _mat_mul(g, x, term_cap):
-        raise InvariantError(f"g X g^-1 for n={n}, p={p} is not conjugate to X by g")
-    return table, gxg
-
-
-def _leading_minors(
-    n: int, p: int, subset: frozenset[int], term_cap: int
-) -> tuple[tuple, list[SparsePolynomial]]:
-    # the chart's variable table and Delta_1..Delta_n of the block-permuted
-    # g (I + X) g^{-1} = I + g X g^{-1}; conjugating the identity gives the
-    # identity, so each Delta_s is checked to be 1 at X=0
-    table, gxg = _checked_conjugation(n, p, subset, term_cap)
+    table, g, x = _chart_matrices(n, p, subset)
     names, _, x_start = table
-    size = n + 1
-    conj = _mat_add(_mat_identity(gxg[0][0], size), gxg)
+    i_plus_x = _mat_add(_mat_identity(g[0][0], n + 1), x)
+    m = _mat_mul(i_plus_x, _unipotent_inverse(g, term_cap), term_cap)
+    if _mat_mul(m, g, term_cap) != i_plus_x:
+        raise InvariantError(f"g^-1 for n={n}, p={p} is not the inverse of g: "
+                             "((I + X) g^-1) g differs from I + X")
     perm = _block_reversal(n, subset)
-    permuted = [[conj[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
-    minors = _minor_table(permuted, n, term_cap)
-    deltas = [minors[(1 << s) - 1] for s in range(1, size)]
+    minors = _minor_table([[m[i][j] for j in perm] for i in perm], width, term_cap)
+    deltas = [minors[(1 << s) - 1] for s in range(1, n + 1)]
     one = {(0,) * len(names): 1}
     for s, d in enumerate(deltas, 1):
         if {e: c for e, c in d.terms.items() if not any(e[x_start:])} != one:
@@ -272,7 +262,7 @@ def _leading_minors(
                 f"leading minor {s} for n={n}, p={p}, subset={sorted(subset)} "
                 "is not 1 at X=0"
             )
-    return table, deltas
+    return table, deltas, minors
 
 
 def _power_product(deltas: Sequence[SparsePolynomial], p: int, term_cap: int) -> SparsePolynomial:
@@ -286,7 +276,7 @@ def _power_product(deltas: Sequence[SparsePolynomial], p: int, term_cap: int) ->
 def _build_chart(
     n: int, p: int, subset: frozenset[int], term_cap: int
 ) -> ChartFunction:
-    (_, positions, x_start), deltas = _leading_minors(n, p, subset, term_cap)
+    (_, positions, x_start), deltas, _ = _chart_minors(n, p, subset, n, term_cap)
     return ChartFunction(poly=_power_product(deltas, p, term_cap), n=n, p=p,
                          positions=positions, x_start=x_start, subset=subset)
 
@@ -315,20 +305,19 @@ def build_parabolic_chart_function(
 def build_mvk_component(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> ChartFunction:
     """The fibre-degree N(p-1) component of :func:`build_chart_function`'s
     chart, built without the rest of the chart: the product of the (p-1)-st
-    powers of the leading principal minors of g X g^{-1}.
+    powers of the x-degree-s parts of the leading minors Delta_s.
 
-    Every entry of I + g X g^{-1} has x-degree at most 1, so the top x-degree
-    part of its s-th minor is the s-th minor of g X g^{-1}, and the top part
-    of a product is the product of the top parts.  The splitting criterion
-    reads only monomials of x-degree at least N(p-1), so it gets the same
-    verdict and witness here as on the whole chart.
+    Every entry of (I + X) g^{-1} = g^{-1} + X g^{-1} has x-degree at most
+    1, so the x-degree-s part of Delta_s is the s-th leading minor of
+    X g^{-1}, which is that of g X g^{-1}, and the top part of a product is
+    the product of the top parts.  The splitting criterion reads only
+    monomials of x-degree at least N(p-1), so it gets the same verdict and
+    witness here as on the whole chart.
     """
-    (_, positions, x_start), gxg = _checked_conjugation(n, p, frozenset(), term_cap)
-    minors = _minor_table(gxg, n, term_cap)
-    return ChartFunction(
-        poly=_power_product([minors[(1 << s) - 1] for s in range(1, n + 1)], p, term_cap),
-        n=n, p=p, positions=positions, x_start=x_start, subset=frozenset(),
-    )
+    (_, positions, x_start), deltas, _ = _chart_minors(n, p, frozenset(), n, term_cap)
+    tops = [_x_part(d, x_start, s) for s, d in enumerate(deltas, 1)]
+    return ChartFunction(poly=_power_product(tops, p, term_cap), n=n, p=p,
+                         positions=positions, x_start=x_start, subset=frozenset())
 
 
 def _truncated_product(
@@ -397,17 +386,13 @@ def _x_slice(
     # the chart's variable names and the terms of its function f whose
     # x-part is x^(p-1); None when f has x-degree above N'(p-1), N' the
     # number of x-variables
-    (names, _, x_start), deltas = _leading_minors(n, p, subset, term_cap)
-    tops = []
-    for d in deltas:
-        degree = max(sum(e[x_start:]) for e in d.terms)
-        tops.append((degree, SparsePolynomial._from_terms(p, d.variables, {
-            e: c for e, c in d.terms.items() if sum(e[x_start:]) == degree})))
+    (names, _, x_start), deltas, _ = _chart_minors(n, p, subset, n, term_cap)
+    degrees = [max(sum(e[x_start:]) for e in d.terms) for d in deltas]
     # the ring is a domain, so f's top x-degree part is the product of the
     # top parts' powers, of x-degree (p-1) * sum of their degrees
-    if sum(degree for degree, _ in tops) > len(names) - x_start:
+    if sum(degrees) > len(names) - x_start:
         return names, None
-    powers = [top.power(p - 1, term_cap) for _, top in tops]
+    powers = [_x_part(d, x_start, k).power(p - 1, term_cap) for d, k in zip(deltas, degrees)]
     return names, _truncated_product(powers, x_start, term_cap)
 
 
@@ -486,7 +471,7 @@ class CanonicalCheck:
 def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> CanonicalCheck:
     """Canonical-splitting condition for :func:`build_chart_function`'s
     chart f = prod_s Delta_s^(p-1), Delta_s the leading minors of
-    M = I + g X g^{-1}: (a) every monomial has weight zero; (b) translating
+    M = g (I + X) g^{-1}: (a) every monomial has weight zero; (b) translating
     g by x_k(-t) expands f in t with degree at most p-1 and the t^i
     coefficient purely of weight i * alpha_k.
 
@@ -500,20 +485,17 @@ def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Canonic
     holds iff the Delta_s are homogeneous with weights summing to 0, and
     then (b) iff D_k = 0 or D_k is homogeneous of weight w(Delta_k) + alpha_k.
     """
-    _check_size(n, p)
-    (_, positions, _), _, _, _, gxg = _conjugation(n, p, frozenset(), term_cap)
-    size = n + 1
-    minors = _minor_table(_mat_add(_mat_identity(gxg[0][0], size), gxg), size, term_cap)
+    (_, positions, _), leading, minors = _chart_minors(n, p, frozenset(), n + 1, term_cap)
 
     def weight(d: SparsePolynomial) -> Optional[Weight]:   # None unless homogeneous
         weights = {_monomial_weight(n, positions, e) for e in d.terms}
         return weights.pop() if len(weights) == 1 else None
 
-    deltas = [weight(minors[(1 << s) - 1]) for s in range(1, size)]
+    deltas = [weight(d) for d in leading]
     invariant = None not in deltas and tuple(map(sum, zip(*deltas))) == (0,) * n
     rs = build_root_system("A", n)
     reports = []
-    for k in range(1, size):
+    for k in range(1, n + 1):
         d_k = minors[((1 << (k - 1)) - 1) | (1 << k)]
         weights_ok = invariant and (d_k.is_zero() or weight(d_k) == tuple(
             map(add, deltas[k - 1], rs.simple_root(k).fund)))
@@ -525,7 +507,10 @@ def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Canonic
 def springer_equivariance_ok(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> bool:
     """Chart-level equivariance of X -> I + X: conjugating I + X equals
     I + (conjugate of X), as an identity of polynomial matrices."""
-    _, g, x, g_inv, gxg = _conjugation(n, p, frozenset(), term_cap)
+    _check_size(n, p)
+    _, g, x = _chart_matrices(n, p, frozenset())
+    g_inv = _unipotent_inverse(g, term_cap)
     ident = _mat_identity(g[0][0], n + 1)
+    gxg = _mat_mul(_mat_mul(g, x, term_cap), g_inv, term_cap)
     lhs = _mat_mul(_mat_mul(g, _mat_add(ident, x), term_cap), g_inv, term_cap)
     return lhs == _mat_add(ident, gxg)

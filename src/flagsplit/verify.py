@@ -398,7 +398,7 @@ def suite_sln(cfg: RunConfig, n: int = 1, p: int = 2) -> list[CheckResult]:
         return check.ok, "" if check.ok else f"witness {check.witness}"
 
     def homogeneous():
-        # the component built alone from g X g^{-1} against the chart's
+        # the component built alone from the minors of X g^{-1} against the chart's
         if slnsplit.build_mvk_component(n, p, term_cap=cfg.term_cap) != comp:
             return False, "the directly built component differs from the chart's"
         check = fpoly.is_splitting_function(comp.poly)

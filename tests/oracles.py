@@ -19,7 +19,8 @@ by adding exponent tuples of each term and each term of a power of the
 replacement instead of summing packed products f_k * r^k, chart
 weights by summing Cartan-matrix rows per variable instead of pairing
 epsilon-coordinates with the simple coroots, the inverse of a unipotent
-matrix by its Neumann series instead of forward substitution, determinants
+matrix by its Neumann series instead of forward substitution, the chart's
+matrix by conjugating X by g instead of multiplying I + X by g^{-1}, determinants
 by recursive Laplace expansion along the first row instead of one table of
 minors built over column subsets, and the canonical condition by
 substituting the translated row of g into the whole chart and reading the
@@ -59,6 +60,8 @@ from flagsplit.slnsplit import (
     CanonicalCheck,
     ChartFunction,
     DirectionReport,
+    _block_reversal,
+    _chart_matrices,
     _mat_identity,
     _mat_mul,
 )
@@ -429,6 +432,18 @@ def unipotent_inverse_by_neumann(g, term_cap: int = DEFAULT_TERM_CAP):
             for j in range(size):
                 out[i][j] = out[i][j] + power[i][j].scale(sign)
     return out
+
+
+def conjugated_chart_matrix(n: int, p: int, subset=(), term_cap: int = DEFAULT_TERM_CAP):
+    """The block-permuted g X g^{-1} of the chart of SL_{n+1} for a
+    parabolic subset (the Borel chart for the empty one), formed by
+    conjugating the generic X by the generic g, with g^{-1} from its Neumann
+    series.  Adding the identity gives the block-permuted g (I + X) g^{-1}."""
+    _, g, x = _chart_matrices(n, p, frozenset(subset))
+    inverse = unipotent_inverse_by_neumann(g, term_cap)
+    gxg = _mat_mul(_mat_mul(g, x, term_cap), inverse, term_cap)
+    perm = _block_reversal(n, frozenset(subset))
+    return [[gxg[i][j] for j in perm] for i in perm]
 
 
 def _eps_diff(rs: RootSystem, i: int, j: int) -> Weight:

@@ -362,6 +362,8 @@ def test_json_reports_are_byte_identical(capsys):
 def test_usage_error(capsys):
     assert main(["nonsense"]) == 2
     assert main(["rs", "show", "Z9"]) == 2
+    # the equivariance check, which runs first, validates (n, p) as well
+    assert main(["verify", "sln", "--n", "-1", "--p", "2"]) == 2
 
 
 def test_subprocess_byte_determinism():

@@ -38,6 +38,7 @@ from oracles import (
     canonical_by_substitution,
     chart_weight_by_cartan_rows,
     compat_by_enumeration,
+    conjugated_chart_matrix,
     det_by_laplace,
     mul_by_tuples,
     rank1_chart_by_conjugation,
@@ -144,6 +145,17 @@ def test_direct_component_equals_chart_component(n, p):
     assert splitting_check(n, p) == (cf.poly.variables, is_splitting_function(cf.poly))
 
 
+@pytest.mark.parametrize("n,p", DIRECT_SIZES)
+def test_direct_component_equals_conjugation_oracle(n, p):
+    # prod_s Delta_s(g X g^{-1})^(p-1), g X g^{-1} formed by conjugation and
+    # its leading minors by Laplace expansion
+    gxg = conjugated_chart_matrix(n, p)
+    want = SparsePolynomial.constant(p, gxg[0][0].variables, 1)
+    for s in range(1, n + 1):
+        want = want.mul(det_by_laplace([row[:s] for row in gxg[:s]]).power(p - 1))
+    assert build_mvk_component(n, p).poly == want
+
+
 def test_direct_component_reach_n3_p5():
     # the whole (3,5) chart has 2.84M terms and is refused by the default cap
     comp = build_mvk_component(3, 5)
@@ -160,7 +172,8 @@ def test_direct_component_reach_n3_p7():
 
 
 def test_direct_component_checks_conjugation(monkeypatch):
-    # an inverse off by one entry makes g X g^{-1} g differ from g X
+    # an inverse off by one entry makes ((I + X) g^{-1}) g differ from I + X,
+    # on the Borel chart and on the parabolic chart of {1} alike
     inverse = slnsplit._unipotent_inverse
 
     def broken(g, term_cap):
@@ -169,8 +182,9 @@ def test_direct_component_checks_conjugation(monkeypatch):
         return h
 
     monkeypatch.setattr(slnsplit, "_unipotent_inverse", broken)
-    with pytest.raises(InvariantError, match="conjugate"):
-        build_mvk_component(2, 3)
+    for call in (build_mvk_component, canonical_check, lambda n, p: splitting_check(n, p, [1])):
+        with pytest.raises(InvariantError, match="is not the inverse of g"):
+            call(2, 3)
 
 
 def test_direct_component_checks_conjugation_under_optimisation():
@@ -183,11 +197,13 @@ def test_direct_component_checks_conjugation_under_optimisation():
         "    h[1][0] = h[1][0].scale(2)\n"
         "    return h\n"
         "slnsplit._unipotent_inverse = broken\n"
-        "try:\n"
-        "    slnsplit.build_mvk_component(1, 3)\n"
-        "except InvariantError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "for call in (slnsplit.build_mvk_component, slnsplit.canonical_check,\n"
+        "             lambda n, p: slnsplit.splitting_check(n + 1, p, [2])):\n"
+        "    try:\n"
+        "        call(1, 3)\n"
+        "    except InvariantError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     src = os.path.dirname(os.path.dirname(flagsplit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -292,20 +308,38 @@ def test_canonical_reach(n, p):
     assert [d.t_degree for d in res.directions] == [p - 1] * n
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chart_minors_match_conjugation_oracle(n):
+    # every minor lies on rows 1..k, which the lower unitriangular g leaves
+    # alone, so (I + X) g^{-1} has the table of g (I + X) g^{-1}
+    for p in (2, 3):
+        for subset in itertools.chain([()], _nonempty_subsets(n)):
+            gxg = conjugated_chart_matrix(n, p, subset)
+            conj = slnsplit._mat_add(slnsplit._mat_identity(gxg[0][0], n + 1), gxg)
+            for width in (n, n + 1):
+                _, deltas, table = slnsplit._chart_minors(
+                    n, p, frozenset(subset), width, DEFAULT_TERM_CAP)
+                assert table == slnsplit._minor_table(conj, width, DEFAULT_TERM_CAP), \
+                    (p, subset, width)
+                assert deltas == [table[(1 << s) - 1] for s in range(1, n + 1)]
+
+
 def _minor_cases():
-    # I + g X g^{-1}, g X g^{-1} and every parabolic block-permuted matrix
+    # the block-permuted I + g X g^{-1} of every chart and the Borel g X g^{-1},
+    # both formed by conjugation, and the Borel (I + X) g^{-1} and X g^{-1}
     for n in range(1, 5):
         for p in (2, 3):
-            _, _, _, _, gxg = slnsplit._conjugation(n, p, frozenset(), DEFAULT_TERM_CAP)
-            ident = slnsplit._mat_identity(gxg[0][0], n + 1)
-            yield (n, p, ()), slnsplit._mat_add(ident, gxg)
-            yield (n, p, "gxg"), gxg
-            for subset in _nonempty_subsets(n):
-                _, _, _, _, gxg = slnsplit._conjugation(n, p, frozenset(subset), DEFAULT_TERM_CAP)
+            for subset in itertools.chain([()], _nonempty_subsets(n)):
+                gxg = conjugated_chart_matrix(n, p, subset)
                 ident = slnsplit._mat_identity(gxg[0][0], n + 1)
-                conj = slnsplit._mat_add(ident, gxg)
-                perm = slnsplit._block_reversal(n, frozenset(subset))
-                yield (n, p, subset), [[conj[i][j] for j in perm] for i in perm]
+                yield (n, p, subset), slnsplit._mat_add(ident, gxg)
+            yield (n, p, "gxg"), conjugated_chart_matrix(n, p)
+            _, g, x = slnsplit._chart_matrices(n, p, frozenset())
+            g_inv = slnsplit._unipotent_inverse(g, DEFAULT_TERM_CAP)
+            ident = slnsplit._mat_identity(g[0][0], n + 1)
+            yield (n, p, "(I+X)g^-1"), slnsplit._mat_mul(
+                slnsplit._mat_add(ident, x), g_inv, DEFAULT_TERM_CAP)
+            yield (n, p, "Xg^-1"), slnsplit._mat_mul(x, g_inv, DEFAULT_TERM_CAP)
 
 
 def test_minor_table_matches_laplace_oracle():
@@ -384,11 +418,13 @@ def test_input_validation():
         build_chart_function(1, 4)
     with pytest.raises(InputError):
         build_parabolic_chart_function(2, 2, [5])
-    for n, p in [(0, 2), (9, 2), (1, 4)]:
+    for n, p in [(0, 2), (9, 2), (-1, 2), (1, 4)]:
         with pytest.raises(InputError):
             build_mvk_component(n, p)
         with pytest.raises(InputError):
             canonical_check(n, p)
+        with pytest.raises(InputError):
+            springer_equivariance_ok(n, p)
 
 
 def test_n3_beyond_acceptance_guards():
@@ -542,8 +578,10 @@ def test_x_zero_identity_is_checked(monkeypatch):
         }
 
     monkeypatch.setattr(slnsplit, "_minor_table", broken)
-    with pytest.raises(InvariantError, match="X=0"):
-        slnsplit._build_chart(2, 3, frozenset(), DEFAULT_TERM_CAP)
+    for call in (build_chart_function, build_mvk_component, canonical_check,
+                 lambda n, p: splitting_check(n, p, [1])):
+        with pytest.raises(InvariantError, match="leading minor 1 .* is not 1 at X=0"):
+            call(2, 3)
 
 
 def test_x_zero_identity_is_checked_under_optimisation():
@@ -553,11 +591,14 @@ def test_x_zero_identity_is_checked_under_optimisation():
         "minor_table = slnsplit._minor_table\n"
         "slnsplit._minor_table = lambda m, width, cap: {\n"
         "    cols: d.scale(0) for cols, d in minor_table(m, width, cap).items()}\n"
-        "try:\n"
-        "    slnsplit.build_chart_function(1, 2)\n"
-        "except InvariantError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "for call in (slnsplit.build_chart_function, slnsplit.build_mvk_component,\n"
+        "             slnsplit.canonical_check,\n"
+        "             lambda n, p: slnsplit.splitting_check(n + 1, p, [1])):\n"
+        "    try:\n"
+        "        call(1, 2)\n"
+        "    except InvariantError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     src = os.path.dirname(os.path.dirname(flagsplit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -638,7 +679,7 @@ def test_splitting_check_checks_both_invariants(monkeypatch):
         return h
 
     monkeypatch.setattr(slnsplit, "_unipotent_inverse", broken)
-    with pytest.raises(InvariantError, match="conjugate"):
+    with pytest.raises(InvariantError, match="is not the inverse of g"):
         splitting_check(2, 3)
 
 
