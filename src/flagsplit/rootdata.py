@@ -142,6 +142,11 @@ class RootSystem:
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
             tuple(row) for row in _cartan_matrix(type_label, rank)
         )
+        # the Dynkin neighbours of each node i, as (k, cartan[i][k]) pairs
+        self._adjacent: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((k, a) for k, a in enumerate(row) if a and k != i)
+            for i, row in enumerate(self.cartan)
+        )
         self.symmetrizers = _symmetrizers(self.cartan)
         # Inverse of the transposed Cartan matrix over a common denominator:
         # converts fundamental coordinates to simple-root coordinates.
@@ -369,24 +374,43 @@ class RootSystem:
     def weyl_orbit(self, lam: Sequence[int]) -> list[Weight]:
         """The W-orbit of a weight, sorted.
 
-        Walks down from the orbit's one dominant member: s_i is applied to v
-        only where v_i > 0, which lowers v by v_i alpha_i.  Every other member
-        has a negative coordinate i, and s_i takes it to a higher member whose
-        i-th coordinate is positive, so the walk reaches the whole orbit.
+        Builds each member exactly once, on a tree rooted at the orbit's
+        dominant member: make_dominant's reduction path read backwards.  A
+        member w other than the top has a least index j with w_j < 0, and its
+        one parent is s_j w = w - w_j alpha_j, which lies higher.  So from v
+        the walk keeps the child s_i v (where v_i > 0) exactly when no
+        coordinate of the child before i is negative.  s_i changes only
+        coordinate i and raises those of i's neighbours in the Dynkin
+        diagram, so every such i before v's first negative coordinate
+        qualifies, and past it only a neighbour of it can.
         """
         top, _ = self.make_dominant(lam)
-        cartan = self.cartan
-        seen = {top}
-        stack = [top]
-        while stack:
-            v = stack.pop()
+        adjacent = self._adjacent
+
+        def child(v: Weight, i: int) -> list[int]:
+            c = v[i]
+            w = list(v)
+            w[i] = -c
+            for k, a in adjacent[i]:
+                w[k] -= c * a
+            return w
+
+        orbit = [top]
+        for v in orbit:   # the list grows as it is walked
             for i, c in enumerate(v):
                 if c > 0:
-                    w = tuple(a - c * b for a, b in zip(v, cartan[i]))
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return sorted(seen)
+                    orbit.append(tuple(child(v, i)))
+                elif c < 0:
+                    # i is v's first negative coordinate: only s_j for a later
+                    # neighbour j of i can lift it, and nothing before j may
+                    # stay negative
+                    for j, _ in adjacent[i]:
+                        if j > i and v[j] > 0:
+                            w = child(v, j)
+                            if min(w[:j]) >= 0:
+                                orbit.append(tuple(w))
+                    break
+        return sorted(orbit)
 
     def word_length(self, word: Sequence[int]) -> int:
         """Coxeter length: the number of positive roots sent to negative ones."""

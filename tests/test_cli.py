@@ -367,11 +367,16 @@ def test_usage_error(capsys):
 
 
 def test_subprocess_byte_determinism():
+    import os
     import subprocess
     import sys
 
+    import flagsplit
+
+    src = os.path.dirname(os.path.dirname(flagsplit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
     cmd = [sys.executable, "-m", "flagsplit.cli", "verify", "fpoly",
            "--seed", "7", "--json"]
-    r1 = subprocess.run(cmd, capture_output=True, text=True)
-    r2 = subprocess.run(cmd, capture_output=True, text=True)
+    r1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert r1.returncode == 0 and r1.stdout == r2.stdout

@@ -270,10 +270,15 @@ RANK4_TYPES = [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4)]
 E_WEIGHTS = [("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)), ("E", 7, (0, 0, 1, 0, 0, 0, 0)),
              ("E", 7, (1, 0, 0, 0, 0, 0, 1)), ("E", 6, (1, 1, 0, 0, 0, 1)),
              ("E", 6, (0, 0, 0, 1, 1, 1))]
+# the benchmark's other `char weyl` highest weights
+OTHER_WEYL_WEIGHTS = [("F", 4, (1, 1, 0, 0)), ("B", 4, (1, 1, 1, 1)), ("C", 4, (1, 1, 1, 1)),
+                      ("D", 4, (2, 1, 1, 1)), ("D", 4, (1, 1, 2, 1)), ("D", 4, (1, 1, 1, 2)),
+                      ("A", 5, (2, 1, 1, 1, 1)), ("A", 5, (1, 1, 1, 1, 2))]
 
 
 def _assert_matches_oracles(rs, lam):
     orbit = rs.weyl_orbit(lam)
+    assert len(orbit) == len(set(orbit)), (rs, lam)   # each member built once
     assert orbit == orbit_by_bfs(rs, lam), (rs, lam)
     assert rs.make_dominant(lam) == make_dominant_by_reflect(rs, lam), (rs, lam)
 
@@ -292,8 +297,8 @@ def test_orbit_and_make_dominant_match_oracles_rank4(key):
         _assert_matches_oracles(rs, lam)
 
 
-@pytest.mark.parametrize("case", E_WEIGHTS, ids=lambda c: f"{c[0]}{c[1]}")
-def test_orbit_and_make_dominant_match_oracles_e_types(case):
+def _assert_weight_system_matches_oracles(case):
+    # every dominant weight below lam, and a non-dominant member of its orbit
     type_label, rank, lam = case
     rs = build_root_system(type_label, rank)
     rng = random.Random(rank * 1000 + sum(lam))
@@ -305,6 +310,16 @@ def test_orbit_and_make_dominant_match_oracles_e_types(case):
         _assert_matches_oracles(rs, moved)
         assert rs.weyl_orbit(mu) == rs.weyl_orbit(moved)
         assert rs.make_dominant(mu) == make_dominant_by_reflect(rs, mu) == (mu, 0)
+
+
+@pytest.mark.parametrize("case", E_WEIGHTS, ids=lambda c: f"{c[0]}{c[1]}")
+def test_orbit_and_make_dominant_match_oracles_e_types(case):
+    _assert_weight_system_matches_oracles(case)
+
+
+@pytest.mark.parametrize("case", OTHER_WEYL_WEIGHTS, ids=lambda c: f"{c[0]}{c[1]}")
+def test_orbit_and_make_dominant_match_oracles_other_weyl_weights(case):
+    _assert_weight_system_matches_oracles(case)
 
 
 @pytest.mark.parametrize("key", SMALL_TYPES, ids=lambda k: f"{k[0]}{k[1]}")
