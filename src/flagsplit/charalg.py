@@ -20,6 +20,7 @@ All arithmetic is exact.  Expensive operations take explicit caps
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Collection, Iterator, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
@@ -172,39 +173,42 @@ def _dominant_weight_system(rs: RootSystem, lam: Weight) -> list[Weight]:
     while queue:
         v = queue.pop()
         for r in rs.positive_roots:
-            w = tuple(a - b for a, b in zip(v, r.fund))
-            if w not in seen and all(c >= 0 for c in w):
+            w = tuple(map(sub, v, r.fund))
+            if min(w) >= 0 and w not in seen:
                 seen.add(w)
                 queue.append(w)
     def depth(mu: Weight) -> int:
         # height of lam - mu, scaled by the positive rs._coord_den
-        return sum(rs._scaled_simple_coords(tuple(a - b for a, b in zip(lam, mu))))
+        return sum(rs._scaled_simple_coords(tuple(map(sub, lam, mu))))
     return sorted(seen, key=lambda mu: (depth(mu), mu))
 
 
-def _freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
-    dominants = _dominant_weight_system(rs, lam)
-    mult: dict[Weight, int] = {lam: 1}
-
-    def lookup(w: Weight) -> int:
-        dom, _ = rs._dominant(w)
-        return mult.get(dom, 0)
-
-    for mu in dominants[1:]:
+def _freudenthal_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
+    # Every weight of the irreducible with its multiplicity.  Dominant mu are
+    # taken in order of depth, and each one's W-orbit is entered as soon as
+    # its multiplicity is known.  A weight mu + k alpha above a dominant mu
+    # has its dominant conjugate strictly above mu, so it is already in the
+    # table when it is a weight at all: get(w, 0) reads m(mu + k alpha).
+    table = dict.fromkeys(rs.weyl_orbit(lam), 1)
+    roots = [(r.fund, r.simple, _weight_root_product(rs, r.fund, r.simple))
+             for r in rs.positive_roots]
+    for mu in _dominant_weight_system(rs, lam)[1:]:
         num = 0
-        for r in rs.positive_roots:
-            k = 1
-            while True:
-                w = tuple(a + k * b for a, b in zip(mu, r.fund))
-                m = lookup(w)
-                if m == 0:
-                    break
-                num += m * _weight_root_product(rs, w, r.simple)
-                k += 1
+        for fund, simple, norm in roots:
+            w = tuple(map(add, mu, fund))
+            m = table.get(w, 0)
+            if m:
+                # (mu + k alpha, alpha), stepped by (alpha, alpha) along the string
+                ip = _weight_root_product(rs, w, simple)
+                while m:
+                    num += m * ip
+                    ip += norm
+                    w = tuple(map(add, w, fund))
+                    m = table.get(w, 0)
         # denominator: (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         # with lam - mu in simple-root coordinates scaled by rs._coord_den
         both = tuple(a + b + 2 for a, b in zip(lam, mu))
-        diff = rs._scaled_simple_coords(tuple(a - b for a, b in zip(lam, mu)))
+        diff = rs._scaled_simple_coords(tuple(map(sub, lam, mu)))
         den, rem = divmod(
             sum(d * b * x for d, b, x in zip(rs.symmetrizers, both, diff)), rs._coord_den
         )
@@ -213,8 +217,15 @@ def _freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int
                 f"Freudenthal multiplicity of {mu} in the character of {lam} "
                 "is not an integer"
             )
-        mult[mu] = (2 * num) // den
-    return mult
+        m = (2 * num) // den
+        if m < 1:
+            # a zero would read as "not a weight" further down
+            raise InvariantError(
+                f"Freudenthal multiplicity of the dominant weight {mu} in the "
+                f"character of {lam} is {m}, not positive"
+            )
+        table.update(dict.fromkeys(rs.weyl_orbit(mu), m))
+    return table
 
 
 def weyl_character(
@@ -230,17 +241,11 @@ def weyl_character(
     cached = _WEYL_CHARACTERS.get((rs, lam))
     if cached is not None:
         return Character._from_mults(rs, dict(cached))
-    out: dict[Weight, int] = {}
-    for mu, m in _freudenthal_multiplicities(rs, lam).items():
-        for w in rs.weyl_orbit(mu):
-            out[w] = m
-    ch = Character._from_mults(rs, out)
+    ch = Character._from_mults(rs, _freudenthal_table(rs, lam))
     if ch.dimension() != dim:
         raise InvariantError(
             f"Freudenthal gives dimension {ch.dimension()} for {lam}, Weyl's formula {dim}"
         )
-    if ch.multiplicity(lam) != 1:
-        raise InvariantError(f"highest weight {lam} has multiplicity {ch.multiplicity(lam)}")
     _WEYL_CHARACTERS[(rs, lam)] = dict(ch.mults)
     return ch
 
@@ -411,10 +416,17 @@ class GoodFiltrationDecomposition:
 
 def _peel_order(rs: RootSystem, weights: Collection[Weight]) -> list[Weight]:
     # Repeatedly the lexicographically largest weight that no remaining
-    # weight strictly dominates.
+    # weight strictly dominates: nu is above mu when nu - mu has nonnegative
+    # integral simple-root coordinates, read off scaled coordinates computed
+    # once per weight.
+    den = rs._coord_den
+    coords = {mu: tuple(rs._scaled_simple_coords(mu)) for mu in weights}
     above = {
-        mu: {nu for nu in weights if nu != mu and rs.dominance_leq(mu, nu)}
-        for mu in weights
+        mu: {
+            nu for nu, y in coords.items()
+            if nu != mu and all(b >= a and (b - a) % den == 0 for a, b in zip(x, y))
+        }
+        for mu, x in coords.items()
     }
     order = []
     while above:

@@ -509,7 +509,8 @@ def _cmd_verify(args) -> int:
     def lines() -> list[str]:
         marks = {"pass": "ok  ", "fail": "FAIL", "skip": "skip"}
         out = [
-            f"[{marks[c.status]}] {c.name}" + (f"  ({c.detail})" if c.detail else "")
+            f"[{marks[c.status]}] {c.name}  {c.elapsed_s:.2f}s"
+            + (f"  ({c.detail})" if c.detail else "")
             for c in report.checks
         ]
         n_fail = sum(1 for c in report.checks if c.status == "fail")

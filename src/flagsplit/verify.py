@@ -38,6 +38,7 @@ class CheckResult:
     name: str
     status: str            # "pass" | "fail" | "skip"
     detail: str = ""
+    elapsed_s: float = 0.0   # shown in text mode only, never in --json
 
 
 @dataclass
@@ -65,12 +66,15 @@ class Report:
 
 
 def _run(checks: list[CheckResult], name: str, fn) -> None:
+    # fn returns (ok, detail); ok None records an observation as a skip
+    start = time.monotonic()
     try:
         ok, detail = fn()
     except ResourceLimitError as exc:
-        checks.append(CheckResult(name, "skip", f"resource guard: {exc}"))
-        return
-    checks.append(CheckResult(name, "pass" if ok else "fail", detail))
+        status, detail = "skip", f"resource guard: {exc}"
+    else:
+        status = "skip" if ok is None else "pass" if ok else "fail"
+    checks.append(CheckResult(name, status, detail, time.monotonic() - start))
 
 
 _SMALL_SYSTEMS = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
@@ -261,20 +265,18 @@ def suite_charalg(cfg: RunConfig) -> list[CheckResult]:
             if not rs.in_cone_c(lam):
                 continue
             name = f"charalg.graded_sections[{rs.type_label}{rs.rank},{','.join(map(str, lam))}]"
-            try:
+
+            def section():
                 gs = charalg.graded_section_char(
                     par, lam, n_max, dim_cap=cfg.dim_cap, term_cap=cfg.term_cap
                 )
-            except ResourceLimitError as exc:
-                checks.append(CheckResult(name, "skip", f"resource guard: {exc}"))
-                continue
-            if rs.is_dominant(lam):
-                status = "pass" if gs.all_ok else "fail"
-                detail = "" if gs.all_ok else f"counterexample degrees {gs.counterexamples()}"
-                checks.append(CheckResult(name, status, detail))
-            else:
+                if rs.is_dominant(lam):
+                    detail = "" if gs.all_ok else f"counterexample degrees {gs.counterexamples()}"
+                    return gs.all_ok, detail
                 outcome = "decomposes" if gs.all_ok else f"fails at {gs.counterexamples()}"
-                checks.append(CheckResult(name, "skip", f"recorded (non-dominant): {outcome}"))
+                return None, f"recorded (non-dominant): {outcome}"
+
+            _run(checks, name, section)
 
     def graded_sections_rank3():
         for name, n_max in (("A3", 4), ("B3", 3), ("C3", 3)):

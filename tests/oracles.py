@@ -25,7 +25,10 @@ by recursive Laplace expansion along the first row instead of one table of
 minors built over column subsets, and the canonical condition by
 substituting the translated row of g into the whole chart and reading the
 weight of every monomial of every t-slice instead of reading it off the
-leading and shifted minors.
+leading and shifted minors, and dominant weight multiplicities by
+Freudenthal's recursion reading each m(mu + k alpha) at the dominant
+conjugate found by make_dominant, with every inner product recomputed,
+instead of one orbit-filled weight table with stepped inner products.
 """
 
 from __future__ import annotations
@@ -105,6 +108,53 @@ def kostant_multiplicity(rs: RootSystem, lam, mu) -> int:
             continue
         total += (-1) ** len(word) * kostant_partition_count(rs, vec)
     return total
+
+
+def freudenthal_by_dominant_lookup(rs: RootSystem, lam) -> dict[Weight, int]:
+    """Multiplicities of the dominant weights of the irreducible with highest
+    weight ``lam``, by Freudenthal's recursion: each m(mu + k alpha) is read
+    at the dominant conjugate of mu + k alpha, found by the public
+    ``make_dominant``, and each inner product is summed afresh."""
+    lam = rs._check_weight(lam)
+    seen = {lam}
+    queue = [lam]
+    while queue:
+        v = queue.pop()
+        for r in rs.positive_roots:
+            w = tuple(a - b for a, b in zip(v, r.fund))
+            if w not in seen and all(c >= 0 for c in w):
+                seen.add(w)
+                queue.append(w)
+
+    def depth(mu) -> int:
+        # height of lam - mu, scaled by the positive rs._coord_den
+        return sum(rs._scaled_simple_coords(tuple(a - b for a, b in zip(lam, mu))))
+
+    def product(fund, root_simple) -> int:
+        # (weight, root): fundamental against simple-root coordinates
+        return sum(d * a * b for d, a, b in zip(rs.symmetrizers, fund, root_simple))
+
+    mult: dict[Weight, int] = {lam: 1}
+    for mu in sorted(seen, key=lambda mu: (depth(mu), mu))[1:]:
+        num = 0
+        for r in rs.positive_roots:
+            k = 1
+            while True:
+                w = tuple(a + k * b for a, b in zip(mu, r.fund))
+                m = mult.get(rs.make_dominant(w)[0], 0)
+                if m == 0:
+                    break
+                num += m * product(w, r.simple)
+                k += 1
+        # (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
+        both = tuple(a + b + 2 for a, b in zip(lam, mu))
+        diff = rs._scaled_simple_coords(tuple(a - b for a, b in zip(lam, mu)))
+        den, rem = divmod(
+            sum(d * b * x for d, b, x in zip(rs.symmetrizers, both, diff)), rs._coord_den
+        )
+        assert rem == 0 and den > 0 and (2 * num) % den == 0, (rs, lam, mu)
+        mult[mu] = (2 * num) // den
+    return mult
 
 
 def brute_sym_power(weights, n) -> dict[tuple[int, ...], int]:

@@ -34,10 +34,12 @@ from oracles import (
     brute_exterior_power,
     brute_sym_power,
     euler_by_weyl_search,
+    freudenthal_by_dominant_lookup,
     greedy_peel,
     koszul_by_expansion,
     kostant_multiplicity,
 )
+from test_rootdata import E_WEIGHTS, OTHER_WEYL_WEIGHTS
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -115,6 +117,42 @@ def test_weyl_character_matches_kostant_oracle(rs, lam):
     for _ in range(10):
         w = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
         assert ch.multiplicity(w) == kostant_multiplicity(rs, lam, w)
+
+
+def _assert_matches_lookup_oracle(rs, lam):
+    expected = {
+        w: m for mu, m in freudenthal_by_dominant_lookup(rs, lam).items()
+        for w in rs.weyl_orbit(mu)
+    }
+    assert weyl_character(rs, lam).mults == expected, (rs, lam)
+
+
+@pytest.mark.parametrize("case", E_WEIGHTS + OTHER_WEYL_WEIGHTS,
+                         ids=lambda c: f"{c[0]}{c[1]}-{''.join(map(str, c[2]))}")
+def test_weyl_character_matches_lookup_oracle_benchmark_weights(monkeypatch, case):
+    # the `char weyl` highest weights of the benchmark, E7 and E8 included
+    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
+    type_label, rank, lam = case
+    _assert_matches_lookup_oracle(build_root_system(type_label, rank), lam)
+
+
+@pytest.mark.parametrize("rs", [B2, C2, G2], ids=["B2", "C2", "G2"])
+def test_weyl_character_matches_lookup_oracle_graded_sections(monkeypatch, rs):
+    # every nu whose Weyl character the sweep's graded sections at (2,2) expand
+    reached = set()
+    expand = charalg.weyl_character
+
+    def record(rs, nu, **kw):
+        reached.add(tuple(nu))
+        return expand(rs, nu, **kw)
+
+    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
+    monkeypatch.setattr(charalg, "weyl_character", record)
+    graded_section_char(parabolic_subset(rs), (2, 2), 3 if rs.type_label == "G" else 5)
+    assert len(reached) > 10
+    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
+    for nu in sorted(reached):
+        _assert_matches_lookup_oracle(rs, nu)
 
 
 def test_weyl_character_invariance():
@@ -301,6 +339,41 @@ def test_decompose_matches_greedy_peel_randomised():
                 total = total + rng.randint(-2, 3) * weyl_character(rs, lam)
             dec = decompose_good_filtration(total)
             assert dec.to_json_obj() == greedy_peel(total).to_json_obj()
+
+
+def _peel_order_by_dominance_leq(rs, weights):
+    # the peel order through the public, validating dominance_leq; also
+    # counts the steps that choose among several undominated weights
+    above = {
+        mu: {nu for nu in weights if nu != mu and rs.dominance_leq(mu, nu)}
+        for mu in weights
+    }
+    order, ties = [], 0
+    while above:
+        free = [mu for mu, larger in above.items() if not larger]
+        ties += len(free) > 1
+        top = max(free)
+        del above[top]
+        for larger in above.values():
+            larger.discard(top)
+        order.append(top)
+    return order, ties
+
+
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("B", 3), ("C", 3)],
+                         ids=lambda k: f"{k[0]}{k[1]}")
+def test_peel_order_matches_dominance_leq(key):
+    rs = build_root_system(*key)
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(60):
+        box = range(-3, 4) if rs.rank == 2 else range(-2, 3)
+        weights = {tuple(rng.choice(box) for _ in range(rs.rank))
+                   for _ in range(rng.randint(1, 12))}
+        expected, tied = _peel_order_by_dominance_leq(rs, weights)
+        assert charalg._peel_order(rs, weights) == expected, (rs, sorted(weights))
+        ties += tied
+    assert ties > 0
 
 
 # -- graded sections ------------------------------------------------------------
@@ -542,6 +615,18 @@ def test_freudenthal_invariants_are_checked(monkeypatch, key, lam, message):
     monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
     with pytest.raises(InvariantError, match=message):
         weyl_character(build_root_system(*key), lam)
+
+
+@pytest.mark.parametrize("fault", [lambda p: 0, lambda p: -p], ids=["zero", "negated"])
+def test_freudenthal_rejects_a_multiplicity_below_one(monkeypatch, fault):
+    # the table reads a missing weight as multiplicity 0, so a dominant
+    # weight of the weight system must never be entered with m < 1
+    product = charalg._weight_root_product
+    monkeypatch.setattr(charalg, "_weight_root_product", lambda rs, w, r: fault(product(rs, w, r)))
+    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
+    with pytest.raises(InvariantError, match=r"multiplicity of the dominant weight \(0, 0\) "
+                                             r"in the character of \(1, 1\) is -?\d+, not positive"):
+        weyl_character(A2, (1, 1))
 
 
 def test_weyl_dimension_integrality_is_checked():

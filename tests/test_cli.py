@@ -1,12 +1,14 @@
 """Command-line interface: dispatch, exit codes, JSON determinism."""
 
+import itertools
 import json
 import random
 import re
+import types
 
 import pytest
 
-from flagsplit import cli
+from flagsplit import cli, verify
 from flagsplit.cli import main
 from flagsplit.fpoly import SparsePolynomial, save_poly
 
@@ -327,7 +329,9 @@ def test_verify_sln(capsys):
     names = [c["name"] for c in json.loads(out)["checks"]]
     code, text, _ = run(capsys, "verify", "sln", "--n", "1", "--p", "5")
     lines = text.splitlines()
-    assert code == 0 and lines[:-1] == [f"[ok  ] {name}" for name in names]
+    assert code == 0 and len(lines) == len(names) + 1
+    for name, line in zip(names, lines):
+        assert re.fullmatch(rf"\[ok  \] {re.escape(name)}  \d+\.\d\ds", line), line
     assert re.fullmatch(rf"{len(names)} checks, 0 failures, \d+\.\d\ds", lines[-1])
 
 
@@ -339,6 +343,20 @@ def test_verify_charalg_rank_capped(capsys):
     names = [c["name"] for c in obj["checks"]]
     assert any(name.startswith("charalg.graded_sections[A1") for name in names)
     assert "charalg.graded_sections_rank3" not in names
+
+
+def test_verify_times_every_check_in_text_only(capsys, monkeypatch):
+    # a clock that advances one second per reading: every check, each case of
+    # the graded-section sweep included, reads it once before and once after
+    ticks = itertools.count()
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    code, text, _ = run(capsys, "verify", "charalg", "--rank-cap", "1")
+    lines = text.splitlines()
+    assert code == 0 and any("charalg.graded_sections[A1," in line for line in lines)
+    assert all(re.fullmatch(r"\[(ok  |skip)\] \S+  1\.00s(  \(.*\))?", line) for line in lines[:-1])
+    code, out, _ = run(capsys, "verify", "charalg", "--rank-cap", "1", "--json")
+    assert code == 0 and all(set(c) == {"name", "status", "detail"}
+                             for c in json.loads(out)["checks"])
 
 
 def test_verify_charalg_asserts_rank3_sections(capsys):

@@ -479,8 +479,8 @@ def test_verify_sln_builds_the_direct_component_once(monkeypatch):
                         lambda *args, **kw: direct.append(args) or component(*args, **kw))
     checks = suite_sln(RunConfig(), n=3, p=2)
     assert all(c.status == "pass" for c in checks), checks
-    assert {"name": "sln.homogeneous_component[n=3,p=2]", "status": "pass", "detail": ""} in \
-        [vars(c) for c in checks]
+    assert ("sln.homogeneous_component[n=3,p=2]", "pass", "") in \
+        [(c.name, c.status, c.detail) for c in checks]
     assert direct == [(3, 2)]
     assert len(built) == len(set(args[:3] for args in built)) == 1
 
