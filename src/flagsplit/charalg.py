@@ -189,7 +189,9 @@ def _freudenthal_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     # its multiplicity is known.  A weight mu + k alpha above a dominant mu
     # has its dominant conjugate strictly above mu, so it is already in the
     # table when it is a weight at all: get(w, 0) reads m(mu + k alpha).
-    table = dict.fromkeys(rs.weyl_orbit(lam), 1)
+    # weyl_character has checked that lam is dominant, and every mu below is
+    # dominant by construction, so their orbits are walked without validation.
+    table = dict.fromkeys(rs._orbit_walk(lam), 1)
     roots = [(r.fund, r.simple, _weight_root_product(rs, r.fund, r.simple))
              for r in rs.positive_roots]
     for mu in _dominant_weight_system(rs, lam)[1:]:
@@ -224,7 +226,7 @@ def _freudenthal_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
                 f"Freudenthal multiplicity of the dominant weight {mu} in the "
                 f"character of {lam} is {m}, not positive"
             )
-        table.update(dict.fromkeys(rs.weyl_orbit(mu), m))
+        table.update(dict.fromkeys(rs._orbit_walk(mu), m))
     return table
 
 

@@ -10,6 +10,8 @@ timing fields), so identical inputs and seed produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _escape
@@ -122,112 +124,134 @@ def _char_lines(ch: charalg.Character) -> list[str]:
     return out
 
 
+# the common flags that take a value, with their defaults on the root parser
+_COMMON_VALUE_FLAGS = {
+    "--seed": 0,
+    "--term-cap": charalg.DEFAULT_TERM_CAP,
+    "--dim-cap": charalg.DEFAULT_DIM_CAP,
+    "--weyl-cap": 1152,
+    "--enum-cap": fpoly.DEFAULT_ENUM_CAP,
+}
+
+
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # placed on the root parser (with real defaults) and on every leaf
     # subparser (with SUPPRESS), so the flags are accepted in both positions
-    d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--json", action="store_true",
-                        **({"default": d} if suppress else {}),
+                        **({"default": argparse.SUPPRESS} if suppress else {}),
                         help="machine-readable output")
-    parser.add_argument("--seed", type=int,
-                        default=d if suppress else 0)
-    parser.add_argument("--term-cap", type=int,
-                        default=d if suppress else charalg.DEFAULT_TERM_CAP)
-    parser.add_argument("--dim-cap", type=int,
-                        default=d if suppress else charalg.DEFAULT_DIM_CAP)
-    parser.add_argument("--weyl-cap", type=int,
-                        default=d if suppress else 1152)
-    parser.add_argument("--enum-cap", type=int,
-                        default=d if suppress else fpoly.DEFAULT_ENUM_CAP)
+    for flag, default in _COMMON_VALUE_FLAGS.items():
+        parser.add_argument(flag, type=int, default=argparse.SUPPRESS if suppress else default)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SYSTEM = ("system", {})
+_WEIGHT = ("--weight", {"required": True})
+_FILE = ("--file", {"required": True})
+_REQUIRED_INT = {"type": int, "required": True}
+_N_P = [("--n", _REQUIRED_INT), ("--p", _REQUIRED_INT)]
+
+# command -> (help, arguments of its leaf) or (help, {action: arguments});
+# every leaf also takes the common flags
+_COMMANDS = {
+    "rs": ("root-system data", {"show": [_SYSTEM]}),
+    "weight": ("weight operations", {"reduce": [_SYSTEM, _WEIGHT, ("--degree", _REQUIRED_INT)]}),
+    "char": ("character computations", {
+        "weyl": [_SYSTEM, _WEIGHT],
+        "euler": [_SYSTEM, _WEIGHT],
+        "sym": [_SYSTEM, ("--degree", _REQUIRED_INT), ("--parabolic", {"default": ""})],
+        "ext": [_SYSTEM, ("--j", _REQUIRED_INT)],
+        "trunc": [_SYSTEM, ("--p", _REQUIRED_INT)],
+    }),
+    "filt": ("graded sections with decompositions",
+             [_SYSTEM, _WEIGHT, ("--max-degree", _REQUIRED_INT), ("--parabolic", {"default": ""})]),
+    "g1": ("Frobenius-kernel cohomology characters",
+           [_SYSTEM, ("--word", {"default": ""}), _WEIGHT, ("--p", _REQUIRED_INT),
+            ("--max-i", {"type": int, "default": 6})]),
+    "poly": ("polynomial splitting checks", {
+        "check": [_FILE],
+        "trace": [_FILE, ("--times", {"required": True}), ("--out", {})],
+        "compat": [_FILE, ("--ideal", {"required": True})],
+    }),
+    "sln": ("type-A chart splittings", {
+        "build": [*_N_P, ("--out", {})],
+        "check": _N_P,
+        "mvk": [*_N_P, ("--compat", {"default": ""})],
+        "canonical": _N_P,
+        "parabolic": [*_N_P, ("--subset", {"required": True})],
+    }),
+    "verify": ("batch invariant suites",
+               [("suite", {"choices": verify.SUITES}), ("--n", {"type": int, "default": 1}),
+                ("--p", {"type": int, "default": 2}), ("--rank-cap", {"type": int, "default": 3})]),
+}
+
+
+def _route(argv: Sequence[str]) -> tuple[Optional[str], Optional[str]]:
+    """The command and action that ``argv`` names, after any leading
+    ``--json`` and common value flags with their values (``--seed 3``,
+    ``--seed=3``); (None, None), meaning the whole tree, for any other
+    leading option (``-h``, ``--se``) and a missing or unknown command or
+    action."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        flag, eq, _ = argv[i].partition("=")
+        if argv[i] == "--json" or (eq and flag in _COMMON_VALUE_FLAGS):
+            i += 1
+        elif flag in _COMMON_VALUE_FLAGS:
+            i += 2
+        else:
+            return None, None
+    command = argv[i] if i < len(argv) else None
+    if command not in _COMMANDS:
+        return None, None
+    actions = _COMMANDS[command][1]
+    if not isinstance(actions, dict):
+        return command, None
+    action = argv[i + 1] if i + 1 < len(argv) else None
+    return (command, action) if action in actions else (None, None)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser tree, holding below the root only the command and action
+    that ``argv`` names (see ``_route``); the whole tree for an empty argv.
+    A pruned tree parses what it accepts as the whole tree does, but its
+    usage and error messages list only the branch it holds."""
+    command, action = _route(argv)
     parser = argparse.ArgumentParser(
         prog="flagsplit",
         description="Exact root-system, character and Frobenius-splitting checks.",
     )
     _common_flags(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _common_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rs = sub.add_parser("rs", help="root-system data")
-    rs_sub = p_rs.add_subparsers(dest="action", required=True)
-    p_show = rs_sub.add_parser("show", parents=[common])
-    p_show.add_argument("system")
-
-    p_weight = sub.add_parser("weight", help="weight operations")
-    w_sub = p_weight.add_subparsers(dest="action", required=True)
-    p_reduce = w_sub.add_parser("reduce", parents=[common])
-    p_reduce.add_argument("system")
-    p_reduce.add_argument("--weight", required=True)
-    p_reduce.add_argument("--degree", type=int, required=True)
-
-    p_char = sub.add_parser("char", help="character computations")
-    c_sub = p_char.add_subparsers(dest="action", required=True)
-    for name in ("weyl", "euler"):
-        pc = c_sub.add_parser(name, parents=[common])
-        pc.add_argument("system")
-        pc.add_argument("--weight", required=True)
-    pc = c_sub.add_parser("sym", parents=[common])
-    pc.add_argument("system")
-    pc.add_argument("--degree", type=int, required=True)
-    pc.add_argument("--parabolic", default="")
-    pc = c_sub.add_parser("ext", parents=[common])
-    pc.add_argument("system")
-    pc.add_argument("--j", type=int, required=True)
-    pc = c_sub.add_parser("trunc", parents=[common])
-    pc.add_argument("system")
-    pc.add_argument("--p", type=int, required=True)
-
-    p_filt = sub.add_parser("filt", parents=[common],
-                            help="graded sections with decompositions")
-    p_filt.add_argument("system")
-    p_filt.add_argument("--weight", required=True)
-    p_filt.add_argument("--max-degree", type=int, required=True)
-    p_filt.add_argument("--parabolic", default="")
-
-    p_g1 = sub.add_parser("g1", parents=[common],
-                          help="Frobenius-kernel cohomology characters")
-    p_g1.add_argument("system")
-    p_g1.add_argument("--word", default="")
-    p_g1.add_argument("--weight", required=True)
-    p_g1.add_argument("--p", type=int, required=True)
-    p_g1.add_argument("--max-i", type=int, default=6)
-
-    p_poly = sub.add_parser("poly", help="polynomial splitting checks")
-    y_sub = p_poly.add_subparsers(dest="action", required=True)
-    pp = y_sub.add_parser("check", parents=[common])
-    pp.add_argument("--file", required=True)
-    pp = y_sub.add_parser("trace", parents=[common])
-    pp.add_argument("--file", required=True)
-    pp.add_argument("--times", required=True)
-    pp.add_argument("--out")
-    pp = y_sub.add_parser("compat", parents=[common])
-    pp.add_argument("--file", required=True)
-    pp.add_argument("--ideal", required=True)
-
-    p_sln = sub.add_parser("sln", help="type-A chart splittings")
-    s_sub = p_sln.add_subparsers(dest="action", required=True)
-    for name in ("build", "check", "mvk", "canonical", "parabolic"):
-        ps = s_sub.add_parser(name, parents=[common])
-        ps.add_argument("--n", type=int, required=True)
-        ps.add_argument("--p", type=int, required=True)
-        if name == "build":
-            ps.add_argument("--out")
-        if name == "mvk":
-            ps.add_argument("--compat", default="")
-        if name == "parabolic":
-            ps.add_argument("--subset", required=True)
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="batch invariant suites")
-    p_verify.add_argument("suite", choices=verify.SUITES)
-    p_verify.add_argument("--n", type=int, default=1)
-    p_verify.add_argument("--p", type=int, default=2)
-    p_verify.add_argument("--rank-cap", type=int, default=3)
-
+    for name, (text, body) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        if isinstance(body, dict):
+            actions = sub.add_parser(name, help=text).add_subparsers(dest="action", required=True)
+            for act, arguments in body.items():
+                if action in (None, act):
+                    _leaf(actions.add_parser(act), arguments)
+        else:
+            _leaf(sub.add_parser(name, help=text), body)
     return parser
+
+
+def _leaf(parser: argparse.ArgumentParser, arguments) -> None:
+    _common_flags(parser, suppress=True)
+    for name, kwargs in arguments:
+        parser.add_argument(name, **kwargs)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # The pruned tree decides what argv means; when it rejects argv, its
+    # message is dropped and the whole tree parses again, so usage errors
+    # list every command and action.  Help (exit 0) is the same from both.
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return build_parser(argv).parse_args(argv)
+    except SystemExit as exc:
+        if exc.code in (0, None):
+            raise
+    return build_parser().parse_args(argv)
 
 
 # -- handlers -----------------------------------------------------------------
@@ -522,10 +546,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    argv = _preprocess(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = parser.parse_args(_preprocess(argv))
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -490,9 +490,12 @@ def poly_from_json_obj(obj: dict) -> SparsePolynomial:
 
 
 def save_poly(f: SparsePolynomial, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poly_to_json_obj(f), fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(poly_to_json_obj(f), fh, separators=(",", ":"), sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write polynomial file {path}: {exc}") from exc
 
 
 def load_poly(path: str) -> SparsePolynomial:

@@ -372,7 +372,11 @@ class RootSystem:
         return sorted(seen.values(), key=lambda w: (len(w), w))
 
     def weyl_orbit(self, lam: Sequence[int]) -> list[Weight]:
-        """The W-orbit of a weight, sorted.
+        """The W-orbit of a weight, sorted."""
+        return sorted(self._orbit_walk(self.make_dominant(lam)[0]))
+
+    def _orbit_walk(self, top: Weight) -> list[Weight]:
+        """The W-orbit of the dominant weight ``top``, unvalidated, in walk order.
 
         Builds each member exactly once, on a tree rooted at the orbit's
         dominant member: make_dominant's reduction path read backwards.  A
@@ -384,7 +388,6 @@ class RootSystem:
         diagram, so every such i before v's first negative coordinate
         qualifies, and past it only a neighbour of it can.
         """
-        top, _ = self.make_dominant(lam)
         adjacent = self._adjacent
 
         def child(v: Weight, i: int) -> list[int]:
@@ -410,7 +413,7 @@ class RootSystem:
                             if min(w[:j]) >= 0:
                                 orbit.append(tuple(w))
                     break
-        return sorted(orbit)
+        return orbit
 
     def word_length(self, word: Sequence[int]) -> int:
         """Coxeter length: the number of positive roots sent to negative ones."""

@@ -1,7 +1,11 @@
 """Command-line interface: dispatch, exit codes, JSON determinism."""
 
+import contextlib
+import importlib.util
+import io
 import itertools
 import json
+import pathlib
 import random
 import re
 import types
@@ -248,6 +252,20 @@ def test_poly_trace(capsys, tmp_path):
     assert obj["terms"] == [{"e": [1], "c": 1}]
 
 
+def test_out_to_a_missing_directory_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "f.json"
+    g = tmp_path / "g.json"
+    save_poly(SparsePolynomial(3, ("x",), {(2,): 1}), str(f))
+    save_poly(SparsePolynomial(3, ("x",), {(3,): 1}), str(g))
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (["sln", "build", "--n", "2", "--p", "3", "--out", str(missing)],
+                 ["poly", "trace", "--file", str(f), "--times", str(g), "--out", str(missing)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"input error: cannot write polynomial file {missing}: "), err
+    assert not missing.parent.exists()
+
+
 def test_poly_compat(capsys, tmp_path):
     f = tmp_path / "f.json"
     save_poly(SparsePolynomial(2, ("x1", "x2"), {(1, 1): 1}), str(f))
@@ -398,3 +416,58 @@ def test_subprocess_byte_determinism():
     r1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     r2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert r1.returncode == 0 and r1.stdout == r2.stdout
+
+
+def _benchmark_argvs():
+    # every case of the benchmark, from perfbench/cases.py loaded by path
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [list(case) for case in module.all_cases()]
+
+
+LEAVES = [["rs", "show"], ["weight", "reduce"], ["char", "weyl"], ["char", "euler"],
+          ["char", "sym"], ["char", "ext"], ["char", "trunc"], ["filt"], ["g1"],
+          ["poly", "check"], ["poly", "trace"], ["poly", "compat"], ["sln", "build"],
+          ["sln", "check"], ["sln", "mvk"], ["sln", "canonical"], ["sln", "parabolic"],
+          ["verify"]]
+# help at each level, unknown commands and actions, root flags before the
+# command (abbreviated, negative-number-like, missing a value) and leaf flags
+# that only the root knows
+PARSE_CORPUS = [
+    [], ["-h"], ["nonsense"], ["sln"], ["sln", "-h"], ["sln", "bogus"], ["sln", "bogus", "check"],
+    ["bogus", "sln"], ["--seed", "sln", "check"], ["--se", "3", "sln", "check", "--n", "2", "--p", "3"],
+    ["-5", "sln"], ["sln", "--json", "check", "--n", "2", "--p", "2"],
+    ["sln", "check", "--n", "2", "--p", "2", "--bogus"], ["sln", "check"],
+    ["--json", "--seed", "3", "--term-cap=9", "sln", "check", "--n", "2", "--p", "2"],
+    ["--seed", "3"], ["--json=1", "sln", "check"], ["--", "sln", "check"],
+    ["rs", "show", "A2", "extra"], ["sln", "check", "--n", "2", "--p", "2", "--se", "5"],
+    ["verify", "bogus"], ["char", "weyl", "A2", "--weight", "-1,1"],
+] + [leaf + ["-h"] for leaf in LEAVES]
+
+
+def _whole_tree(argv):
+    # what the whole parser tree makes of argv: (Namespace or None, exit code, stdout, stderr)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return cli.build_parser().parse_args(cli._preprocess(argv)), 0, "", ""
+        except SystemExit as exc:
+            code = 2 if exc.code not in (0, None) else 0
+    return None, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS + _benchmark_argvs(),
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_pruned_parse_matches_whole_tree(capsys, monkeypatch, argv):
+    # main builds only the branch argv names; it must accept and reject
+    # exactly what the whole tree does, with the same Namespace, output and code
+    parsed = []
+    for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args: parsed.append(args) or 0)
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    args, want_code, want_out, want_err = _whole_tree(list(argv))
+    assert (code, out, err) == (want_code, want_out, want_err)
+    assert parsed == ([] if args is None else [args])

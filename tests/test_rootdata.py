@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -329,6 +330,44 @@ def test_orbit_stabiliser(key):
     for lam in itertools.product(range(-2, 3), repeat=rs.rank):
         stabiliser = sum(1 for w in words if rs.weight_action(w, lam) == lam)
         assert len(rs.weyl_orbit(lam)) * stabiliser == len(words), (rs, lam)
+
+
+# every simple type of rank <= 8
+ALL_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+             + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def _orbit_size(rs, top):
+    # |W| is the product of (ht + 1) / ht over the positive roots (Macdonald),
+    # and the stabiliser of a dominant top is generated by the simple
+    # reflections that fix it, so the orbit takes the roots top does not
+    # vanish on
+    size = Fraction(1)
+    for r in rs.positive_roots:
+        if any(a and c for a, c in zip(r.simple, top)):
+            size *= Fraction(r.height + 1, r.height)
+    assert size.denominator == 1
+    return int(size)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES, ids=lambda k: f"{k[0]}{k[1]}")
+def test_orbit_walk_matches_weyl_orbit(key):
+    # the unsorted, unvalidated walk from a dominant top is weyl_orbit of any
+    # member, each weight once; nonzero tops are drawn with orbits of at most 5000
+    rs = build_root_system(*key)
+    rng = random.Random(f"orbit walk {key}")
+    drawn = 0
+    while drawn < 4:
+        top = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(rs.rank))
+        size = _orbit_size(rs, top)
+        if not 1 < size <= 5000:
+            continue
+        drawn += 1
+        moved = rs.weight_action([rng.randint(1, rs.rank) for _ in range(12)], top)
+        walk = rs._orbit_walk(top)
+        assert walk[0] == top and len(walk) == len(set(walk)) == size, (rs, top)
+        assert sorted(walk) == rs.weyl_orbit(moved), (rs, top, moved)
 
 
 # Each construction invariant broken by one patch, as (what breaks, module
