@@ -67,7 +67,10 @@ class Character:
         return self.mults.get(tuple(w), 0)
 
     def items(self) -> Iterator[tuple[Weight, int]]:
-        return iter(sorted(self.mults.items()))
+        # the weights are distinct, so sorting them alone gives the order of
+        # sorting (weight, mult) pairs at about half the cost
+        keys = sorted(self.mults)
+        return zip(keys, map(self.mults.__getitem__, keys))
 
     def dimension(self) -> int:
         return sum(self.mults.values())
@@ -375,10 +378,11 @@ def truncated_char(
         raise InputError(f"{p} is not prime")
     out: dict[Weight, int] = {(0,) * rs.rank: 1}
     for r in rs.positive_roots:
+        steps = [tuple(k * b for b in r.fund) for k in range(p)]
         nxt: dict[Weight, int] = {}
         for w, m in out.items():
-            for k in range(p):
-                shifted = tuple(a + k * b for a, b in zip(w, r.fund))
+            for step in steps:
+                shifted = tuple(map(add, w, step))
                 nxt[shifted] = nxt.get(shifted, 0) + m
         if len(nxt) > term_cap:
             raise ResourceLimitError(f"truncated algebra exceeds term cap {term_cap}")

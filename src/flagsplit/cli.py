@@ -15,7 +15,7 @@ import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import charalg, fpoly, slnsplit, verify
 from .errors import InputError, ResourceLimitError
@@ -51,18 +51,22 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _dumps(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where a
+    ``_Rows`` stands for its list of records.
 
     ``indent`` sends ``json`` to its pure-Python encoder, one small string per
-    token; here an int list is one ``join`` and a list of like-shaped int
-    records (character entries, polynomial terms) is one ``%`` format.
+    token; here an int list is one ``join``, and like-shaped int records
+    (character entries, polynomial terms) are written from their sorted table
+    as one ``%`` format.
     ``nl`` is the newline and indent of the line ``obj`` starts on.
     """
     inner = nl + "  "
+    if type(obj) is _Rows:
+        return _write_rows(obj, nl)
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) == {int}:
             return _wrap(list(map(str, obj)), nl, "[]")
-        return _records(obj, nl) or _wrap([_dumps(x, inner) for x in obj], nl, "[]")
+        return _wrap([_dumps(x, inner) for x in obj], nl, "[]")
     if isinstance(obj, dict) and all(type(k) is str for k in obj):
         return _wrap([_escape(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)], nl, "{}")
     if isinstance(obj, dict):
@@ -81,32 +85,27 @@ def _wrap(parts: list[str], nl: str, brackets: str) -> str:
     return f"{brackets[0]}{inner}{body}{nl}{brackets[1]}"
 
 
-def _records(items: Sequence, nl: str) -> Optional[str]:
-    # dicts with one str key set whose values are ints, or int lists of one
-    # length per key, as one template formatted once; None for other shapes
-    first = items[0] if items else None
-    if type(first) is not dict or any(type(k) is not str for k in first):
-        return None
-    shape = [(k, len(v) if type(v) is list else -1) for k, v in sorted(first.items())]
-    values: list = []
-    for d in items:
-        if type(d) is not dict or len(d) != len(shape):
-            return None
-        for k, size in shape:
-            v = d.get(k)
-            if size < 0:
-                values.append(v)
-            elif type(v) is list and len(v) == size:
-                values.extend(v)
-            else:
-                return None
-    if not set(map(type, values)) <= {int}:
-        return None
-    field = nl + "    "
-    record = _wrap([_escape(k).replace("%", "%%") + ": "
-                    + ("%d" if size < 0 else _wrap(["%d"] * size, field, "[]"))
-                    for k, size in shape], nl + "  ", "{}")
-    return _wrap([record] * len(items), nl, "[]") % tuple(values)
+class _Rows(tuple):
+    """(value, key, width, ints): the records {value: v, key: [k1, ..., kwidth]}
+    as one flat int list v, k1, ..., kwidth per record, with no dict per
+    record; ``value`` sorts before ``key``, the order json's sort_keys writes."""
+
+
+def _table_rows(pairs: Iterable, value: str, key: str, width: int) -> _Rows:
+    # the records {value: v, key: list(k)} for each (k, v) of pairs, in their order
+    ints: list = []
+    put, put_all = ints.append, ints.extend
+    for k, v in pairs:
+        put(v)
+        put_all(k)
+    return _Rows((value, key, width, ints))
+
+
+def _write_rows(rows: _Rows, nl: str) -> str:
+    value, key, width, ints = rows
+    record = _wrap([_escape(value) + ": %d",
+                    _escape(key) + ": " + _wrap(["%d"] * width, nl + "    ", "[]")], nl + "  ", "{}")
+    return _wrap([record] * (len(ints) // (width + 1)), nl, "[]") % tuple(ints)
 
 
 def _emit(obj: dict, lines: Callable[[], list[str]], as_json: bool) -> None:
@@ -116,6 +115,16 @@ def _emit(obj: dict, lines: Callable[[], list[str]], as_json: bool) -> None:
     else:
         for line in lines():
             print(line)
+
+
+def _char_rows(ch: charalg.Character) -> _Rows:
+    # ch.to_json_obj() as rows
+    return _table_rows(ch.items(), "mult", "weight", ch.rs.rank)
+
+
+def _poly_obj(f: fpoly.SparsePolynomial) -> dict:
+    # fpoly.poly_to_json_obj(f) with its terms as rows
+    return fpoly.poly_to_json_obj(f, _table_rows(f.sorted_terms(), "c", "e", len(f.variables)))
 
 
 def _char_lines(ch: charalg.Character) -> list[str]:
@@ -134,6 +143,16 @@ _COMMON_VALUE_FLAGS = {
 }
 
 
+def _cap(text: str) -> int:
+    # a resource cap is a positive int; --seed takes any int
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+_cap.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+
+
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # placed on the root parser (with real defaults) and on every leaf
     # subparser (with SUPPRESS), so the flags are accepted in both positions
@@ -141,7 +160,8 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         **({"default": argparse.SUPPRESS} if suppress else {}),
                         help="machine-readable output")
     for flag, default in _COMMON_VALUE_FLAGS.items():
-        parser.add_argument(flag, type=int, default=argparse.SUPPRESS if suppress else default)
+        parser.add_argument(flag, type=int if flag == "--seed" else _cap,
+                            default=argparse.SUPPRESS if suppress else default)
 
 
 _SYSTEM = ("system", {})
@@ -330,7 +350,7 @@ def _cmd_char(args) -> int:
         "type": rs.type_label,
         "rank": rs.rank,
         "action": args.action,
-        "character": ch.to_json_obj(),
+        "character": _char_rows(ch),
         "dimension": ch.dimension(),
     }
     _emit(obj, lambda: _char_lines(ch), args.json)
@@ -349,7 +369,7 @@ def _cmd_filt(args) -> int:
         degrees.append(
             {
                 "degree": n,
-                "character": ch.to_json_obj(),
+                "character": _char_rows(ch),
                 "dimension": ch.dimension(),
                 "decomposition": dec.to_json_obj(),
             }
@@ -394,7 +414,7 @@ def _cmd_g1(args) -> int:
         "weight": list(lam),
         "p": args.p,
         "cohomology": [
-            {"i": i, "character": ch.to_json_obj(), "dimension": ch.dimension()}
+            {"i": i, "character": _char_rows(ch), "dimension": ch.dimension()}
             for i, ch in sorted(table.items())
         ],
     }
@@ -421,7 +441,7 @@ def _cmd_poly(args) -> int:
         out = fpoly.frobenius_trace(f, g, term_cap=args.term_cap)
         if args.out:
             fpoly.save_poly(out, args.out)
-        obj = fpoly.poly_to_json_obj(out)
+        obj = _poly_obj(out)
         _emit(obj, lambda: [repr(out)], args.json or not args.out)
         return 0
     f = fpoly.load_poly(args.file)
@@ -430,7 +450,7 @@ def _cmd_poly(args) -> int:
     obj = {"compatible": res.ok}
     if res.witness_exponent is not None:
         obj["witness_exponent"] = list(res.witness_exponent)
-        obj["witness_trace"] = fpoly.poly_to_json_obj(res.witness_trace)
+        obj["witness_trace"] = _poly_obj(res.witness_trace)
     _emit(obj, lambda: [
         "compatibly split" if res.ok
         else f"ideal not preserved; witness exponent {res.witness_exponent}"
@@ -449,7 +469,7 @@ def _cmd_sln(args) -> int:
                 args.json,
             )
         else:
-            _emit(fpoly.poly_to_json_obj(cf.poly), lambda: [repr(cf.poly)], args.json)
+            _emit(_poly_obj(cf.poly), lambda: [repr(cf.poly)], args.json)
         return 0
     if args.action == "check":
         _, res = slnsplit.splitting_check(args.n, args.p, term_cap=args.term_cap)
@@ -466,7 +486,7 @@ def _cmd_sln(args) -> int:
         obj = {
             "component_terms": comp.poly.term_count(),
             "splitting": res.ok,
-            "component": fpoly.poly_to_json_obj(comp.poly),
+            "component": _poly_obj(comp.poly),
         }
         code = 0 if res.ok else 1
         if args.compat:

@@ -144,7 +144,9 @@ class SparsePolynomial:
         return len(self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
+        # the exponents are distinct: sort them alone, then look up
+        keys = sorted(self.terms)
+        return list(zip(keys, map(self.terms.__getitem__, keys)))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -446,11 +448,13 @@ def splits_ideal_compatibly(
 
 # -- serialisation -------------------------------------------------------------
 
-def poly_to_json_obj(f: SparsePolynomial) -> dict:
+def poly_to_json_obj(f: SparsePolynomial, terms=None) -> dict:
+    # terms, when given, stands in for the list of term dicts (the CLI passes
+    # the same records as rows written from the table)
     return {
         "p": f.p,
         "vars": list(f.variables),
-        "terms": [{"e": list(e), "c": c} for e, c in f.sorted_terms()],
+        "terms": [{"e": list(e), "c": c} for e, c in f.sorted_terms()] if terms is None else terms,
     }
 
 

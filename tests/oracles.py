@@ -25,7 +25,9 @@ by recursive Laplace expansion along the first row instead of one table of
 minors built over column subsets, and the canonical condition by
 substituting the translated row of g into the whole chart and reading the
 weight of every monomial of every t-slice instead of reading it off the
-leading and shifted minors, and dominant weight multiplicities by
+leading and shifted minors, truncated coordinate algebras by shifting each
+weight through a zip generator per term instead of adding precomputed
+root multiples, and dominant weight multiplicities by
 Freudenthal's recursion reading each m(mu + k alpha) at the dominant
 conjugate found by make_dominant, with every inner product recomputed,
 instead of one orbit-filled weight table with stepped inner products.
@@ -232,6 +234,20 @@ def rank1_chart_by_conjugation(p: int) -> dict[tuple[int, int], int]:
         f = mul(f, conj[0][0])
     return f
 
+
+
+def truncated_char_by_zip(rs: RootSystem, p: int) -> dict[Weight, int]:
+    """The product over positive roots of (1 + e^alpha + ... + e^((p-1) alpha)),
+    shifting every weight by k*alpha in a zip generator per term and k."""
+    out: dict[Weight, int] = {(0,) * rs.rank: 1}
+    for r in rs.positive_roots:
+        nxt: dict[Weight, int] = {}
+        for w, m in out.items():
+            for k in range(p):
+                shifted = tuple(a + k * b for a, b in zip(w, r.fund))
+                nxt[shifted] = nxt.get(shifted, 0) + m
+        out = nxt
+    return out
 
 def dominance_by_descent(rs: RootSystem, mu, lam) -> bool:
     """Is lam - mu a sum of simple roots?  Breadth-first subtraction oracle."""

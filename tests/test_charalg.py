@@ -38,6 +38,7 @@ from oracles import (
     greedy_peel,
     koszul_by_expansion,
     kostant_multiplicity,
+    truncated_char_by_zip,
 )
 from test_rootdata import E_WEIGHTS, OTHER_WEYL_WEIGHTS
 
@@ -277,6 +278,16 @@ def test_truncated_char():
             assert all(rs.dominance_leq(w, top) for w in ch.mults)
     with pytest.raises(InputError):
         truncated_char(A1, 4)
+
+
+@pytest.mark.parametrize("rs, p", [
+    (A1, 3), (G2, 5), (G2, 7), (build_root_system("B", 3), 5),
+    (build_root_system("C", 3), 5), (build_root_system("D", 4), 3),
+], ids=lambda x: f"{x.type_label}{x.rank}" if isinstance(x, RootSystem) else f"p{x}")
+def test_truncated_char_matches_zip_oracle(rs, p):
+    ch = truncated_char(rs, p)
+    assert ch.mults == truncated_char_by_zip(rs, p)
+    assert ch.dimension() == p**rs.num_positive_roots
 
 
 # -- decomposition -------------------------------------------------------------

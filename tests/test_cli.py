@@ -12,9 +12,10 @@ import types
 
 import pytest
 
-from flagsplit import cli, verify
+from flagsplit import charalg, cli, fpoly, slnsplit, verify
 from flagsplit.cli import main
-from flagsplit.fpoly import SparsePolynomial, save_poly
+from flagsplit.fpoly import SparsePolynomial, poly_to_json_obj, save_poly
+from flagsplit.rootdata import parabolic_subset, parse_system
 
 
 def run(capsys, *argv):
@@ -79,6 +80,118 @@ def test_dumps_matches_json_randomised():
     for _ in range(500):
         obj = draw(0)
         assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+# -- record writer -------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4096, 4097])
+def test_rows_match_json(count):
+    rng = random.Random(count)
+    table = {(i, rng.randrange(-9, 9), -i): rng.choice([1, -2, 2**70]) for i in range(count)}
+    rows = cli._table_rows(sorted(table.items()), "c", "e", 3)
+    records = [{"c": table[e], "e": list(e)} for e in sorted(table)]
+    for nl in ("\n", "\n    "):
+        want = json.dumps({"rows": records}, sort_keys=True, indent=2).replace("\n", nl)
+        assert cli._dumps({"rows": rows}, nl) == want
+
+
+def test_rows_keep_their_order_and_shape():
+    # records are written in the order of the pairs given, a key may be empty
+    rows = cli._table_rows([((3, 0), 1), ((0, 1), 7), ((-1, -1), 2)], "mult", "weight", 2)
+    want = [{"mult": 1, "weight": [3, 0]}, {"mult": 7, "weight": [0, 1]},
+            {"mult": 2, "weight": [-1, -1]}]
+    assert cli._dumps([rows]) == json.dumps([want], sort_keys=True, indent=2)
+    assert cli._dumps(cli._table_rows([((), 5)], "c", "e", 0)) == \
+        json.dumps([{"c": 5, "e": []}], sort_keys=True, indent=2)
+
+
+def _two_variable_poly(tmp_path, name, p, terms):
+    path = tmp_path / name
+    save_poly(SparsePolynomial(p, ("x1", "x2"), terms), str(path))
+    return str(path)
+
+
+def _writer_calls(tmp_path):
+    # (argv, [(json path, library object)]): every --json output that carries
+    # records, at the edge cases of the writer
+    A1, A2, C2 = parse_system("A1"), parse_system("A2"), parse_system("C2")
+    one = _two_variable_poly(tmp_path, "one.json", 2, {(0, 0): 1})
+    calls = [
+        # an Euler character that vanishes: no records
+        (["char", "euler", "A1", "--weight", "-1"], [("character", charalg.euler_char(A1, (-1,)))]),
+        (["char", "weyl", "A1", "--weight", "3"],
+         [("character", charalg.weyl_character(A1, (3,)))]),
+        # negative coordinates and negative multiplicities
+        (["char", "euler", "A2", "--weight", "-4,1"],
+         [("character", charalg.euler_char(A2, (-4, 1)))]),
+        (["char", "trunc", "C2", "--p", "3"], [("character", charalg.truncated_char(C2, 3))]),
+        (["sln", "mvk", "--n", "2", "--p", "3", "--compat", "1"],
+         [("component", slnsplit.build_mvk_component(2, 3).poly)]),
+        # the zero polynomial: x1 * 1 traces to 0 at p = 3
+        (["poly", "trace", "--file", _two_variable_poly(tmp_path, "x1.json", 3, {(1, 0): 1}),
+          "--times", _two_variable_poly(tmp_path, "one3.json", 3, {(0, 0): 1})],
+         [(None, SparsePolynomial(3, ("x1", "x2")))]),
+        # a failing compatibility check with its witness trace
+        (["poly", "compat", "--file", _two_variable_poly(
+            tmp_path, "f2.json", 2, {(0, 0): 1, (1, 1): 1}), "--ideal", "x1"], []),
+    ]
+    # at p = 2 the trace sends x^(2e+1) to x^e: 4,096 terms, and one more
+    for count in (4096, 4097):
+        exps = [(i % 64, i // 64) for i in range(count)]
+        f = _two_variable_poly(tmp_path, f"odd{count}.json", 2,
+                               {(2 * a + 1, 2 * b + 1): 1 for a, b in exps})
+        want = SparsePolynomial(2, ("x1", "x2"), {e: 1 for e in exps})
+        calls.append((["poly", "trace", "--file", f, "--times", one], [(None, want)]))
+    return calls
+
+
+def test_record_writer_outputs(capsys, tmp_path):
+    for argv, expected in _writer_calls(tmp_path):
+        # run() checks that the output is exactly json.dumps of itself
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code in (0, 1), argv
+        obj = json.loads(out)
+        for key, lib in expected:
+            if isinstance(lib, charalg.Character):
+                assert obj[key] == lib.to_json_obj()
+            else:
+                assert (obj[key] if key else obj)["terms"] == poly_to_json_obj(lib)["terms"]
+    assert len(json.loads(out)["terms"]) == 4097
+
+
+def test_filt_entries_keep_peel_order(capsys):
+    code, out, _ = run(capsys, "filt", "C2", "--weight", "2,2", "--max-degree", "5", "--json")
+    assert code == 0
+    rs = parse_system("C2")
+    gs = charalg.graded_section_char(parabolic_subset(rs, ()), (2, 2), 5)
+    degrees = json.loads(out)["degrees"]
+    unsorted = 0
+    for d, (n, ch), (_, dec) in zip(degrees, gs.graded.pieces, gs.decompositions):
+        assert d["degree"] == n and d["character"] == ch.to_json_obj()
+        assert d["decomposition"] == dec.to_json_obj()
+        unsorted += [w for w, _ in dec.entries] != sorted(w for w, _ in dec.entries)
+    assert unsorted  # the peel order is not the sorted order
+
+
+def test_sorted_items_match_sorting_pairs():
+    E6 = parse_system("E6")
+    for ch in (charalg.weyl_character(E6, (1, 1, 0, 0, 0, 1)),
+               charalg.euler_char(parse_system("A2"), (-4, 1)), charalg.Character(E6)):
+        assert list(ch.items()) == sorted(ch.mults.items())
+    for f in (slnsplit.build_mvk_component(3, 2).poly, SparsePolynomial(5, ("x",))):
+        assert f.sorted_terms() == sorted(f.terms.items())
+
+
+@pytest.mark.parametrize("flag", ["--term-cap", "--dim-cap", "--weyl-cap", "--enum-cap"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_resource_cap_below_one_is_a_usage_error(capsys, flag, value):
+    command = ["sln", "check", "--n", "1", "--p", "2"]
+    for argv in ([flag, value, *command], [*command, flag, value]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+    # the seed takes any int
+    assert main(["--seed", value, *command, "--seed", value]) == 0
 
 
 def test_poly_json_outputs(capsys, tmp_path):
