@@ -201,7 +201,7 @@ _COMMANDS = {
     }),
     "verify": ("batch invariant suites",
                [("suite", {"choices": verify.SUITES}), ("--n", {"type": int, "default": 1}),
-                ("--p", {"type": int, "default": 2}), ("--rank-cap", {"type": int, "default": 3})]),
+                ("--p", {"type": int, "default": 2}), ("--rank-cap", {"type": _cap, "default": 3})]),
 }
 
 

@@ -17,11 +17,11 @@ a unipotent matrix by forward substitution), built row by row over column
 subsets; no conjugation is formed.  Its fibre-degree N(p-1) component is
 built alone from the x-degree-s parts of the Delta_s, the minors of
 X g^{-1} (``build_mvk_component``).  The splitting criterion reads still
-less: only the terms whose x-part is x^(p-1), which ``splitting_check``
-builds for the Borel and every parabolic chart by a truncated product of
-the minors' top parts, without the chart.  A chart is a value with no
-cache behind it: the caller builds it once and passes it, or its
-homogeneous component, to each check.  Sign conventions: with these
+less: one coefficient, the centre, which ``splitting_check`` computes for
+the Borel and every parabolic chart by a truncated product of the minors'
+top parts, without the chart.  A chart is a value with no cache behind
+it: the caller builds it once and passes it, or its homogeneous
+component, to each check.  Sign conventions: with these
 weights the x-variables carry positive-root weights; the canonical
 condition translates g by the lower elementary x_k(t) = I + t E_{k+1,k}.
 That changes only the k-th leading minor Delta_k, to Delta_k + t D_k, so
@@ -285,7 +285,8 @@ def build_chart_function(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Ch
     """Product of the (p-1)-st powers of the leading principal minors of
     g (I + X) g^{-1}, the chart form of the extreme-vector splitting.
     Whether it splits is ``is_splitting_function(cf.poly)``, which
-    :func:`splitting_check` decides without building it."""
+    :func:`splitting_check` decides from its centre coefficient alone,
+    without building it."""
     return _build_chart(n, p, frozenset(), term_cap)
 
 
@@ -320,47 +321,41 @@ def build_mvk_component(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Cha
                          positions=positions, x_start=x_start, subset=frozenset())
 
 
-def _truncated_product(
-    factors: Sequence[SparsePolynomial], x_start: int, term_cap: int
-) -> SparsePolynomial:
-    """The terms of the product of ``factors`` whose x-part (the variables
-    from ``x_start`` on) is x^(p-1): every x-exponent exactly p-1.
+def _centre_coefficient(factors: Sequence[SparsePolynomial], term_cap: int) -> int:
+    """The coefficient of the all-(p-1) monomial in the product of ``factors``.
 
-    Exponents only grow, so a partial term is dropped once an x-exponent is
+    Exponents only grow, so a partial term is dropped once an exponent is
     above p-1, or is further below p-1 than the factors still to come can
-    add.  Keys pack each x-field one guard bit wider than its values, below
-    the y-fields, so each test is one add and one mask.  As in :meth:`mul`,
+    add.  Keys pack each variable in a field one guard bit wider than its
+    values, so each test is one add and one mask.  As in :meth:`mul`,
     refused once a partial product has more than ``term_cap`` terms after a
     row.
     """
-    p, variables = factors[0].p, factors[0].variables
+    p = factors[0].p
     top = p - 1
-    nx = len(variables) - x_start
-    # a factor term with an x-exponent above p-1 reaches no kept term
-    kept = sorted(([(e, c) for e, c in f.terms.items() if max(e[x_start:], default=0) <= top]
+    # a factor term with an exponent above p-1 reaches no kept term
+    kept = sorted(([(e, c) for e, c in f.terms.items() if max(e, default=0) <= top]
                    for f in factors), key=len, reverse=True)
-    width = (2 * top).bit_length() + 1   # a partial x-field is at most 2(p-1)
-    y_width = max(1, sum(max((max(e[:x_start], default=0) for e, _ in terms), default=0)
-                         for terms in kept).bit_length())
-    shifts = ([nx * width + j * y_width for j in range(x_start)]
-              + [i * width for i in range(nx)])
+    if not all(kept):
+        return 0
+    width = (2 * top).bit_length() + 1   # a partial field is at most 2(p-1)
     guard = 1 << (width - 1)
 
-    def x_fields(values: Sequence[int]) -> int:
-        return sum(v << s for v, s in zip(values, shifts[x_start:]))
+    def fields(values: Sequence[int]) -> int:
+        return sum(v << (i * width) for i, v in enumerate(values))
 
-    guards = x_fields([guard] * nx)
-    over = x_fields([guard - p] * nx)   # sets a field's guard bit iff it is above p-1
-    maxes = [[max((e[i] for e, _ in terms), default=0) for i in range(x_start, len(variables))]
-             for terms in kept]
-    reach = [sum(col) for col in zip(*maxes)]   # what the factors to come can add
+    size = len(factors[0].variables)
+    guards = fields([guard] * size)
+    over = fields([guard - p] * size)   # sets a field's guard bit iff it is above p-1
+    maxes = [list(map(max, zip(*(e for e, _ in terms)))) for terms in kept]
+    reach = list(map(sum, zip(*maxes)))   # what the factors to come can add
 
     out: dict[int, int] = {0: 1}
     for terms, added in zip(kept, maxes):
         reach = list(map(sub, reach, added))
         # sets every guard bit iff each field can still reach p-1
-        under = x_fields([guard - max(top - r, 0) for r in reach])
-        right = [(sum(a << s for a, s in zip(e, shifts)), c) for e, c in terms]
+        under = fields([guard - max(top - r, 0) for r in reach])
+        right = [(fields(e), c) for e, c in terms]
         left, out = out, {}
         get = out.get
         for k1, c1 in left.items():
@@ -375,25 +370,21 @@ def _truncated_product(
                     del out[k]
             if len(out) > term_cap:
                 raise ResourceLimitError(f"product exceeds term cap {term_cap}")
-    masks = [(1 << y_width) - 1] * x_start + [(1 << width) - 1] * nx
-    return SparsePolynomial._from_terms(p, variables, {
-        tuple((k >> s) & m for s, m in zip(shifts, masks)): c for k, c in out.items()})
+    return out.get(fields([top] * size), 0)
 
 
-def _x_slice(
-    n: int, p: int, subset: frozenset[int], term_cap: int
-) -> tuple[tuple[str, ...], Optional[SparsePolynomial]]:
-    # the chart's variable names and the terms of its function f whose
-    # x-part is x^(p-1); None when f has x-degree above N'(p-1), N' the
-    # number of x-variables
-    (names, _, x_start), deltas, _ = _chart_minors(n, p, subset, n, term_cap)
-    degrees = [max(sum(e[x_start:]) for e in d.terms) for d in deltas]
-    # the ring is a domain, so f's top x-degree part is the product of the
-    # top parts' powers, of x-degree (p-1) * sum of their degrees
-    if sum(degrees) > len(names) - x_start:
-        return names, None
-    powers = [_x_part(d, x_start, k).power(p - 1, term_cap) for d, k in zip(deltas, degrees)]
-    return names, _truncated_product(powers, x_start, term_cap)
+def _weight_certificate(
+    n: int, positions: Sequence[tuple[int, int]], polys: Sequence[SparsePolynomial], total: Weight
+) -> Optional[list[Weight]]:
+    # the weight of each of `polys` when each is homogeneous and the weights
+    # sum to `total`, else None
+    weights = []
+    for d in polys:
+        found = {_monomial_weight(n, positions, e) for e in d.terms}
+        if len(found) != 1:
+            return None
+        weights.append(found.pop())
+    return weights if tuple(map(sum, zip(*weights))) == total else None
 
 
 def splitting_check(
@@ -403,19 +394,30 @@ def splitting_check(
     (the Borel chart for the empty subset) and the splitting criterion on
     its function f, decided without building f.
 
-    A monomial with every exponent congruent to p-1 has every x-exponent at
-    least p-1.  When f's top x-degree is N'(p-1), N' the number of
-    x-variables, such a monomial therefore has x-part exactly x^(p-1), and
-    the criterion gives the same verdict and witness on those terms of f,
-    which a truncated product of the minors' top parts builds alone.  Below
-    N'(p-1) there are none, and the centre is the witness; above it, the
-    chart is built.  ``term_cap`` bounds every product.
+    The ring is a domain, so f's top x-degree part is the product of the
+    (p-1)-st powers of the minors' top parts.  A monomial y^a x^b with every
+    exponent congruent to p-1 has b >= p-1.  Below x-degree N'(p-1), N' the
+    number of x-variables, there is none, and the centre is the witness.
+    When f's top x-degree is N'(p-1), b = p-1; when moreover every Delta_s is
+    weight-homogeneous with weights summing to 0, f has weight 0.  The
+    y-variables carry the negatives of the x-variables' roots, so pairing
+    with rho-check gives sum ht(beta) a_beta = (p-1) sum ht(beta), and
+    a >= p-1 forces a = p-1.  Then f splits iff its centre (all-(p-1))
+    coefficient is nonzero, and the centre lies in f's top x-degree part,
+    so a truncated product of the top parts' powers computes it alone.
+    Otherwise the chart is built.  ``term_cap`` bounds every product.
     """
     inside = _simple_subset(n, subset)
-    names, slice_ = _x_slice(n, p, inside, term_cap)
-    if slice_ is None:
+    (names, positions, x_start), deltas, _ = _chart_minors(n, p, inside, n, term_cap)
+    degrees = [max(sum(e[x_start:]) for e in d.terms) for d in deltas]
+    degree, num_x = sum(degrees), len(names) - x_start
+    centre = SplittingCheck(False, (p - 1,) * len(names))
+    if degree < num_x:
+        return names, centre
+    if degree > num_x or _weight_certificate(n, positions, deltas, (0,) * n) is None:
         return names, is_splitting_function(_build_chart(n, p, inside, term_cap).poly)
-    return names, is_splitting_function(slice_)
+    powers = [_x_part(d, x_start, k).power(p - 1, term_cap) for d, k in zip(deltas, degrees)]
+    return names, SplittingCheck(True) if _centre_coefficient(powers, term_cap) else centre
 
 
 def mvk_component(cf: ChartFunction) -> ChartFunction:
@@ -486,19 +488,14 @@ def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Canonic
     then (b) iff D_k = 0 or D_k is homogeneous of weight w(Delta_k) + alpha_k.
     """
     (_, positions, _), leading, minors = _chart_minors(n, p, frozenset(), n + 1, term_cap)
-
-    def weight(d: SparsePolynomial) -> Optional[Weight]:   # None unless homogeneous
-        weights = {_monomial_weight(n, positions, e) for e in d.terms}
-        return weights.pop() if len(weights) == 1 else None
-
-    deltas = [weight(d) for d in leading]
-    invariant = None not in deltas and tuple(map(sum, zip(*deltas))) == (0,) * n
+    deltas = _weight_certificate(n, positions, leading, (0,) * n)
+    invariant = deltas is not None
     rs = build_root_system("A", n)
     reports = []
     for k in range(1, n + 1):
-        d_k = minors[((1 << (k - 1)) - 1) | (1 << k)]
-        weights_ok = invariant and (d_k.is_zero() or weight(d_k) == tuple(
-            map(add, deltas[k - 1], rs.simple_root(k).fund)))
+        d_k, alpha = minors[((1 << (k - 1)) - 1) | (1 << k)], rs.simple_root(k).fund
+        weights_ok = invariant and (d_k.is_zero() or _weight_certificate(
+            n, positions, [d_k], tuple(map(add, deltas[k - 1], alpha))) is not None)
         reports.append(DirectionReport(k, 0 if d_k.is_zero() else p - 1, True, weights_ok))
     return CanonicalCheck(invariant and all(d.weights_ok for d in reports),
                           invariant, tuple(reports))

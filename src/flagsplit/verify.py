@@ -374,10 +374,10 @@ def suite_sln(cfg: RunConfig, n: int = 1, p: int = 2) -> list[CheckResult]:
     """The chart checks at one (n, p).  The Borel chart and its homogeneous
     component are built once and shared by the three checks that need them;
     when the build trips a resource guard, those three are skipped, not
-    retried.  The splitting criterion is decided on the x^(p-1) slice of the
-    minors, and matched against the chart when it was built; the homogeneous
-    check compares a directly built component; the canonical condition needs
-    only minors."""
+    retried.  The splitting criterion is decided on the centre coefficient
+    of the minors, and matched against the chart when it was built; the
+    homogeneous check compares a directly built component; the canonical
+    condition needs only minors."""
     checks: list[CheckResult] = []
     tag = f"[n={n},p={p}]"
 
@@ -396,7 +396,7 @@ def suite_sln(cfg: RunConfig, n: int = 1, p: int = 2) -> list[CheckResult]:
     def splitting():
         _, check = slnsplit.splitting_check(n, p, term_cap=cfg.term_cap)
         if cf is not None and fpoly.is_splitting_function(cf.poly) != check:
-            return False, "the chart's verdict differs from the slice's"
+            return False, "the chart's verdict differs from the centre coefficient's"
         return check.ok, "" if check.ok else f"witness {check.witness}"
 
     def homogeneous():

@@ -25,9 +25,11 @@ by recursive Laplace expansion along the first row instead of one table of
 minors built over column subsets, and the canonical condition by
 substituting the translated row of g into the whole chart and reading the
 weight of every monomial of every t-slice instead of reading it off the
-leading and shifted minors, truncated coordinate algebras by shifting each
-weight through a zip generator per term instead of adding precomputed
-root multiples, and dominant weight multiplicities by
+leading and shifted minors, the splitting criterion on every term whose
+x-part is x^(p-1), built by a truncated product with x- and y-fields,
+instead of on the centre coefficient alone, truncated coordinate algebras
+by shifting each weight through a zip generator per term instead of adding
+precomputed root multiples, and dominant weight multiplicities by
 Freudenthal's recursion reading each m(mu + k alpha) at the dominant
 conjugate found by make_dominant, with every inner product recomputed,
 instead of one orbit-filled weight table with stepped inner products.
@@ -39,7 +41,8 @@ import itertools
 from functools import lru_cache
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
+from operator import sub
+from typing import NamedTuple, Optional, Sequence
 
 from flagsplit.charalg import (
     DEFAULT_DIM_CAP,
@@ -67,8 +70,10 @@ from flagsplit.slnsplit import (
     DirectionReport,
     _block_reversal,
     _chart_matrices,
+    _chart_minors,
     _mat_identity,
     _mat_mul,
+    _x_part,
 )
 
 
@@ -661,3 +666,81 @@ def big_cell_slice(n: int, p: int) -> SparsePolynomial:
         for _ in range(p - 1):
             out = mul_by_tuples(out, minor)
     return out
+
+
+def _truncated_product(
+    factors: Sequence[SparsePolynomial], x_start: int, term_cap: int
+) -> SparsePolynomial:
+    """The terms of the product of ``factors`` whose x-part (the variables
+    from ``x_start`` on) is x^(p-1): every x-exponent exactly p-1.
+
+    Exponents only grow, so a partial term is dropped once an x-exponent is
+    above p-1, or is further below p-1 than the factors still to come can
+    add.  Keys pack each x-field one guard bit wider than its values, below
+    the y-fields, so each test is one add and one mask.  As in :meth:`mul`,
+    refused once a partial product has more than ``term_cap`` terms after a
+    row.
+    """
+    p, variables = factors[0].p, factors[0].variables
+    top = p - 1
+    nx = len(variables) - x_start
+    # a factor term with an x-exponent above p-1 reaches no kept term
+    kept = sorted(([(e, c) for e, c in f.terms.items() if max(e[x_start:], default=0) <= top]
+                   for f in factors), key=len, reverse=True)
+    width = (2 * top).bit_length() + 1   # a partial x-field is at most 2(p-1)
+    y_width = max(1, sum(max((max(e[:x_start], default=0) for e, _ in terms), default=0)
+                         for terms in kept).bit_length())
+    shifts = ([nx * width + j * y_width for j in range(x_start)]
+              + [i * width for i in range(nx)])
+    guard = 1 << (width - 1)
+
+    def x_fields(values: Sequence[int]) -> int:
+        return sum(v << s for v, s in zip(values, shifts[x_start:]))
+
+    guards = x_fields([guard] * nx)
+    over = x_fields([guard - p] * nx)   # sets a field's guard bit iff it is above p-1
+    maxes = [[max((e[i] for e, _ in terms), default=0) for i in range(x_start, len(variables))]
+             for terms in kept]
+    reach = [sum(col) for col in zip(*maxes)]   # what the factors to come can add
+
+    out: dict[int, int] = {0: 1}
+    for terms, added in zip(kept, maxes):
+        reach = list(map(sub, reach, added))
+        # sets every guard bit iff each field can still reach p-1
+        under = x_fields([guard - max(top - r, 0) for r in reach])
+        right = [(sum(a << s for a, s in zip(e, shifts)), c) for e, c in terms]
+        left, out = out, {}
+        get = out.get
+        for k1, c1 in left.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                if (k + over) & guards or (k + under) & guards != guards:
+                    continue
+                c = (get(k, 0) + c1 * c2) % p
+                if c:
+                    out[k] = c
+                else:   # c1 * c2 is nonzero mod p, so k was in out
+                    del out[k]
+            if len(out) > term_cap:
+                raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+    masks = [(1 << y_width) - 1] * x_start + [(1 << width) - 1] * nx
+    return SparsePolynomial._from_terms(p, variables, {
+        tuple((k >> s) & m for s, m in zip(shifts, masks)): c for k, c in out.items()})
+
+
+def x_slice_by_truncation(
+    n: int, p: int, subset: frozenset[int] = frozenset(), term_cap: int = DEFAULT_TERM_CAP
+) -> tuple[tuple[str, ...], Optional[SparsePolynomial]]:
+    """The chart's variable names and the terms of its function f whose
+    x-part is x^(p-1); None when f has x-degree above N'(p-1), N' the number
+    of x-variables.  The ring is a domain, so f's top x-degree part is the
+    product of the (p-1)-st powers of the minors' top parts, which
+    :func:`_truncated_product` multiplies keeping only that x-part; the
+    splitting criterion on the result is f's when the top x-degree is
+    N'(p-1)."""
+    (names, _, x_start), deltas, _ = _chart_minors(n, p, subset, n, term_cap)
+    degrees = [max(sum(e[x_start:]) for e in d.terms) for d in deltas]
+    if sum(degrees) > len(names) - x_start:
+        return names, None
+    powers = [_x_part(d, x_start, k).power(p - 1, term_cap) for d, k in zip(deltas, degrees)]
+    return names, _truncated_product(powers, x_start, term_cap)

@@ -182,11 +182,14 @@ def test_sorted_items_match_sorting_pairs():
         assert f.sorted_terms() == sorted(f.terms.items())
 
 
-@pytest.mark.parametrize("flag", ["--term-cap", "--dim-cap", "--weyl-cap", "--enum-cap"])
+@pytest.mark.parametrize("flag", ["--term-cap", "--dim-cap", "--weyl-cap", "--enum-cap",
+                                  "--rank-cap"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_resource_cap_below_one_is_a_usage_error(capsys, flag, value):
     command = ["sln", "check", "--n", "1", "--p", "2"]
-    for argv in ([flag, value, *command], [*command, flag, value]):
+    # --rank-cap is verify's own flag, so it follows verify's suite
+    for argv in ([["verify", "charalg", flag, value]] if flag == "--rank-cap"
+                 else [[flag, value, *command], [*command, flag, value]]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a positive integer, got '{value}'" in err

@@ -45,6 +45,7 @@ from oracles import (
     rank1_chart_closed_form,
     substitute_by_tuples,
     unipotent_inverse_by_neumann,
+    x_slice_by_truncation,
 )
 
 
@@ -466,7 +467,7 @@ def test_verify_sln_builds_each_chart_once(monkeypatch):
     built = _count_builds(monkeypatch)
     checks = suite_sln(RunConfig(), n=3, p=2)
     assert all(c.status == "pass" for c in checks), checks
-    # the parabolic charts are decided on the slice, not built
+    # the parabolic charts are decided on the centre coefficient, not built
     keys = [(n, p, subset) for n, p, subset, _ in built]
     assert keys == [(3, 2, frozenset())]
 
@@ -500,7 +501,7 @@ def test_verify_sln_flags_a_direct_component_that_differs(monkeypatch):
         ("fail", "the directly built component differs from the chart's")
 
 
-def test_verify_sln_flags_a_slice_verdict_that_differs(monkeypatch):
+def test_verify_sln_flags_a_centre_verdict_that_differs(monkeypatch):
     check = slnsplit.splitting_check
 
     def wrong(n, p, subset=(), term_cap=DEFAULT_TERM_CAP):
@@ -511,7 +512,7 @@ def test_verify_sln_flags_a_slice_verdict_that_differs(monkeypatch):
     checks = {c.name: c for c in suite_sln(RunConfig(), n=2, p=2)}
     criterion = checks["sln.splitting_criterion[n=2,p=2]"]
     assert (criterion.status, criterion.detail) == \
-        ("fail", "the chart's verdict differs from the slice's")
+        ("fail", "the chart's verdict differs from the centre coefficient's")
 
 
 def test_verify_sln_filters_each_component_once(monkeypatch):
@@ -532,8 +533,8 @@ def test_verify_sln_filters_each_component_once(monkeypatch):
 
 def test_verify_sln_refused_chart_is_built_once(monkeypatch):
     # each check on the Borel chart once attempted the refused build again;
-    # the criterion and the parabolic splittings run on the slice, which
-    # fits under the cap
+    # the criterion and the parabolic splittings run on the centre
+    # coefficient, which fits under the cap
     built = _count_builds(monkeypatch)
     checks = suite_sln(RunConfig(term_cap=100), n=3, p=3)
     assert [args[:3] for args in built].count((3, 3, frozenset())) == 1
@@ -626,7 +627,7 @@ def test_splitting_check_matches_chart(n, p, monkeypatch):
 
 def test_splitting_check_term_cap_bounds_the_powers():
     # at (2,13) the top part of Delta_1 has 3 terms and its 12th power 91,
-    # while every partial product of the slice has one
+    # while every partial product of the centre coefficient has one
     with pytest.raises(ResourceLimitError):
         splitting_check(2, 13, term_cap=90)
     assert splitting_check(2, 13, term_cap=91)[1].ok
@@ -645,7 +646,7 @@ def _patch_leading_minor(monkeypatch, s, change):
 
 def test_splitting_check_falls_back_above_the_top_degree(monkeypatch):
     # Delta_1 + x12^2 still is 1 at X=0, but lifts f's top x-degree above
-    # N'(p-1), where the slice no longer decides the criterion
+    # N'(p-1), where the centre coefficient no longer decides the criterion
     _patch_leading_minor(monkeypatch, 1, lambda d: d + SparsePolynomial.monomial(
         2, d.variables, [0, 0, 0, 2, 0, 0]))
     cf = slnsplit._build_chart(2, 2, frozenset(), DEFAULT_TERM_CAP)
@@ -653,6 +654,25 @@ def test_splitting_check_falls_back_above_the_top_degree(monkeypatch):
     built = _count_builds(monkeypatch)
     assert splitting_check(2, 2) == (cf.poly.variables, is_splitting_function(cf.poly))
     assert [args[:3] for args in built] == [(2, 2, frozenset())]
+
+
+def test_splitting_check_builds_the_chart_for_a_non_homogeneous_minor(monkeypatch):
+    # Delta_1 + x12 keeps its top x-degree and is still 1 at X=0, but x12 has
+    # weight alpha_1 and Delta_1 weight 0, so f is no longer of weight 0 and
+    # the centre coefficient no longer decides the criterion
+    _patch_leading_minor(monkeypatch, 1, lambda d: d + SparsePolynomial.monomial(
+        3, d.variables, [0, 0, 0, 1, 0, 0]))
+    cf = slnsplit._build_chart(2, 3, frozenset(), DEFAULT_TERM_CAP)
+    assert cf.max_x_degree() == cf.num_x * 2
+    assert not cf.is_t_invariant()
+    # no weight of the patched Delta_1 certifies it, whichever is asked for
+    (_, positions, _), deltas, _ = slnsplit._chart_minors(2, 3, frozenset(), 2, DEFAULT_TERM_CAP)
+    weights = {cf.monomial_weight(e) for e in deltas[0].terms}
+    assert len(weights) == 2
+    assert all(slnsplit._weight_certificate(2, positions, deltas[:1], w) is None for w in weights)
+    built = _count_builds(monkeypatch)
+    assert splitting_check(2, 3) == (cf.poly.variables, is_splitting_function(cf.poly))
+    assert [args[:3] for args in built] == [(2, 3, frozenset())]
 
 
 def test_splitting_check_below_the_top_degree_fails_at_the_centre(monkeypatch):
@@ -711,64 +731,95 @@ def test_splitting_check_invariants_under_optimisation():
     assert run.returncode == 0
 
 
-def _random_factor(rng, p, names, x_start, degree):
-    # 1..6 terms with y-exponents in [0, 2p-1]; of x-degree `degree`, or
-    # when `degree` is None with x-exponents in [0, p] or, to overflow an
-    # x-field of the packed keys, up to 4p+3
-    nx = len(names) - x_start
+def _random_factor(rng, p, size, degree):
+    # 1..6 terms in `size` variables; of total degree `degree`, or when
+    # `degree` is None with exponents in [0, p] or, to overflow a field of
+    # the packed keys, up to 4p+3
     terms = {}
     for _ in range(rng.randint(1, 6)):
         if degree is None:
-            x = [rng.randint(0, rng.choice([p, 4 * p + 3])) for _ in range(nx)]
+            e = [rng.randint(0, rng.choice([p, 4 * p + 3])) for _ in range(size)]
         else:
-            x = [0] * nx
+            e = [0] * size
             for _ in range(degree):
-                x[rng.randrange(nx)] += 1
-        terms[tuple(rng.randint(0, 2 * p - 1) for _ in range(x_start)) + tuple(x)] = \
-            rng.randint(1, p - 1)
-    return SparsePolynomial(p, names, terms)
+                e[rng.randrange(size)] += 1
+        terms[tuple(e)] = rng.randint(1, p - 1)
+    return SparsePolynomial(p, tuple(f"v{i}" for i in range(size)), terms)
 
 
-def test_truncated_product_matches_mul_then_filter():
+def _largest_partial_product(factors, p):
+    # the largest partial product the centre coefficient keeps, over
+    # exponent tuples: the factors' terms with no exponent above p-1,
+    # largest factor first, and of each partial product the terms with
+    # every exponent at most p-1 and within reach of p-1; none when a
+    # factor keeps no term
+    top = p - 1
+    kept = sorted((SparsePolynomial(p, f.variables, {
+        e: c for e, c in f.terms.items() if max(e, default=0) <= top}) for f in factors),
+        key=lambda f: len(f.terms), reverse=True)
+    if kept[-1].is_zero():
+        return 0
+    reach = [sum(max((e[i] for e in f.terms), default=0) for f in kept)
+             for i in range(len(factors[0].variables))]
+    out, largest = SparsePolynomial.constant(p, factors[0].variables, 1), 0
+    for f in kept:
+        reach = [r - max((e[i] for e in f.terms), default=0) for i, r in enumerate(reach)]
+        out = SparsePolynomial(p, out.variables, {
+            e: c for e, c in out.mul(f).terms.items()
+            if all(top - r <= a <= top for a, r in zip(e, reach))})
+        largest = max(largest, len(out.terms))
+    return largest
+
+
+def test_centre_coefficient_matches_mul_then_coefficient():
     rng = random.Random(7)
     outcomes = set()
     for trial in range(600):
         p = rng.choice([2, 3, 5])
-        ny, nx = rng.randint(0, 2), rng.randint(1, 3)
-        names = tuple(f"y{j}" for j in range(ny)) + tuple(f"x{i}" for i in range(nx))
-        # 1..3 factors whose x-degrees add up to nx (p-1), as the minors' top
-        # parts, or (every other trial) of any x-degrees
-        cuts = sorted(rng.randint(0, nx * (p - 1)) for _ in range(rng.randint(0, 2)))
-        degrees = [b - a for a, b in zip([0] + cuts, cuts + [nx * (p - 1)])]
-        homogeneous = trial % 2 == 0
-        factors = [_random_factor(rng, p, names, ny, d if homogeneous else None)
+        size = rng.randint(1, 4)
+        # 1..3 factors whose degrees add up to size (p-1), as the minors'
+        # top parts' powers, or (every other trial) of any degrees
+        cuts = sorted(rng.randint(0, size * (p - 1)) for _ in range(rng.randint(0, 2)))
+        degrees = [b - a for a, b in zip([0] + cuts, cuts + [size * (p - 1)])]
+        factors = [_random_factor(rng, p, size, d if trial % 2 == 0 else None)
                    for d in degrees]
         full = factors[0]
         for f in factors[1:]:
             full = full.mul(f)
-        want = {e: c for e, c in full.terms.items() if e[ny:] == (p - 1,) * nx}
-        got = slnsplit._truncated_product(factors, ny, DEFAULT_TERM_CAP)
-        assert got.variables == names and got.terms == want, (factors, p)
-        if len(want) > 1:
+        want = full.coefficient((p - 1,) * size)
+        assert slnsplit._centre_coefficient(factors, DEFAULT_TERM_CAP) == want, (factors, p)
+        outcomes.add(want != 0)
+        largest = _largest_partial_product(factors, p)
+        if largest > 1:
             with pytest.raises(ResourceLimitError):
-                slnsplit._truncated_product(factors, ny, len(want) - 1)
-        if homogeneous:
-            # every monomial of the product has x-degree nx (p-1), so the
-            # criterion reads only the slice
-            check = is_splitting_function(got)
-            assert check == is_splitting_function(full)
-            outcomes.add("ok" if check.ok else
-                         "centre" if check.witness == (p - 1,) * len(names) else "other")
-    assert outcomes == {"ok", "centre", "other"}
+                slnsplit._centre_coefficient(factors, largest - 1)
+            outcomes.add("refused")
+    assert outcomes == {True, False, "refused"}
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3), (4, 2), (3, 5), (4, 3)])
-def test_slice_is_the_big_cell_splitting(n, p):
+def test_slice_is_the_big_cell_splitting(n, p, monkeypatch):
     # the coefficient of x^(p-1) in the Borel chart is the Mehta-Ramanathan
-    # splitting prod_s B_s(g)^(p-1) of the big cell, in the y-variables
-    names, slice_ = slnsplit._x_slice(n, p, frozenset(), DEFAULT_TERM_CAP)
+    # splitting prod_s B_s(g)^(p-1) of the big cell, in the y-variables, and
+    # its y^(p-1) coefficient is the centre coefficient splitting_check reads
+    names, slice_ = x_slice_by_truncation(n, p)
     oracle = big_cell_slice(n, p)
     ny = len(oracle.variables)
     assert names[:ny] == oracle.variables
     assert all(e[ny:] == (p - 1,) * (len(names) - ny) for e in slice_.terms)
     assert {e[:ny]: c for e, c in slice_.terms.items()} == oracle.terms
+    centres, centre = [], slnsplit._centre_coefficient
+    monkeypatch.setattr(slnsplit, "_centre_coefficient",
+                        lambda factors, cap: centres.append(centre(factors, cap)) or centres[-1])
+    assert splitting_check(n, p)[0] == names
+    assert centres == [oracle.coefficient((p - 1,) * ny)] != [0]
+
+
+@pytest.mark.parametrize("n,p", [(3, 5), (4, 3), (5, 2)])
+def test_splitting_check_matches_the_slice_oracle(n, p, monkeypatch):
+    # beyond SLICE_SIZES no chart is built; the x^(p-1) slice still is
+    built = _count_builds(monkeypatch)
+    for subset in itertools.chain([()], _nonempty_subsets(n)):
+        names, slice_ = x_slice_by_truncation(n, p, frozenset(subset))
+        assert splitting_check(n, p, subset) == (names, is_splitting_function(slice_)), subset
+    assert built == []
