@@ -88,10 +88,10 @@ class SparsePolynomial:
         if terms:
             nvars = len(self.variables)
             for e, c in terms.items():
-                e = tuple(int(x) for x in e)
+                e = tuple(map(int, e))
                 if len(e) != nvars:
                     raise InputError(f"exponent vector {e} has wrong length")
-                if any(x < 0 for x in e):
+                if e and min(e) < 0:
                     raise InputError(f"negative exponent in {e}")
                 c = c % p
                 if c:
@@ -322,25 +322,25 @@ class SparsePolynomial:
 def frobenius_trace(
     f: SparsePolynomial, g: SparsePolynomial, term_cap: int = DEFAULT_TERM_CAP
 ) -> SparsePolynomial:
-    """Apply the trace of multiplication by f to g.
-
-    Expands f*g and sends each monomial x^gamma to x^((gamma+1)/p - 1),
-    interpreted as zero whenever some ((gamma_i+1)/p) is not an integer.
-    The operator is additive in both arguments and semilinear:
-    trace(f, h^p * g) = h * trace(f, g).
-    """
+    """Apply the trace of multiplication by f to g: x^gamma in f*g goes to
+    x^((gamma+1)/p - 1) if every gamma_i is -1 mod p, else to zero.  f*g is
+    never formed: a term x^a of f meets only g's terms of class (-1-a) mod p.
+    ``term_cap`` bounds the trace's nonzero terms after each term of f.
+    Additive in f and g; semilinear: trace(f, h^p*g) = h*trace(f, g)."""
     f._check_compatible(g)
     p = f.p
-    prod = f.mul(g, term_cap)
+    classes: dict[tuple[int, ...], list] = {}
+    for e, c in g.terms.items():
+        classes.setdefault(tuple(x % p for x in e), []).append((e, c))
     out: dict[tuple[int, ...], int] = {}
-    for e, c in prod.terms.items():
-        if all((x + 1) % p == 0 for x in e):
-            target = tuple((x + 1) // p - 1 for x in e)
-            v = (out.get(target, 0) + c) % p
-            if v:
-                out[target] = v
-            elif target in out:
-                del out[target]
+    for a, c1 in f.terms.items():
+        for b, c2 in classes.get(tuple((-1 - x) % p for x in a), ()):
+            target = tuple((x + y + 1) // p - 1 for x, y in zip(a, b))
+            c = (out.pop(target, 0) + c1 * c2) % p
+            if c:
+                out[target] = c
+        if len(out) > term_cap:
+            raise ResourceLimitError(f"trace exceeds term cap {term_cap}")
     return SparsePolynomial._from_terms(p, f.variables, out)
 
 

@@ -16,7 +16,9 @@ and reducing mod p pair by pair instead of adding packed exponent ints,
 Weyl orbits by a breadth-first search applying every validated simple
 reflection instead of walking down from the dominant member, substitution
 by adding exponent tuples of each term and each term of a power of the
-replacement instead of summing packed products f_k * r^k, chart
+replacement instead of summing packed products f_k * r^k, the Frobenius
+trace by expanding f*g and filtering its monomials instead of pairing only
+the terms of g in the residue class that reaches the trace, chart
 weights by summing Cartan-matrix rows per variable instead of pairing
 epsilon-coordinates with the simple coroots, the inverse of a unipotent
 matrix by its Neumann series instead of forward substitution, the chart's
@@ -450,6 +452,31 @@ def mul_by_tuples(
     res = SparsePolynomial(p, self.variables)
     res.terms = out
     return res
+
+
+def trace_by_product(
+    f: SparsePolynomial, g: SparsePolynomial, term_cap: int = DEFAULT_TERM_CAP
+) -> SparsePolynomial:
+    """Apply the trace of multiplication by f to g.
+
+    Expands f*g and sends each monomial x^gamma to x^((gamma+1)/p - 1),
+    interpreted as zero whenever some ((gamma_i+1)/p) is not an integer.
+    The operator is additive in both arguments and semilinear:
+    trace(f, h^p * g) = h * trace(f, g).
+    """
+    f._check_compatible(g)
+    p = f.p
+    prod = f.mul(g, term_cap)
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in prod.terms.items():
+        if all((x + 1) % p == 0 for x in e):
+            target = tuple((x + 1) // p - 1 for x in e)
+            v = (out.get(target, 0) + c) % p
+            if v:
+                out[target] = v
+            elif target in out:
+                del out[target]
+    return SparsePolynomial._from_terms(p, f.variables, out)
 
 
 def substitute_by_tuples(

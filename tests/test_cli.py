@@ -368,6 +368,22 @@ def test_poly_trace(capsys, tmp_path):
     assert obj["terms"] == [{"e": [1], "c": 1}]
 
 
+def test_poly_trace_term_cap_bounds_the_trace(capsys, tmp_path):
+    # f*g has 41 nonzero terms mod 3, its trace 13: a cap in between bounds
+    # the trace, not the product, which is never formed
+    f = tmp_path / "f.json"
+    g = tmp_path / "g.json"
+    save_poly(SparsePolynomial(3, ("x",), {(i,): 1 for i in range(40)}), str(f))
+    save_poly(SparsePolynomial(3, ("x",), {(0,): 1, (1,): 1}), str(g))
+    argv = ["poly", "trace", "--file", str(f), "--times", str(g), "--json"]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and len(json.loads(want)["terms"]) == 13
+    for cap in ("13", "20", "40"):
+        assert run(capsys, "--term-cap", cap, *argv) == (0, want, "")
+    code, out, err = run(capsys, "--term-cap", "12", *argv)
+    assert (code, out) == (2, "") and "trace exceeds term cap 12" in err
+
+
 def test_out_to_a_missing_directory_is_an_input_error(capsys, tmp_path):
     f = tmp_path / "f.json"
     g = tmp_path / "g.json"
@@ -454,6 +470,21 @@ def test_verify_fpoly(capsys):
     obj = json.loads(out)
     assert obj["status"] == "pass"
     assert all(c["status"] in ("pass", "skip") for c in obj["checks"])
+
+
+def test_verify_fpoly_obeys_the_term_cap(capsys):
+    # every trace, product and power of the suite is bounded by --term-cap
+    names = ["fpoly.trace_semilinearity", "fpoly.trace_additivity",
+             "fpoly.criterion_equivalence", "fpoly.trace_shift"]
+    code, out, _ = run(capsys, "--term-cap", "1", "verify", "fpoly", "--json")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and [c["name"] for c in checks] == names
+    assert all(c["status"] == "skip" and c["detail"].startswith("resource guard: ")
+               for c in checks), checks
+    code, out, _ = run(capsys, "verify", "fpoly", "--json")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and [(c["name"], c["status"]) for c in checks] == [
+        (name, "pass") for name in names]
 
 
 def test_verify_sln(capsys):

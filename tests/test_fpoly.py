@@ -3,6 +3,7 @@ ideal compatibility and the file format."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from flagsplit.fpoly import (
 
 from flagsplit.slnsplit import build_chart_function
 
-from oracles import compat_by_enumeration, mul_by_tuples, substitute_by_tuples
+from oracles import compat_by_enumeration, mul_by_tuples, substitute_by_tuples, trace_by_product
 
 
 def mk(p, names, terms):
@@ -274,6 +275,111 @@ def test_trace_examples():
     assert frobenius_trace(f, one) == one
     assert frobenius_trace(f, x).is_zero()
     assert frobenius_trace(f, x ** 3) == x
+
+
+def _trace_or_refusal(trace, f, g, term_cap):
+    try:
+        res = trace(f, g, term_cap)
+    except ResourceLimitError:
+        return "refused"
+    return res.variables, res.p, res.terms
+
+
+def _trace_corpus(rng, cases):
+    """Pairs (f, g) over p in {2, 3, 5, 7, 11} and 1-4 variables: zero
+    operands, monomial g (the compatibility witness's shape), and terms of g
+    aimed at the residue class that some term of f reaches, so that most
+    traces are nonzero and targets often collect several pairs."""
+    for _ in range(cases):
+        p = rng.choice([2, 3, 5, 7, 11])
+        names = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        f = _random_poly(rng, p, len(names), rng.choice([0, 1, 3, 8, 15]), 2 * p)
+        g_terms = {}
+        for _ in range(rng.choice([0, 1, 1, 2, 4, 8])):
+            if f.terms and rng.random() < 0.7:
+                a = rng.choice(list(f.terms))
+                e = tuple((-1 - x) % p + p * rng.randint(0, 1) for x in a)
+            else:
+                e = tuple(rng.randint(0, 2 * p) for _ in names)
+            g_terms[e] = rng.randint(1, p - 1)
+        yield f, mk(p, names, g_terms)
+
+
+def _peak_partial_trace(f, g):
+    # the trace is additive in f, so its value after the first k terms of f
+    # is the oracle's trace of those k terms
+    prefix, peak = {}, 0
+    for e, c in f.terms.items():
+        prefix[e] = c
+        peak = max(peak, len(trace_by_product(mk(f.p, f.variables, prefix), g).terms))
+    return peak
+
+
+def test_trace_matches_product_oracle_randomised():
+    rng = random.Random(1901)
+    nonzero = collected = cancelled = zero = monomial = 0
+    for f, g in _trace_corpus(rng, 600):
+        zero += not f.terms or not g.terms
+        monomial += len(g.terms) == 1
+        want = _trace_or_refusal(trace_by_product, f, g, 10**6)
+        assert _trace_or_refusal(frobenius_trace, f, g, 10**6) == want
+        # how many pairs of terms reach each target
+        p = f.p
+        reached = Counter(
+            tuple((x + y + 1) // p for x, y in zip(a, b))
+            for a in f.terms for b in g.terms
+            if all((x + y + 1) % p == 0 for x, y in zip(a, b))
+        )
+        nonzero += bool(want[2])
+        collected += max(reached.values(), default=0) > 1
+        cancelled += len(reached) > len(want[2])
+        product = f.mul(g)
+        # the cap counts the trace's nonzero terms after each term of f
+        peak = _peak_partial_trace(f, g)
+        assert _trace_or_refusal(frobenius_trace, f, g, peak) == want
+        if peak:
+            assert _trace_or_refusal(frobenius_trace, f, g, peak - 1) == "refused"
+        # whatever the product route accepts under a cap, the trace accepts
+        # with the same result
+        for cap in range(len(product.terms) + 2):
+            old = _trace_or_refusal(trace_by_product, f, g, cap)
+            if old != "refused":
+                assert _trace_or_refusal(frobenius_trace, f, g, cap) == old
+    # the corpus holds zero operands and monomial g, and reaches nonzero
+    # traces, targets shared by several pairs and cancellations
+    assert zero > 50 and monomial > 100
+    assert nonzero > 300 and collected > 50 and cancelled > 25
+
+
+def test_trace_cancellation_mod_p():
+    names = ("x",)
+    # x * x and x^2 * 2 both reach x^2, the one monomial of class -1 mod 3,
+    # and cancel there, while the product x^3 + 2x keeps two terms
+    f = mk(3, names, {(1,): 1, (2,): 1})
+    g = mk(3, names, {(1,): 1, (0,): 2})
+    assert (f * g).terms == {(3,): 1, (1,): 2}
+    assert frobenius_trace(f, g).is_zero() and trace_by_product(f, g).is_zero()
+    # after the first term of f the partial trace has one term: the cap
+    # counts it, as mul counts a partial product, before it cancels
+    with pytest.raises(ResourceLimitError, match="trace exceeds term cap 0"):
+        frobenius_trace(f, g, term_cap=0)
+    assert frobenius_trace(g, f, term_cap=1).is_zero()
+
+
+def test_trace_term_cap_bounds_the_trace_not_the_product():
+    # 40 terms of f against 1 + x: the product has 41 nonzero terms mod 3,
+    # its trace only the 13 targets of the exponents 2, 5, ..., 38
+    names = ("x",)
+    f = mk(3, names, {(i,): 1 for i in range(40)})
+    g = mk(3, names, {(0,): 1, (1,): 1})
+    assert len(f.mul(g).terms) == 41
+    want = trace_by_product(f, g)
+    assert len(want.terms) == 13
+    assert frobenius_trace(f, g, term_cap=13) == want
+    with pytest.raises(ResourceLimitError):
+        trace_by_product(f, g, term_cap=40)
+    with pytest.raises(ResourceLimitError, match="trace exceeds term cap 12"):
+        frobenius_trace(f, g, term_cap=12)
 
 
 def test_splitting_examples():
