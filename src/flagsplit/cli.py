@@ -15,7 +15,7 @@ import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import charalg, fpoly, slnsplit, verify
 from .errors import InputError, ResourceLimitError
@@ -51,28 +51,43 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _dumps(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, where a
-    ``_Rows`` stands for its list of records.
+    return "".join(_pieces(obj, nl))
+
+
+def _pieces(obj, nl: str = "\n") -> Iterator[str]:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte and in
+    order, as a run of pieces, where a ``_Rows`` stands for its list of records.
 
     ``indent`` sends ``json`` to its pure-Python encoder, one small string per
     token; here an int list is one ``join``, and like-shaped int records
     (character entries, polynomial terms) are written from their sorted table
-    as one ``%`` format.
+    ``_BLOCK`` records per ``%`` format.  No piece holds more than one block.
     ``nl`` is the newline and indent of the line ``obj`` starts on.
     """
-    inner = nl + "  "
     if type(obj) is _Rows:
-        return _write_rows(obj, nl)
-    if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {int}:
-            return _wrap(list(map(str, obj)), nl, "[]")
-        return _wrap([_dumps(x, inner) for x in obj], nl, "[]")
-    if isinstance(obj, dict) and all(type(k) is str for k in obj):
-        return _wrap([_escape(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)], nl, "{}")
-    if isinstance(obj, dict):
+        yield from _row_blocks(obj, nl)
+    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:
+        yield _wrap(list(map(str, obj)), nl, "[]")
+    elif isinstance(obj, (list, tuple)) and obj:
+        yield from _nest((("", x) for x in obj), nl, "[]")
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        yield from _nest(((_escape(k) + ": ", obj[k]) for k in sorted(obj)), nl, "{}")
+    elif isinstance(obj, dict):
         # json writes int, float, bool and None keys as strings
-        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
-    return json.dumps(obj)
+        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+    else:
+        yield json.dumps(obj)
+
+
+def _nest(items: Iterable, nl: str, brackets: str) -> Iterator[str]:
+    # json's layout of a nonempty list or dict, item by item as (prefix, value)
+    inner = nl + "  "
+    sep = brackets[0] + inner
+    for prefix, value in items:
+        yield sep + prefix
+        yield from _pieces(value, inner)
+        sep = "," + inner
+    yield nl + brackets[1]
 
 
 def _wrap(parts: list[str], nl: str, brackets: str) -> str:
@@ -101,17 +116,28 @@ def _table_rows(pairs: Iterable, value: str, key: str, width: int) -> _Rows:
     return _Rows((value, key, width, ints))
 
 
-def _write_rows(rows: _Rows, nl: str) -> str:
+_BLOCK = 2048   # records per % format
+
+
+def _row_blocks(rows: _Rows, nl: str) -> Iterator[str]:
     value, key, width, ints = rows
+    inner = nl + "  "
     record = _wrap([_escape(value) + ": %d",
-                    _escape(key) + ": " + _wrap(["%d"] * width, nl + "    ", "[]")], nl + "  ", "{}")
-    return _wrap([record] * (len(ints) // (width + 1)), nl, "[]") % tuple(ints)
+                    _escape(key) + ": " + _wrap(["%d"] * width, inner + "  ", "[]")], inner, "{}")
+    step = _BLOCK * (width + 1)
+    for start in range(0, len(ints), step):
+        block = tuple(ints[start:start + step])
+        yield ("," if start else "[") + inner + (
+            ("," + inner).join([record] * (len(block) // (width + 1))) % block)
+    yield nl + "]" if ints else "[]"
 
 
 def _emit(obj: dict, lines: Callable[[], list[str]], as_json: bool) -> None:
-    # text lines are built only when they are printed
+    # text lines are built only when they are printed; a --json document is
+    # written piece by piece to the stdout of the moment, never held whole
     if as_json:
-        print(_dumps(obj))
+        sys.stdout.writelines(_pieces(obj))
+        sys.stdout.write("\n")
     else:
         for line in lines():
             print(line)

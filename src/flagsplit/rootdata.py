@@ -219,7 +219,7 @@ class RootSystem:
     # -- basic queries ---------------------------------------------------
 
     def _check_weight(self, lam: Sequence[int]) -> Weight:
-        t = tuple(int(x) for x in lam)
+        t = tuple(map(int, lam))
         if len(t) != self.rank:
             raise InputError(f"weight {t} has length {len(t)}, expected rank {self.rank}")
         return t
@@ -262,7 +262,7 @@ class RootSystem:
         return tuple(c - 1 for c in moved)
 
     def is_dominant(self, lam: Sequence[int]) -> bool:
-        return all(c >= 0 for c in self._check_weight(lam))
+        return min(self._check_weight(lam)) >= 0
 
     def in_cone_c(self, lam: Sequence[int]) -> bool:
         """Pairing >= -1 against every positive coroot, not only the simple ones."""

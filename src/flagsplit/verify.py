@@ -113,22 +113,22 @@ def suite_rootdata(cfg: RunConfig) -> list[CheckResult]:
         # each public, validating reflect is what tests the walk itself
         for rs in _systems(min(cfg.rank_cap, 3)):
             box = range(-3, 4)
-            closed = set()   # least members of the orbits found closed
+            checked = {}   # least member: (orbit, member set) of each orbit checked
             for lam in itertools.product(box, repeat=rs.rank):
                 orbit = rs.weyl_orbit(lam)
-                ndom = sum(1 for w in orbit if rs.is_dominant(w))
-                if ndom != 1:
-                    return False, f"{rs}: orbit of {lam} has {ndom} dominant members"
-                members = set(orbit)
-                if lam not in members:
+                known = checked.get(orbit[0])
+                if known is None or known[0] != orbit:
+                    # an orbit not seen before, member for member
+                    ndom = sum(1 for w in orbit if rs.is_dominant(w))
+                    if ndom != 1:
+                        return False, f"{rs}: orbit of {lam} has {ndom} dominant members"
+                    known = checked[orbit[0]] = orbit, set(orbit)
+                    for w in orbit:
+                        for i in range(1, rs.rank + 1):
+                            if rs.reflect(i, w) not in known[1]:
+                                return False, f"{rs}: orbit of {lam} is not closed under s_{i}"
+                if lam not in known[1]:
                     return False, f"{rs}: orbit of {lam} misses {lam}"
-                if orbit[0] in closed:
-                    continue
-                for w in orbit:
-                    for i in range(1, rs.rank + 1):
-                        if rs.reflect(i, w) not in members:
-                            return False, f"{rs}: orbit of {lam} is not closed under s_{i}"
-                closed.add(orbit[0])
         return True, ""
 
     def dot_is_action():
@@ -326,12 +326,13 @@ def suite_fpoly(cfg: RunConfig) -> list[CheckResult]:
                 f2 = _random_poly(rng, p, variables)
                 g1 = _random_poly(rng, p, variables)
                 g2 = _random_poly(rng, p, variables)
+                t11 = fpoly.frobenius_trace(f1, g1, cap)
                 if fpoly.frobenius_trace(f1 + f2, g1, cap) != (
-                    fpoly.frobenius_trace(f1, g1, cap) + fpoly.frobenius_trace(f2, g1, cap)
+                    t11 + fpoly.frobenius_trace(f2, g1, cap)
                 ):
                     return False, f"p={p}: additivity in f fails"
                 if fpoly.frobenius_trace(f1, g1 + g2, cap) != (
-                    fpoly.frobenius_trace(f1, g1, cap) + fpoly.frobenius_trace(f1, g2, cap)
+                    t11 + fpoly.frobenius_trace(f1, g2, cap)
                 ):
                     return False, f"p={p}: additivity in g fails"
         return True, ""

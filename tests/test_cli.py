@@ -105,6 +105,56 @@ def test_rows_keep_their_order_and_shape():
         json.dumps([{"c": 5, "e": []}], sort_keys=True, indent=2)
 
 
+BLOCK = cli._BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+def test_emit_streams_rows_as_json(capsys, count):
+    rng = random.Random(count)
+    table = {(i, rng.randrange(-9, 9), -i): rng.choice([1, -2, 2**70]) for i in range(count)}
+    rows = cli._table_rows(sorted(table.items()), "c", "e", 3)
+    records = [{"c": table[e], "e": list(e)} for e in sorted(table)]
+    nest = {"rows": rows, "n": count, "in": [rows, {"deep": [rows]}, []], "z": {"rows": rows}}
+    want = {"rows": records, "n": count, "in": [records, {"deep": [records]}, []],
+            "z": {"rows": records}}
+    for obj, expected in ((nest, want), ({"only": rows}, {"only": records})):
+        cli._emit(obj, list, True)
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+class _Writes(io.StringIO):
+    # a stdout that keeps the length of each write
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def _uniform_rows(count):
+    # count records {"c": 1, "e": [d, 0, -1]} with one-digit d: all the same length
+    return cli._table_rows((((i % 10, 0, -1), 1) for i in range(count)), "c", "e", 3)
+
+
+def test_emit_writes_one_block_at_a_time():
+    rows = _uniform_rows(3 * BLOCK + 5)
+    block = len(cli._dumps(_uniform_rows(BLOCK), "\n  "))   # with its brackets
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        cli._emit({"terms": rows}, list, True)
+    records = [{"c": 1, "e": [i % 10, 0, -1]} for i in range(3 * BLOCK + 5)]
+    assert out.getvalue() == json.dumps({"terms": records}, sort_keys=True, indent=2) + "\n"
+    assert len(out.sizes) >= 4 and max(out.sizes) <= block < len(out.getvalue()) / 2
+    # main writes to the stdout in place when it is called
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        assert main(["char", "weyl", "E8", "--weight", "0,0,0,0,0,0,0,1", "--json"]) == 0
+    assert len(json.loads(out.getvalue())["character"]) == 26401
+    assert max(out.sizes) < len(out.getvalue()) / 10
+
+
 def _two_variable_poly(tmp_path, name, p, terms):
     path = tmp_path / name
     save_poly(SparsePolynomial(p, ("x1", "x2"), terms), str(path))

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from flagsplit import fpoly, verify
 from flagsplit.errors import InputError, ResourceLimitError
 from flagsplit.fpoly import (
     PrimeField,
@@ -435,6 +436,18 @@ def test_semilinearity_randomised():
                 )
             f, g, h = rand(6, 6), rand(3, 3), rand(3, 2)
             assert frobenius_trace(f, (h ** p) * g) == h * frobenius_trace(f, g)
+
+
+def test_verify_fpoly_computes_each_trace_once(monkeypatch):
+    # per draw: semilinearity and the shift 2 traces each, additivity 5
+    # (the trace of f1 against g1 serves both sides), the criterion 1
+    calls = []
+    trace = fpoly.frobenius_trace
+    monkeypatch.setattr(fpoly, "frobenius_trace",
+                        lambda f, g, cap: calls.append(1) or trace(f, g, cap))
+    checks = verify.suite_fpoly(verify.RunConfig())
+    assert [c.status for c in checks] == ["pass"] * 4
+    assert len(calls) == 300 * (2 + 5 + 1 + 2)
 
 
 def test_trace_additivity_and_shift():

@@ -14,6 +14,7 @@ from flagsplit import rootdata
 from flagsplit.charalg import _dominant_weight_system
 from flagsplit.errors import InputError, InvariantError
 from flagsplit.rootdata import RootSystem, build_root_system, parabolic_subset, parse_system
+from flagsplit.verify import RunConfig, suite_rootdata
 
 from oracles import dominance_by_descent, make_dominant_by_reflect, orbit_by_bfs
 
@@ -172,6 +173,30 @@ def test_orbit_unique_dominant():
             assert sum(1 for w in orbit if rs.is_dominant(w)) == 1
             dom, _ = rs.make_dominant(lam)
             assert rs.is_dominant(dom) and dom in orbit
+
+
+def _orbit_check(monkeypatch, weyl_orbit):
+    # verify rootdata's orbit check, on A1 alone, with weyl_orbit replaced
+    monkeypatch.setattr(RootSystem, "weyl_orbit", weyl_orbit)
+    checks = suite_rootdata(RunConfig(rank_cap=1))
+    return next(c for c in checks if c.name == "rootdata.orbit_has_unique_dominant")
+
+
+def test_verify_rootdata_asks_for_the_orbit_of_every_weight(monkeypatch):
+    asked, walk = [], RootSystem.weyl_orbit
+    check = _orbit_check(monkeypatch, lambda rs, lam: asked.append(lam) or walk(rs, lam))
+    assert check.status == "pass"
+    assert asked == [(k,) for k in range(-3, 4)]
+
+
+def test_verify_rootdata_checks_a_changed_orbit_in_full(monkeypatch):
+    # the orbit of (3,) shares its least member with the orbit of (-3,),
+    # checked before it, but has gained (-1,), whose image (1,) is missing
+    walk = RootSystem.weyl_orbit
+    check = _orbit_check(
+        monkeypatch, lambda rs, lam: [(-3,), (-1,), (3,)] if lam == (3,) else walk(rs, lam))
+    assert (check.status, check.detail) == \
+        ("fail", "RootSystem(A1): orbit of (3,) is not closed under s_1")
 
 
 def test_weyl_group_orders():
