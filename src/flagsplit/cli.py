@@ -10,8 +10,6 @@ timing fields), so identical inputs and seed produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _escape
@@ -159,16 +157,6 @@ def _char_lines(ch: charalg.Character) -> list[str]:
     return out
 
 
-# the common flags that take a value, with their defaults on the root parser
-_COMMON_VALUE_FLAGS = {
-    "--seed": 0,
-    "--term-cap": charalg.DEFAULT_TERM_CAP,
-    "--dim-cap": charalg.DEFAULT_DIM_CAP,
-    "--weyl-cap": 1152,
-    "--enum-cap": fpoly.DEFAULT_ENUM_CAP,
-}
-
-
 def _cap(text: str) -> int:
     # a resource cap is a positive int; --seed takes any int
     if int(text) < 1:
@@ -178,6 +166,15 @@ def _cap(text: str) -> int:
 
 _cap.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
 
+# the common flags that take a value, with their types and their defaults on the root parser
+_COMMON_VALUE_FLAGS = {
+    "--seed": (int, 0),
+    "--term-cap": (_cap, charalg.DEFAULT_TERM_CAP),
+    "--dim-cap": (_cap, charalg.DEFAULT_DIM_CAP),
+    "--weyl-cap": (_cap, 1152),
+    "--enum-cap": (_cap, fpoly.DEFAULT_ENUM_CAP),
+}
+
 
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # placed on the root parser (with real defaults) and on every leaf
@@ -185,9 +182,8 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--json", action="store_true",
                         **({"default": argparse.SUPPRESS} if suppress else {}),
                         help="machine-readable output")
-    for flag, default in _COMMON_VALUE_FLAGS.items():
-        parser.add_argument(flag, type=int if flag == "--seed" else _cap,
-                            default=argparse.SUPPRESS if suppress else default)
+    for flag, (kind, default) in _COMMON_VALUE_FLAGS.items():
+        parser.add_argument(flag, type=kind, default=argparse.SUPPRESS if suppress else default)
 
 
 _SYSTEM = ("system", {})
@@ -231,37 +227,8 @@ _COMMANDS = {
 }
 
 
-def _route(argv: Sequence[str]) -> tuple[Optional[str], Optional[str]]:
-    """The command and action that ``argv`` names, after any leading
-    ``--json`` and common value flags with their values (``--seed 3``,
-    ``--seed=3``); (None, None), meaning the whole tree, for any other
-    leading option (``-h``, ``--se``) and a missing or unknown command or
-    action."""
-    i = 0
-    while i < len(argv) and argv[i].startswith("-"):
-        flag, eq, _ = argv[i].partition("=")
-        if argv[i] == "--json" or (eq and flag in _COMMON_VALUE_FLAGS):
-            i += 1
-        elif flag in _COMMON_VALUE_FLAGS:
-            i += 2
-        else:
-            return None, None
-    command = argv[i] if i < len(argv) else None
-    if command not in _COMMANDS:
-        return None, None
-    actions = _COMMANDS[command][1]
-    if not isinstance(actions, dict):
-        return command, None
-    action = argv[i + 1] if i + 1 < len(argv) else None
-    return (command, action) if action in actions else (None, None)
-
-
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser tree, holding below the root only the command and action
-    that ``argv`` names (see ``_route``); the whole tree for an empty argv.
-    A pruned tree parses what it accepts as the whole tree does, but its
-    usage and error messages list only the branch it holds."""
-    command, action = _route(argv)
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree: help, usage errors and what ``_direct`` declines."""
     parser = argparse.ArgumentParser(
         prog="flagsplit",
         description="Exact root-system, character and Frobenius-splitting checks.",
@@ -269,35 +236,79 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     _common_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, body) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
+        command = sub.add_parser(name, help=text)
         if isinstance(body, dict):
-            actions = sub.add_parser(name, help=text).add_subparsers(dest="action", required=True)
-            for act, arguments in body.items():
-                if action in (None, act):
-                    _leaf(actions.add_parser(act), arguments)
+            actions = command.add_subparsers(dest="action", required=True)
+            leaves = [(actions.add_parser(act), arguments) for act, arguments in body.items()]
         else:
-            _leaf(sub.add_parser(name, help=text), body)
+            leaves = [(command, body)]
+        for leaf, arguments in leaves:
+            _common_flags(leaf, suppress=True)
+            for arg, kwargs in arguments:
+                leaf.add_argument(arg, **kwargs)
     return parser
 
 
-def _leaf(parser: argparse.ArgumentParser, arguments) -> None:
-    _common_flags(parser, suppress=True)
-    for name, kwargs in arguments:
-        parser.add_argument(name, **kwargs)
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _direct(argv: list[str]) -> Optional[argparse.Namespace]:
+    """``build_parser().parse_args(argv)`` for a plain argv (README), read
+    straight from ``_COMMANDS``; None for help, an abbreviated or misplaced
+    flag, a missing or bad value: the whole tree parses those."""
+    args = {"json": False, **{_dest(f): d for f, (_, d) in _COMMON_VALUE_FLAGS.items()}}
+    flags = {f: {"type": kind} for f, (kind, _) in _COMMON_VALUE_FLAGS.items()}
+    words, leaf, given = [], None, set()
+    tokens = iter(argv)
+    for tok in tokens:
+        if not tok.startswith("-"):
+            words.append(tok)
+        elif words and leaf is None:
+            return None   # a flag between command and action
+        elif tok == "--json":
+            args["json"] = True
+        else:
+            flag, eq, value = tok.partition("=")
+            value = value if eq else next(tokens, "--")   # no value reads as "--": refused
+            if flag not in flags or value == "--" or (not eq and value.startswith("-")):
+                return None
+            try:
+                args[_dest(flag)] = flags[flag].get("type", str)(value)
+            except (ValueError, argparse.ArgumentTypeError):
+                return None
+            given.add(flag)
+        if leaf is None and words:   # the command, then its action if it has actions
+            body = _COMMANDS[words[0]][1] if words[0] in _COMMANDS else None
+            if isinstance(body, dict) and len(words) == 1:
+                continue
+            if isinstance(body, dict):
+                args["action"], body = words[1], body.get(words[1])
+            if body is None:
+                return None
+            args["command"], leaf, start = words[0], body, len(words)
+            for name, kwargs in leaf:
+                flags[name] = kwargs
+                args[_dest(name)] = kwargs.get("default")
+    positionals = [(name, kwargs) for name, kwargs in leaf or () if not name.startswith("-")]
+    if leaf is None or len(words) - start != len(positionals) or any(
+            kwargs.get("required") and name not in given for name, kwargs in leaf):
+        return None
+    for (name, kwargs), value in zip(positionals, words[start:]):
+        if value not in kwargs.get("choices", [value]):
+            return None
+        args[name] = value
+    return argparse.Namespace(**args)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    # The pruned tree decides what argv means; when it rejects argv, its
-    # message is dropped and the whole tree parses again, so usage errors
-    # list every command and action.  Help (exit 0) is the same from both.
-    try:
-        with contextlib.redirect_stderr(io.StringIO()):
-            return build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        if exc.code in (0, None):
-            raise
-    return build_parser().parse_args(argv)
+    # the whole tree; argparse drops a "--" value (--weight=--), leaving []
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return args
 
 
 # -- handlers -----------------------------------------------------------------
@@ -594,25 +605,13 @@ def _cmd_verify(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _preprocess(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = _parse_args(argv)
+        args = _direct(argv) or _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "rs":
-            return _cmd_rs(args)
-        if args.command == "weight":
-            return _cmd_weight_reduce(args)
-        if args.command == "char":
-            return _cmd_char(args)
-        if args.command == "filt":
-            return _cmd_filt(args)
-        if args.command == "g1":
-            return _cmd_g1(args)
-        if args.command == "poly":
-            return _cmd_poly(args)
-        if args.command == "sln":
-            return _cmd_sln(args)
-        return _cmd_verify(args)
+        handler = {"rs": _cmd_rs, "weight": _cmd_weight_reduce, "char": _cmd_char, "filt": _cmd_filt,
+                   "g1": _cmd_g1, "poly": _cmd_poly, "sln": _cmd_sln, "verify": _cmd_verify}
+        return handler[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

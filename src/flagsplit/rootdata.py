@@ -92,39 +92,47 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
 
 def _symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
     # Positive integers d with a[i][j]*d[j] == a[j][i]*d[i]; the Dynkin graph
-    # of a simple type is connected, so propagate from node 0 and rescale.
+    # of a simple type is connected, so propagate from node 0, scaling the
+    # values found so far whenever a[i][j] does not divide a[j][i]*d[i].
     n = len(cartan)
-    d: list[Optional[Fraction]] = [None] * n
-    d[0] = Fraction(1)
+    d = [1] + [0] * (n - 1)   # 0: not reached yet
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
+            if i != j and cartan[i][j] != 0 and not d[j]:
+                num, den = cartan[j][i] * d[i], cartan[i][j]
+                scale = abs(den) // math.gcd(num, den)
+                d = [x * scale for x in d]
+                d[j] = num * scale // den
                 todo.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise InvariantError("the Dynkin graph is not connected: no symmetrizers")
-    lcm = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * lcm) for x in d]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
-def _invert_fraction_matrix(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+def _inverse_over_den(m: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, num) with m^-1 = num / den, den > 0 and gcd(den, *num) == 1.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: each step
+    divides exactly by the previous pivot, so every entry stays an integer
+    and the end is [det * I | det * m^-1], with det the last pivot."""
     n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next(r for r in range(k, n) if aug[r][k] != 0)
+        aug[k], aug[piv] = aug[piv], aug[k]
+        top = aug[k]
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(top[k] * x - f * y) // prev for x, y in zip(aug[i], top)]
+        prev = top[k]
+    g = math.gcd(prev, *(x for row in aug for x in row[n:]))
+    g = g if prev > 0 else -g
+    return prev // g, tuple(tuple(x // g for x in row[n:]) for row in aug)
 
 
 class RootSystem:
@@ -150,11 +158,9 @@ class RootSystem:
         self.symmetrizers = _symmetrizers(self.cartan)
         # Inverse of the transposed Cartan matrix over a common denominator:
         # converts fundamental coordinates to simple-root coordinates.
-        inv = _invert_fraction_matrix(
+        self._coord_den, self._coord_num = _inverse_over_den(
             [[self.cartan[j][i] for j in range(rank)] for i in range(rank)]
         )
-        self._coord_den = math.lcm(*(x.denominator for row in inv for x in row))
-        self._coord_num = tuple(tuple(int(x * self._coord_den) for x in row) for row in inv)
         self.positive_roots: tuple[Root, ...] = self._close_positive_roots()
         self.num_positive_roots = len(self.positive_roots)
         self.rho: Weight = (1,) * rank

@@ -295,10 +295,29 @@ def suite_charalg(cfg: RunConfig) -> list[CheckResult]:
 # -- fpoly -------------------------------------------------------------------
 
 def _random_poly(rng: random.Random, p: int, variables, max_terms=6, max_exp=6):
+    # rng.randint(1, max_terms) terms, each with rng.randint(0, max_exp) per
+    # variable and coefficient rng.randint(1, p - 1), drawn by randint's own
+    # algorithm without its three frames per draw: randint(a, b) is a plus
+    # the first getrandbits(k) below n = b - a + 1, where k = n.bit_length()
+    draw = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = draw(k)
+        while r >= n:
+            r = draw(k)
+        return r
+
+    n_exp, k_exp = max_exp + 1, (max_exp + 1).bit_length()
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = tuple(rng.randint(0, max_exp) for _ in variables)
-        terms[e] = rng.randint(1, p - 1)
+    for _ in range(1 + below(max_terms)):
+        e = []
+        for _ in variables:   # below(n_exp), inlined: most of the draws
+            r = draw(k_exp)
+            while r >= n_exp:
+                r = draw(k_exp)
+            e.append(r)
+        terms[tuple(e)] = 1 + below(p - 1)
     return fpoly.SparsePolynomial(p, variables, terms)
 
 

@@ -34,7 +34,11 @@ by shifting each weight through a zip generator per term instead of adding
 precomputed root multiples, and dominant weight multiplicities by
 Freudenthal's recursion reading each m(mu + k alpha) at the dominant
 conjugate found by make_dominant, with every inner product recomputed,
-instead of one orbit-filled weight table with stepped inner products.
+instead of one orbit-filled weight table with stepped inner products,
+symmetrizers and the inverse transposed Cartan matrix by Fraction
+arithmetic instead of integers scaled as they go and fraction-free
+elimination, and verify's random polynomials by random.randint instead of
+getrandbits rejection sampling inlined.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -771,3 +775,55 @@ def x_slice_by_truncation(
         return names, None
     powers = [_x_part(d, x_start, k).power(p - 1, term_cap) for d, k in zip(deltas, degrees)]
     return names, _truncated_product(powers, x_start, term_cap)
+
+
+def symmetrizers_by_fractions(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Positive integers d with a[i][j]*d[j] == a[j][i]*d[i], propagated from
+    node 0 as Fractions, then cleared of denominators and divided by their gcd;
+    None for a disconnected Dynkin graph."""
+    n = len(cartan)
+    d: list[Optional[Fraction]] = [None] * n
+    d[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
+                todo.append(j)
+    if any(x is None for x in d):
+        return None
+    den = lcm(*(x.denominator for x in d))
+    ints = [int(x * den) for x in d]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def inverse_by_fractions(m: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, num) with m^-1 = num / den: Gauss-Jordan elimination over
+    Fractions, den the lcm of the entries' denominators."""
+    n = len(m)
+    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    den = lcm(*(x.denominator for row in aug for x in row[n:]))
+    return den, tuple(tuple(int(x * den) for x in row[n:]) for row in aug)
+
+
+def random_poly_by_randint(rng, p: int, variables, max_terms: int = 6, max_exp: int = 6):
+    """verify's random polynomial drawn by random.randint: randint(1, max_terms)
+    terms, each with randint(0, max_exp) per variable and coefficient
+    randint(1, p - 1)."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_exp) for _ in variables)
+        terms[e] = rng.randint(1, p - 1)
+    return SparsePolynomial(p, variables, terms)

@@ -630,8 +630,9 @@ LEAVES = [["rs", "show"], ["weight", "reduce"], ["char", "weyl"], ["char", "eule
           ["sln", "check"], ["sln", "mvk"], ["sln", "canonical"], ["sln", "parabolic"],
           ["verify"]]
 # help at each level, unknown commands and actions, root flags before the
-# command (abbreviated, negative-number-like, missing a value) and leaf flags
-# that only the root knows
+# command (abbreviated, negative-number-like, missing a value), leaf flags
+# that only the root knows, values starting with "-" and a positional
+# after the flags
 PARSE_CORPUS = [
     [], ["-h"], ["nonsense"], ["sln"], ["sln", "-h"], ["sln", "bogus"], ["sln", "bogus", "check"],
     ["bogus", "sln"], ["--seed", "sln", "check"], ["--se", "3", "sln", "check", "--n", "2", "--p", "3"],
@@ -641,6 +642,10 @@ PARSE_CORPUS = [
     ["--seed", "3"], ["--json=1", "sln", "check"], ["--", "sln", "check"],
     ["rs", "show", "A2", "extra"], ["sln", "check", "--n", "2", "--p", "2", "--se", "5"],
     ["verify", "bogus"], ["char", "weyl", "A2", "--weight", "-1,1"],
+    ["sln", "build", "--n", "2", "--p", "2", "--out", "-x"],
+    ["sln", "build", "--n", "2", "--p", "2", "--out", "--json"],
+    ["sln", "build", "--n", "2", "--p", "2", "--out="],
+    ["sln", "check", "--n", "2", "--p", "2", "--seed", "-2"], ["verify", "--n", "2", "sln"],
 ] + [leaf + ["-h"] for leaf in LEAVES]
 
 
@@ -649,17 +654,16 @@ def _whole_tree(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return cli.build_parser().parse_args(cli._preprocess(argv)), 0, "", ""
+            return cli._parse_args(cli._preprocess(argv)), 0, "", ""
         except SystemExit as exc:
             code = 2 if exc.code not in (0, None) else 0
     return None, code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", PARSE_CORPUS + _benchmark_argvs(),
-                         ids=lambda argv: " ".join(argv) or "(none)")
-def test_pruned_parse_matches_whole_tree(capsys, monkeypatch, argv):
-    # main builds only the branch argv names; it must accept and reject
-    # exactly what the whole tree does, with the same Namespace, output and code
+def _assert_main_parses_as_whole_tree(capsys, monkeypatch, argv):
+    # main reads a plain argv straight from the command table and hands any
+    # other to the whole tree; either way it must accept and reject exactly
+    # what the whole tree does, with the same Namespace, output and code
     parsed = []
     for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
         monkeypatch.setattr(cli, name, lambda args: parsed.append(args) or 0)
@@ -668,3 +672,107 @@ def test_pruned_parse_matches_whole_tree(capsys, monkeypatch, argv):
     args, want_code, want_out, want_err = _whole_tree(list(argv))
     assert (code, out, err) == (want_code, want_out, want_err)
     assert parsed == ([] if args is None else [args])
+    direct = cli._direct(cli._preprocess(list(argv)))
+    assert direct is None or direct == args
+    return direct
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS + _benchmark_argvs(),
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_pruned_parse_matches_whole_tree(capsys, monkeypatch, argv):
+    # the corpus and every benchmark argv; the direct parse reads only the
+    # leaf that argv names
+    _assert_main_parses_as_whole_tree(capsys, monkeypatch, argv)
+
+
+def test_benchmark_argvs_take_the_direct_path(capsys, monkeypatch):
+    assert all(cli._direct(cli._preprocess(argv)) is not None for argv in _benchmark_argvs())
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert main(["sln", "check", "--n", "2", "--p", "3", "--seed=-2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"splitting": True}
+
+
+# tokens a mutant inserts or puts in place of another: help, an abbreviation,
+# "--", values that are bad, negative or need stripping, and tokens that
+# keep a mutant plain
+MUTATION_TOKENS = ["--", "-h", "--se", "--json=1", "-3", "--seed=-2", "--weyl-cap=0", "--p=x",
+                   "", " 3", "--json", "--seed", "3", "--n", "--p=5", "2", "A2", "check",
+                   "--weight", "-1,1", "--compat=1,2", "--term-cap=7", "--weight=--", "1"]
+
+
+def _mutants(seed, count):
+    # benchmark argvs with 1-3 tokens inserted, deleted or replaced
+    rng = random.Random(seed)
+    cases = _benchmark_argvs()
+    out = []
+    for _ in range(count):
+        argv = list(rng.choice(cases))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(argv) + 1)
+            op = rng.choice(["insert", "delete", "replace"])
+            if op == "insert" or not argv:
+                argv.insert(i, rng.choice(MUTATION_TOKENS))
+            elif op == "delete":
+                del argv[min(i, len(argv) - 1)]
+            else:
+                argv[min(i, len(argv) - 1)] = rng.choice(MUTATION_TOKENS)
+        out.append(argv)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_direct_parse_matches_whole_tree_on_mutants(capsys, monkeypatch, seed):
+    direct = [_assert_main_parses_as_whole_tree(capsys, monkeypatch, argv)
+              for argv in _mutants(seed, 150)]
+    # both paths are taken
+    assert 10 <= sum(d is not None for d in direct) <= 140
+
+
+# a valid argv of every leaf, in LEAVES order
+LEAF_ARGVS = [
+    ["rs", "show", "A2"], ["weight", "reduce", "A2", "--weight", "1,0", "--degree", "1"],
+    ["char", "weyl", "A2", "--weight", "1,0"], ["char", "euler", "A2", "--weight", "1,0"],
+    ["char", "sym", "A2", "--degree", "1"], ["char", "ext", "A2", "--j", "1"],
+    ["char", "trunc", "A2", "--p", "2"], ["filt", "A1", "--weight", "0", "--max-degree", "1"],
+    ["g1", "A1", "--weight", "0", "--p", "2"], ["poly", "check", "--file", "f.json"],
+    ["poly", "trace", "--file", "f.json", "--times", "g.json"],
+    ["poly", "compat", "--file", "f.json", "--ideal", "x1"],
+    ["sln", "build", "--n", "1", "--p", "2"], ["sln", "check", "--n", "1", "--p", "2"],
+    ["sln", "mvk", "--n", "1", "--p", "2"], ["sln", "canonical", "--n", "1", "--p", "2"],
+    ["sln", "parabolic", "--n", "1", "--p", "2", "--subset", "1"], ["verify", "fpoly"],
+]
+
+
+@pytest.mark.parametrize("argv", LEAF_ARGVS, ids=" ".join)
+def test_double_dash_value_is_a_usage_error(capsys, monkeypatch, argv):
+    # argparse drops a "--" value, so --weight -- (made --weight=-- to take
+    # values like -1,1) reached the handler as [] and crashed, and
+    # --compat -- ran as if no --compat had been given
+    named = LEAVES[LEAF_ARGVS.index(argv)]
+    assert argv[:len(named)] == named
+    body = cli._COMMANDS[argv[0]][1]
+    leaf = body[argv[1]] if isinstance(body, dict) else body
+    flags = [name for name, kwargs in leaf if name.startswith("-")] + list(cli._COMMON_VALUE_FLAGS)
+    for flag in flags:
+        for tail in ([flag, "--"], [flag + "=--"]):
+            assert _assert_main_parses_as_whole_tree(capsys, monkeypatch, argv + tail) is None
+            assert main(argv + tail) == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: expected one argument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["char", "weyl", "A2", "--weight", "--"],
+                                  ["sln", "mvk", "--n", "2", "--p", "3", "--compat", "--"],
+                                  ["sln", "mvk", "--n", "2", "--p", "3", "--compat=--"]])
+def test_double_dash_value_exits_2_without_a_traceback(argv):
+    import os
+    import subprocess
+    import sys
+
+    import flagsplit
+
+    src = os.path.dirname(os.path.dirname(flagsplit.__file__))
+    run = subprocess.run([sys.executable, "-m", "flagsplit.cli", *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 2 and run.stdout == ""
+    assert "expected one argument" in run.stderr and "Traceback" not in run.stderr

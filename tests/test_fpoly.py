@@ -25,7 +25,13 @@ from flagsplit.fpoly import (
 
 from flagsplit.slnsplit import build_chart_function
 
-from oracles import compat_by_enumeration, mul_by_tuples, substitute_by_tuples, trace_by_product
+from oracles import (
+    compat_by_enumeration,
+    mul_by_tuples,
+    random_poly_by_randint,
+    substitute_by_tuples,
+    trace_by_product,
+)
 
 
 def mk(p, names, terms):
@@ -448,6 +454,42 @@ def test_verify_fpoly_computes_each_trace_once(monkeypatch):
     checks = verify.suite_fpoly(verify.RunConfig())
     assert [c.status for c in checks] == ["pass"] * 4
     assert len(calls) == 300 * (2 + 5 + 1 + 2)
+
+
+# every (max_terms, max_exp) that verify fpoly draws with, at p = 2, 3, 5
+SUITE_SHAPES = [(6, 6), (3, 3), (3, 2)] + [(50, 2 * p) for p in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_poly_draws_as_randint(seed):
+    # the getrandbits draw gives randint's polynomials, one after another from
+    # one generator, and leaves the generator in randint's state
+    for nvars in (1, 2, 3):
+        names = tuple(f"x{i}" for i in range(1, nvars + 1))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            for p in (2, 3, 5):
+                for max_terms, max_exp in SUITE_SHAPES:
+                    assert verify._random_poly(ours, p, names, max_terms, max_exp) == (
+                        random_poly_by_randint(theirs, p, names, max_terms, max_exp))
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_fpoly_draws_the_randint_corpus(monkeypatch, seed):
+    # the suite checks the same 3,000 polynomials, with the same report, as
+    # when each is drawn by randint
+    runs = {}
+    for draw in (verify._random_poly, random_poly_by_randint):
+        drawn = []
+        monkeypatch.setattr(verify, "_random_poly",
+                            lambda *args, draw=draw, **kwargs: drawn.append(draw(*args, **kwargs))
+                            or drawn[-1])
+        checks = verify.suite_fpoly(verify.RunConfig(seed=seed))
+        runs[draw] = drawn, [(c.name, c.status, c.detail) for c in checks]
+    ours, theirs = runs.values()
+    assert len(ours[0]) == 300 * (3 + 4 + 1 + 2)
+    assert ours == theirs
 
 
 def test_trace_additivity_and_shift():

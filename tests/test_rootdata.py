@@ -16,7 +16,13 @@ from flagsplit.errors import InputError, InvariantError
 from flagsplit.rootdata import RootSystem, build_root_system, parabolic_subset, parse_system
 from flagsplit.verify import RunConfig, suite_rootdata
 
-from oracles import dominance_by_descent, make_dominant_by_reflect, orbit_by_bfs
+from oracles import (
+    dominance_by_descent,
+    inverse_by_fractions,
+    make_dominant_by_reflect,
+    orbit_by_bfs,
+    symmetrizers_by_fractions,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -393,6 +399,38 @@ def test_orbit_walk_matches_weyl_orbit(key):
         walk = rs._orbit_walk(top)
         assert walk[0] == top and len(walk) == len(set(walk)) == size, (rs, top)
         assert sorted(walk) == rs.weyl_orbit(moved), (rs, top, moved)
+
+
+VALID_TYPES = [(label, rank) for label, valid in rootdata._VALID_TYPES.items()
+               for rank in range(1, rootdata.MAX_RANK + 1) if valid(rank)]
+
+
+@pytest.mark.parametrize("label, rank", VALID_TYPES, ids=[f"{x}{n}" for x, n in VALID_TYPES])
+def test_integer_construction_matches_fractions(label, rank):
+    # symmetrizers and simple-root coordinates over a common denominator, as
+    # the Fraction arithmetic gives them
+    cartan = rootdata._cartan_matrix(label, rank)
+    assert rootdata._symmetrizers(cartan) == symmetrizers_by_fractions(cartan)
+    rs = RootSystem(label, rank)
+    assert rs.symmetrizers == symmetrizers_by_fractions(cartan)
+    transposed = [[cartan[j][i] for j in range(rank)] for i in range(rank)]
+    assert (rs._coord_den, rs._coord_num) == inverse_by_fractions(transposed)
+
+
+def test_inverse_over_den_matches_fractions_randomised():
+    # no transposed Cartan matrix needs a row swap; these do whenever m[0][0] == 0
+    rng = random.Random(17)
+    swapped = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = [[rng.choice([0, 0, 1, -1, 2, -3, 5]) for _ in range(n)] for _ in range(n)]
+        try:
+            want = inverse_by_fractions(m)
+        except StopIteration:   # singular
+            continue
+        swapped += m[0][0] == 0
+        assert rootdata._inverse_over_den(m) == want, m
+    assert swapped > 20
 
 
 # Each construction invariant broken by one patch, as (what breaks, module
