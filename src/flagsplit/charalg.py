@@ -19,16 +19,14 @@ All arithmetic is exact.  Expensive operations take explicit caps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
-from .fpoly import is_prime
+from .fpoly import DEFAULT_TERM_CAP, is_prime
 from .rootdata import ParabolicSubset, RootSystem, Weight, parabolic_subset
 
 DEFAULT_DIM_CAP = 10**6
-DEFAULT_TERM_CAP = 10**6
 
 # Weyl characters by (root system, highest weight), as weight multiplicities.
 _WEYL_CHARACTERS: dict[tuple[RootSystem, Weight], dict[Weight, int]] = {}
@@ -128,8 +126,7 @@ class Character:
         return f"Character({parts}{more})"
 
 
-@dataclass(frozen=True)
-class GradedCharacter:
+class GradedCharacter(NamedTuple):
     """Finite map from symmetric-power degree to a character."""
 
     pieces: tuple[tuple[int, Character], ...]
@@ -392,8 +389,7 @@ def truncated_char(
 
 # -- good-filtration decomposition ------------------------------------------
 
-@dataclass(frozen=True)
-class GoodFiltrationDecomposition:
+class GoodFiltrationDecomposition(NamedTuple):
     """Outcome of the decomposition into Weyl characters.
 
     On success ``ok`` is true and ``entries`` lists (dominant weight,
@@ -483,8 +479,7 @@ def _decomposition(rs: RootSystem, coeffs: dict[Weight, int]) -> GoodFiltrationD
 
 # -- graded sections of the cotangent bundle ---------------------------------
 
-@dataclass(frozen=True)
-class GradedSectionChar:
+class GradedSectionChar(NamedTuple):
     """Per-degree Euler characters of S u_P* tensor lambda with their
     good-filtration decompositions."""
 
@@ -573,8 +568,7 @@ def g1_cohomology_char(
 
 # -- Koszul / reduction identities -------------------------------------------
 
-@dataclass(frozen=True)
-class KoszulReport:
+class KoszulReport(NamedTuple):
     """Euler-level check of the symmetric-power reduction along one simple root."""
 
     ok: bool

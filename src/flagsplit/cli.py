@@ -9,15 +9,18 @@ timing fields), so identical inputs and seed produce identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+import types
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import charalg, fpoly, slnsplit, verify
 from .errors import InputError, ResourceLimitError
-from .rootdata import parabolic_subset, parse_system
+from .rootdata import DEFAULT_WEYL_ORDER_CAP, parabolic_subset, parse_system
+
+if TYPE_CHECKING:
+    import argparse
 
 # flags whose values may start with "-" (e.g. --weight -1,1); merged into
 # --flag=value before argparse sees them
@@ -130,9 +133,9 @@ def _row_blocks(rows: _Rows, nl: str) -> Iterator[str]:
     yield nl + "]" if ints else "[]"
 
 
-def _emit(obj: dict, lines: Callable[[], list[str]], as_json: bool) -> None:
-    # text lines are built only when they are printed; a --json document is
-    # written piece by piece to the stdout of the moment, never held whole
+def _emit(obj: dict, lines: Callable[[], Iterable[str]], as_json: bool) -> None:
+    # text lines are built only when they are printed, one at a time; a --json
+    # document is written piece by piece to the stdout of the moment, never held whole
     if as_json:
         sys.stdout.writelines(_pieces(obj))
         sys.stdout.write("\n")
@@ -151,15 +154,17 @@ def _poly_obj(f: fpoly.SparsePolynomial) -> dict:
     return fpoly.poly_to_json_obj(f, _table_rows(f.sorted_terms(), "c", "e", len(f.variables)))
 
 
-def _char_lines(ch: charalg.Character) -> list[str]:
-    out = [f"  {list(w)}  x{m}" for w, m in ch.items()]
-    out.append(f"  dimension {ch.dimension()}")
-    return out
+def _char_lines(ch: charalg.Character) -> Iterator[str]:
+    for w, m in ch.items():
+        yield f"  {list(w)}  x{m}"
+    yield f"  dimension {ch.dimension()}"
 
 
 def _cap(text: str) -> int:
     # a resource cap is a positive int; --seed takes any int
     if int(text) < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 
@@ -171,7 +176,7 @@ _COMMON_VALUE_FLAGS = {
     "--seed": (int, 0),
     "--term-cap": (_cap, charalg.DEFAULT_TERM_CAP),
     "--dim-cap": (_cap, charalg.DEFAULT_DIM_CAP),
-    "--weyl-cap": (_cap, 1152),
+    "--weyl-cap": (_cap, DEFAULT_WEYL_ORDER_CAP),
     "--enum-cap": (_cap, fpoly.DEFAULT_ENUM_CAP),
 }
 
@@ -179,6 +184,8 @@ _COMMON_VALUE_FLAGS = {
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # placed on the root parser (with real defaults) and on every leaf
     # subparser (with SUPPRESS), so the flags are accepted in both positions
+    import argparse
+
     parser.add_argument("--json", action="store_true",
                         **({"default": argparse.SUPPRESS} if suppress else {}),
                         help="machine-readable output")
@@ -229,6 +236,8 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole parser tree: help, usage errors and what ``_direct`` declines."""
+    import argparse   # only here and for errors: a plain argv never loads it
+
     parser = argparse.ArgumentParser(
         prog="flagsplit",
         description="Exact root-system, character and Frobenius-splitting checks.",
@@ -253,7 +262,7 @@ def _dest(name: str) -> str:
     return name.lstrip("-").replace("-", "_")
 
 
-def _direct(argv: list[str]) -> Optional[argparse.Namespace]:
+def _direct(argv: list[str]) -> Optional[types.SimpleNamespace]:
     """``build_parser().parse_args(argv)`` for a plain argv (README), read
     straight from ``_COMMANDS``; None for help, an abbreviated or misplaced
     flag, a missing or bad value: the whole tree parses those."""
@@ -275,7 +284,7 @@ def _direct(argv: list[str]) -> Optional[argparse.Namespace]:
                 return None
             try:
                 args[_dest(flag)] = flags[flag].get("type", str)(value)
-            except (ValueError, argparse.ArgumentTypeError):
+            except Exception:   # int's ValueError or _cap's ArgumentTypeError
                 return None
             given.add(flag)
         if leaf is None and words:   # the command, then its action if it has actions
@@ -298,13 +307,13 @@ def _direct(argv: list[str]) -> Optional[argparse.Namespace]:
         if value not in kwargs.get("choices", [value]):
             return None
         args[name] = value
-    return argparse.Namespace(**args)
+    return types.SimpleNamespace(**args)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> types.SimpleNamespace:
     # the whole tree; argparse drops a "--" value (--weight=--), leaving []
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, types.SimpleNamespace())
     for dest, value in vars(args).items():
         if value == []:
             parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
@@ -331,13 +340,17 @@ def _cmd_rs(args) -> int:
             for r in rs.positive_roots
         ],
     }
-    _emit(obj, lambda: [
-        f"{rs.type_label}{rs.rank}: {rs.num_positive_roots} positive roots, "
-        f"Coxeter number {rs.coxeter_number}",
-        f"rho = {list(rs.rho)}",
-        f"good primes: p >= {rs.minimal_good_prime()} (bad: {list(rs.bad_primes) or 'none'})",
-        "positive roots (simple | fundamental):",
-    ] + [f"  {list(r.simple)} | {list(r.fund)}" for r in rs.positive_roots], args.json)
+
+    def lines() -> Iterator[str]:
+        yield (f"{rs.type_label}{rs.rank}: {rs.num_positive_roots} positive roots, "
+               f"Coxeter number {rs.coxeter_number}")
+        yield f"rho = {list(rs.rho)}"
+        yield f"good primes: p >= {rs.minimal_good_prime()} (bad: {list(rs.bad_primes) or 'none'})"
+        yield "positive roots (simple | fundamental):"
+        for r in rs.positive_roots:
+            yield f"  {list(r.simple)} | {list(r.fund)}"
+
+    _emit(obj, lines, args.json)
     return 0
 
 
@@ -358,13 +371,12 @@ def _cmd_weight_reduce(args) -> int:
         obj["dominant_weight"] = list(trace.dominant_weight)
         obj["remaining_degree"] = trace.remaining_degree
 
-    def lines() -> list[str]:
+    def lines() -> Iterator[str]:
         if trace.outcome == "dominant":
-            return [
-                f"Dominant({list(trace.dominant_weight)}, {trace.remaining_degree}) "
-                f"via steps {list(trace.steps)}"
-            ]
-        return [f"AllCohomologyVanishes via steps {list(trace.steps)}"]
+            yield (f"Dominant({list(trace.dominant_weight)}, {trace.remaining_degree}) "
+                   f"via steps {list(trace.steps)}")
+        else:
+            yield f"AllCohomologyVanishes via steps {list(trace.steps)}"
 
     _emit(obj, lines, args.json)
     return 0
@@ -420,17 +432,15 @@ def _cmd_filt(args) -> int:
         "all_ok": gs.all_ok,
     }
 
-    def lines() -> list[str]:
-        out = []
+    def lines() -> Iterator[str]:
         for d in degrees:
             dec = d["decomposition"]
             summary = (
                 " + ".join(f"{e['mult']}*H0({e['lambda']})" for e in dec["entries"])
                 if dec["ok"] else f"FAILS at {dec['failure_weight']} x{dec['failure_mult']}"
             )
-            out.append(f"degree {d['degree']}: dim {d['dimension']} = {summary or '0'}")
-        out.append("all degrees decompose" if gs.all_ok else "counterexample found")
-        return out
+            yield f"degree {d['degree']}: dim {d['dimension']} = {summary or '0'}"
+        yield "all degrees decompose" if gs.all_ok else "counterexample found"
 
     _emit(obj, lines, args.json)
     return 0 if gs.all_ok else 1
@@ -455,9 +465,9 @@ def _cmd_g1(args) -> int:
             for i, ch in sorted(table.items())
         ],
     }
-    _emit(obj, lambda: [
+    _emit(obj, lambda: (
         f"H^{i}: dim {ch.dimension()}" for i, ch in sorted(table.items())
-    ], args.json)
+    ), args.json)
     return 0
 
 
@@ -534,11 +544,10 @@ def _cmd_sln(args) -> int:
                 obj["witness_exponent"] = list(cres.witness_exponent)
             code = max(code, 0 if cres.ok else 1)
 
-        def lines() -> list[str]:
-            out = [f"component has {comp.poly.term_count()} terms; splitting: {res.ok}"]
+        def lines() -> Iterator[str]:
+            yield f"component has {comp.poly.term_count()} terms; splitting: {res.ok}"
             if args.compat:
-                out.append(f"compatibility with I={list(subset)}: {cres.ok}")
-            return out
+                yield f"compatibility with I={list(subset)}: {cres.ok}"
 
         _emit(obj, lines, args.json)
         return code
@@ -557,11 +566,14 @@ def _cmd_sln(args) -> int:
                 for d in res.directions
             ],
         }
-        _emit(obj, lambda: [f"canonical: {res.ok} (T-invariant: {res.t_invariant})"] + [
-            f"  direction {d.simple_index}: t-degree {d.t_degree}, "
-            f"degree ok {d.degree_ok}, weights ok {d.weights_ok}"
-            for d in res.directions
-        ], args.json)
+
+        def lines() -> Iterator[str]:
+            yield f"canonical: {res.ok} (T-invariant: {res.t_invariant})"
+            for d in res.directions:
+                yield (f"  direction {d.simple_index}: t-degree {d.t_degree}, "
+                       f"degree ok {d.degree_ok}, weights ok {d.weights_ok}")
+
+        _emit(obj, lines, args.json)
         return 0 if res.ok else 1
     subset = _parse_ints(args.subset)
     variables, res = slnsplit.splitting_check(args.n, args.p, subset, term_cap=args.term_cap)
@@ -587,16 +599,13 @@ def _cmd_verify(args) -> int:
     )
     report = verify.run_suite(args.suite, cfg, n=args.n, p=args.p)
 
-    def lines() -> list[str]:
+    def lines() -> Iterator[str]:
         marks = {"pass": "ok  ", "fail": "FAIL", "skip": "skip"}
-        out = [
-            f"[{marks[c.status]}] {c.name}  {c.elapsed_s:.2f}s"
-            + (f"  ({c.detail})" if c.detail else "")
-            for c in report.checks
-        ]
+        for c in report.checks:
+            yield (f"[{marks[c.status]}] {c.name}  {c.elapsed_s:.2f}s"
+                   + (f"  ({c.detail})" if c.detail else ""))
         n_fail = sum(1 for c in report.checks if c.status == "fail")
-        out.append(f"{len(report.checks)} checks, {n_fail} failures, {report.elapsed_s:.2f}s")
-        return out
+        yield f"{len(report.checks)} checks, {n_fail} failures, {report.elapsed_s:.2f}s"
 
     _emit(report.to_json_obj(), lines, args.json)
     return report.exit_code

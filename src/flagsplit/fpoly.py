@@ -13,8 +13,7 @@ terms sorted lexicographically by exponent vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
 
@@ -57,17 +56,17 @@ def _exponent_fields(nvars: int, top: int):
     return pack, unpack, nvars * width
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(NamedTuple("PrimeField", [("p", int)])):
     """The field with p elements; primality is checked at construction."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not 2 <= self.p <= 2**31:
-            raise InputError(f"characteristic must be an integer in [2, 2^31], got {self.p}")
-        if not is_prime(self.p):
-            raise InputError(f"{self.p} is not prime")
+    def __new__(cls, p: int):
+        if not isinstance(p, int) or not 2 <= p <= 2**31:
+            raise InputError(f"characteristic must be an integer in [2, 2^31], got {p}")
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
 
 class SparsePolynomial:
@@ -344,8 +343,7 @@ def frobenius_trace(
     return SparsePolynomial._from_terms(p, f.variables, out)
 
 
-@dataclass(frozen=True)
-class SplittingCheck:
+class SplittingCheck(NamedTuple):
     """Result of the affine splitting criterion, with a witness on failure.
 
     The witness is the all-(p-1) exponent vector when its coefficient
@@ -374,17 +372,17 @@ def is_splitting_function(f: SparsePolynomial) -> SplittingCheck:
     return SplittingCheck(True)
 
 
-@dataclass(frozen=True)
-class VariableIdeal:
+class VariableIdeal(NamedTuple("VariableIdeal", [("generators", tuple[int, ...])])):
     """Monomial ideal generated by a nonempty set of variables (0-based indices)."""
 
-    generators: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.generators:
+    def __new__(cls, generators: tuple[int, ...]):
+        if not generators:
             raise InputError("a variable ideal needs at least one generator")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise InputError("duplicate generators")
+        return super().__new__(cls, generators)
 
     @classmethod
     def from_names(cls, f: SparsePolynomial, names: Iterable[str]) -> "VariableIdeal":
@@ -399,8 +397,7 @@ class VariableIdeal:
         return any(e[i] > 0 for i in self.generators)
 
 
-@dataclass(frozen=True)
-class CompatibilityCheck:
+class CompatibilityCheck(NamedTuple):
     ok: bool
     witness_exponent: Optional[tuple[int, ...]] = None
     witness_trace: Optional[SparsePolynomial] = None

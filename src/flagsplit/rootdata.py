@@ -20,11 +20,12 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Weight = tuple[int, ...]
 
@@ -303,6 +304,8 @@ class RootSystem:
         return (sum(a * b for a, b in zip(row, lam)) for row in self._coord_num)
 
     def to_simple_coords(self, lam: Sequence[int]) -> tuple[Fraction, ...]:
+        from fractions import Fraction   # kept off the import path: only this method uses it
+
         lam = self._check_weight(lam)
         return tuple(Fraction(x, self._coord_den) for x in self._scaled_simple_coords(lam))
 
@@ -459,8 +462,7 @@ class RootSystem:
         return f"RootSystem({self.type_label}{self.rank})"
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Record of one run of the cone reduction."""
 
     steps: tuple[int, ...]
@@ -470,8 +472,7 @@ class ReductionTrace:
     remaining_degree: Optional[int]
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
+class ParabolicSubset(NamedTuple):
     """A subset I of simple roots with the derived nilradical data."""
 
     rs: RootSystem

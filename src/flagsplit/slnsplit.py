@@ -32,10 +32,9 @@ grading torsion-free, so the t-degree and weights follow from the minors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
 from .fpoly import (
@@ -54,8 +53,7 @@ from .rootdata import Weight, build_root_system
 Matrix = list[list[SparsePolynomial]]
 
 
-@dataclass(frozen=True)
-class ChartFunction:
+class ChartFunction(NamedTuple):
     """A polynomial on a chart of the cotangent-bundle model, with the matrix
     position of each of its variables."""
 
@@ -423,7 +421,7 @@ def splitting_check(
 def mvk_component(cf: ChartFunction) -> ChartFunction:
     """Homogeneous component of fibre degree N(p-1), the distinguished
     homogeneous splitting, as a function on the same chart."""
-    return replace(cf, poly=cf.x_degree_component(cf.num_x * (cf.p - 1)))
+    return cf._replace(poly=cf.x_degree_component(cf.num_x * (cf.p - 1)))
 
 
 def levi_x_ideal(cf: ChartFunction, subset: Sequence[int]) -> Optional[VariableIdeal]:
@@ -452,16 +450,14 @@ def compat_check(
     return splits_ideal_compatibly(cf.poly, ideal, enum_cap=enum_cap)
 
 
-@dataclass(frozen=True)
-class DirectionReport:
+class DirectionReport(NamedTuple):
     simple_index: int
     t_degree: int
     degree_ok: bool
     weights_ok: bool
 
 
-@dataclass(frozen=True)
-class CanonicalCheck:
+class CanonicalCheck(NamedTuple):
     ok: bool
     t_invariant: bool
     directions: tuple[DirectionReport, ...]

@@ -11,41 +11,38 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import charalg, fpoly, slnsplit
 from .errors import InputError, ResourceLimitError
-from .rootdata import build_root_system, parabolic_subset
+from .rootdata import DEFAULT_WEYL_ORDER_CAP, build_root_system, parabolic_subset
 
 SUITES = ("rootdata", "charalg", "fpoly", "sln", "full")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     term_cap: int = charalg.DEFAULT_TERM_CAP
     dim_cap: int = charalg.DEFAULT_DIM_CAP
-    weyl_order_cap: int = 1152
+    weyl_order_cap: int = DEFAULT_WEYL_ORDER_CAP
     enum_cap: int = fpoly.DEFAULT_ENUM_CAP
     seed: int = 0
     rank_cap: int = 3
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str            # "pass" | "fail" | "skip"
     detail: str = ""
     elapsed_s: float = 0.0   # shown in text mode only, never in --json
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     config: RunConfig
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
     elapsed_s: float = 0.0
 
     @property

@@ -8,6 +8,7 @@ import json
 import pathlib
 import random
 import re
+import tracemalloc
 import types
 
 import pytest
@@ -153,6 +154,38 @@ def test_emit_writes_one_block_at_a_time():
         assert main(["char", "weyl", "E8", "--weight", "0,0,0,0,0,0,0,1", "--json"]) == 0
     assert len(json.loads(out.getvalue())["character"]) == 26401
     assert max(out.sizes) < len(out.getvalue()) / 10
+
+
+class _Sink:
+    # a stdout that keeps only the number, the largest and the total size of its writes
+    def __init__(self):
+        self.writes = self.largest = self.total = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.largest = max(self.largest, len(text))
+        self.total += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_emit_prints_text_one_line_at_a_time():
+    # E8 at omega_8: 26,401 weight lines; text mode holds one line at a time,
+    # so printing them allocates far less than the text it writes
+    ch = charalg.weyl_character(parse_system("E8"), (0,) * 7 + (1,))
+    out = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._emit({}, lambda: cli._char_lines(ch), False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    longest = max(len(f"  {list(w)}  x{m}") for w, m in ch.items())
+    assert out.writes >= 26402 and out.largest <= longest
+    assert out.total > 700_000 and peak < out.total / 2, (peak, out.total)
 
 
 def _two_variable_poly(tmp_path, name, p, terms):
@@ -776,3 +809,28 @@ def test_double_dash_value_exits_2_without_a_traceback(argv):
                          text=True, env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 2 and run.stdout == ""
     assert "expected one argument" in run.stderr and "Traceback" not in run.stderr
+
+
+def test_cli_import_leaves_out_the_heavy_standard_modules():
+    # every call pays for what importing flagsplit.cli loads; records are
+    # NamedTuples and argparse runs only for help and usage errors, while the
+    # benchmark's tracer needs every flagsplit module loaded (-S: no site hooks)
+    import os
+    import subprocess
+    import sys
+
+    import flagsplit
+
+    src = os.path.dirname(os.path.dirname(flagsplit.__file__))
+    probe = ("import json, sys\n"
+             "from flagsplit import cli\n"
+             "code = cli.main(['sln', 'check', '--n', '2', '--p', '3', '--json'])\n"
+             "print(json.dumps([code, sorted(sys.modules)]))\n")
+    run = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    code, modules = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0 and json.loads("".join(run.stdout.splitlines()[:-1])) == {"splitting": True}
+    assert not {"dataclasses", "argparse", "fractions", "decimal", "inspect"} & set(modules)
+    assert {f"flagsplit.{name}" for name in
+            ("rootdata", "charalg", "fpoly", "slnsplit", "verify", "cli")} <= set(modules)

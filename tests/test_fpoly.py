@@ -3,11 +3,12 @@ ideal compatibility and the file format."""
 
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from flagsplit import fpoly, verify
+from flagsplit import charalg, fpoly, slnsplit, verify
 from flagsplit.errors import InputError, ResourceLimitError
 from flagsplit.fpoly import (
     PrimeField,
@@ -22,7 +23,7 @@ from flagsplit.fpoly import (
     save_poly,
     splits_ideal_compatibly,
 )
-
+from flagsplit.rootdata import ReductionTrace, build_root_system, parabolic_subset
 from flagsplit.slnsplit import build_chart_function
 
 from oracles import (
@@ -39,16 +40,98 @@ def mk(p, names, terms):
 
 
 def test_prime_field():
-    assert PrimeField(2).p == 2
-    with pytest.raises(InputError):
-        PrimeField(1)
-    with pytest.raises(InputError):
+    assert PrimeField(2).p == 2 == PrimeField(p=2).p
+    for bad in (1, "7", 2**31 + 11):
+        with pytest.raises(InputError, match=re.escape(
+                f"characteristic must be an integer in [2, 2^31], got {bad}")):
+            PrimeField(bad)
+    with pytest.raises(InputError, match="^6 is not prime$"):
         PrimeField(6)
     assert is_prime(2) and is_prime(97) and not is_prime(91)
     # the largest allowed characteristic
     assert PrimeField(2**31 - 1).p == 2**31 - 1
-    with pytest.raises(InputError):
-        PrimeField(2**31 + 11)
+
+
+def test_variable_ideal():
+    assert VariableIdeal((0, 2)).generators == (0, 2) == VariableIdeal(generators=(0, 2)).generators
+    with pytest.raises(InputError, match="^a variable ideal needs at least one generator$"):
+        VariableIdeal(())
+    with pytest.raises(InputError, match="^duplicate generators$"):
+        VariableIdeal((1, 0, 1))
+    f = mk(3, ("x", "y", "z"), {(0, 0, 0): 1})
+    assert VariableIdeal.from_names(f, ["z", "x"]) == VariableIdeal((0, 2))
+    assert VariableIdeal((0, 2)).contains_monomial((0, 1, 3))
+    assert not VariableIdeal((0, 2)).contains_monomial((0, 1, 0))
+
+
+def _records():
+    # (record, its repr): one instance of each record type of the library
+    A1, A2 = build_root_system("A", 1), build_root_system("A", 2)
+    graded = charalg.GradedCharacter(((0, charalg.Character.zero(A1)),))
+    dec = charalg.GoodFiltrationDecomposition(True, (((1,), 1),))
+    chart = slnsplit.build_chart_function(1, 2)
+    direction = slnsplit.DirectionReport(1, 1, True, True)
+    config = verify.RunConfig()
+    result = verify.CheckResult("sln.x", "pass")
+    config_repr = ("RunConfig(term_cap=1000000, dim_cap=1000000, weyl_order_cap=1152, "
+                   "enum_cap=1000000, seed=0, rank_cap=3)")
+    result_repr = "CheckResult(name='sln.x', status='pass', detail='', elapsed_s=0.0)"
+    return [
+        (graded, "GradedCharacter(pieces=((0, Character()),))"),
+        (dec, "GoodFiltrationDecomposition(ok=True, entries=(((1,), 1),), "
+              "failure_weight=None, failure_mult=None)"),
+        (charalg.GradedSectionChar(graded, ((0, dec),)),
+         f"GradedSectionChar(graded={graded!r}, decompositions=((0, {dec!r}),))"),
+        (charalg.KoszulReport(True, True, False, True, {(0, 0): 1}),
+         "KoszulReport(ok=True, identity_ok=True, vanishing_applicable=False, "
+         "vanishing_ok=True, parabolic_term={(0, 0): 1})"),
+        (PrimeField(7), "PrimeField(p=7)"),
+        (fpoly.SplittingCheck(False, (1, 1)), "SplittingCheck(ok=False, witness=(1, 1))"),
+        (VariableIdeal((0, 2)), "VariableIdeal(generators=(0, 2))"),
+        (fpoly.CompatibilityCheck(False, (1,), mk(2, ("x",), {(0,): 1})),
+         "CompatibilityCheck(ok=False, witness_exponent=(1,), witness_trace=1)"),
+        (ReductionTrace((1,), ((-1,),), "dominant", (1,), 0),
+         "ReductionTrace(steps=(1,), intermediates=((-1,),), outcome='dominant', "
+         "dominant_weight=(1,), remaining_degree=0)"),
+        (parabolic_subset(A2, [1]), "ParabolicSubset(RootSystem(A2), I=[1])"),
+        (chart, f"ChartFunction(poly={chart.poly!r}, n=1, p=2, positions=((2, 1), (1, 2)), "
+                "x_start=1, subset=frozenset())"),
+        (direction, "DirectionReport(simple_index=1, t_degree=1, degree_ok=True, weights_ok=True)"),
+        (slnsplit.CanonicalCheck(False, True, (direction,)),
+         f"CanonicalCheck(ok=False, t_invariant=True, directions=({direction!r},))"),
+        (config, config_repr),
+        (result, result_repr),
+        (verify.Report("verify sln", config, [result], 0.5),
+         f"Report(command='verify sln', config={config_repr}, checks=[{result_repr}], "
+         "elapsed_s=0.5)"),
+    ]
+
+
+@pytest.mark.parametrize("record, text", [pytest.param(*case, id=type(case[0]).__name__)
+                                          for case in _records()])
+def test_records_are_immutable_values(record, text):
+    # frozen values, hashed and shown as the former frozen dataclasses were;
+    # verify's three records were mutable and unhashable, and are now neither
+    assert record == record and repr(record) == text
+    values = tuple(getattr(record, name) for name in record._fields)
+    try:
+        want = hash(values)
+    except TypeError:   # a dict, list, Character or polynomial field
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == want
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], values[0])
+    assert record._replace() == record
+
+
+def test_check_records_are_true_iff_ok():
+    direction = slnsplit.DirectionReport(1, 1, True, True)
+    for ok in (True, False):
+        assert bool(fpoly.SplittingCheck(ok)) is ok
+        assert bool(fpoly.CompatibilityCheck(ok)) is ok
+        assert bool(slnsplit.CanonicalCheck(ok, True, (direction,))) is ok
 
 
 def test_arithmetic_does_not_revalidate_the_characteristic(monkeypatch):

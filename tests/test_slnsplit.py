@@ -1,7 +1,6 @@
 """Chart splitting functions for SL_{n+1}: construction, splitting checks,
 homogeneous component, compatibility, canonical condition, parabolic case."""
 
-import dataclasses
 import itertools
 import os
 import random
@@ -492,7 +491,7 @@ def test_verify_sln_flags_a_direct_component_that_differs(monkeypatch):
     def shifted(n, p, term_cap):
         comp = component(n, p, term_cap)
         one = SparsePolynomial.constant(p, comp.poly.variables, 1)
-        return dataclasses.replace(comp, poly=comp.poly + one)
+        return comp._replace(poly=comp.poly + one)
 
     monkeypatch.setattr(slnsplit, "build_mvk_component", shifted)
     checks = {c.name: c for c in suite_sln(RunConfig(), n=2, p=2)}
