@@ -11,15 +11,23 @@ coefficients (``KoszulReport.parabolic_term`` is such a dict), and weights
 are expanded only for display.  On a W-invariant character given from
 outside, the same map is its good-filtration decomposition.
 
+A sum sum_nu k_nu ch(nu) is expanded in one pass: Demazure's character
+formula ch(nu) = D_w0(e^nu) (Demazure, Bull. Sci. Math. 98 (1974); proved
+by Frobenius splitting of Schubert varieties in Andersen, Invent. Math. 79
+(1985)) applies the Demazure operators along a reduced word of w0 to
+sum_nu k_nu e^nu, with weights packed into ints.  A single Euler
+characteristic (:func:`euler_char`) is one signed Weyl character.
+
 All arithmetic is exact.  Expensive operations take explicit caps
 (``dim_cap`` on the Weyl dimension of any single irreducible piece,
-``term_cap`` on the number of stored weights) and raise
-:class:`ResourceLimitError` rather than truncating.
+``term_cap`` on the number of stored weights, checked after each Demazure
+operator of an expansion) and raise :class:`ResourceLimitError` rather than
+truncating.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
@@ -27,9 +35,6 @@ from .fpoly import DEFAULT_TERM_CAP, is_prime
 from .rootdata import ParabolicSubset, RootSystem, Weight, parabolic_subset
 
 DEFAULT_DIM_CAP = 10**6
-
-# Weyl characters by (root system, highest weight), as weight multiplicities.
-_WEYL_CHARACTERS: dict[tuple[RootSystem, Weight], dict[Weight, int]] = {}
 
 
 class Character:
@@ -121,7 +126,9 @@ class Character:
         return [{"weight": list(w), "mult": m} for w, m in self.items()]
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{w}:{m}" for w, m in list(self.items())[:6])
+        from heapq import nsmallest   # kept off the import path: only this method uses it
+
+        parts = ", ".join(f"{w}:{self.mults[w]}" for w in nsmallest(6, self.mults))
         more = "" if len(self.mults) <= 6 else f", ... ({len(self.mults)} weights)"
         return f"Character({parts}{more})"
 
@@ -240,15 +247,11 @@ def weyl_character(
     dim = weyl_dimension(rs, lam)   # also validates dominance
     if dim > dim_cap:
         raise ResourceLimitError(f"Weyl dimension {dim} exceeds cap {dim_cap}")
-    cached = _WEYL_CHARACTERS.get((rs, lam))
-    if cached is not None:
-        return Character._from_mults(rs, dict(cached))
     ch = Character._from_mults(rs, _freudenthal_table(rs, lam))
     if ch.dimension() != dim:
         raise InvariantError(
             f"Freudenthal gives dimension {ch.dimension()} for {lam}, Weyl's formula {dim}"
         )
-    _WEYL_CHARACTERS[(rs, lam)] = dict(ch.mults)
     return ch
 
 
@@ -275,9 +278,16 @@ def euler_char(
     """Signed Euler characteristic of the line bundle of an arbitrary weight.
 
     Dot-reflect ``lam`` to the dominant chamber; a singular ``lam + rho``
-    yields the zero character.
+    yields the zero character, and otherwise the result is the Weyl
+    character of the dominant dot-conjugate, negated after an odd number
+    of reflections.
     """
-    return module_euler(rs, Character.trivial(rs), lam, dim_cap=dim_cap)
+    lam = rs._check_weight(lam)
+    dom, steps = rs._dominant(tuple(c + 1 for c in lam))
+    if 0 in dom:
+        return Character.zero(rs)
+    ch = weyl_character(rs, tuple(c - 1 for c in dom), dim_cap=dim_cap)
+    return -ch if steps % 2 else ch
 
 
 def module_euler(
@@ -293,21 +303,71 @@ def module_euler(
     return _expand(rs, _weyl_coefficients(rs, module.shift(lam).mults), dim_cap, term_cap)
 
 
+def _w0_word(rs: RootSystem) -> list[int]:
+    # A reduced word of the longest element w0, as 0-based simple indices:
+    # rho is lowered to w0 rho = -rho one simple reflection s_i (v_i > 0)
+    # at a time, and each such step lengthens the element by one.
+    word = []
+    v = rs.rho
+    while max(v) > 0:
+        i = next(k for k, c in enumerate(v) if c > 0)
+        v = tuple(a - v[i] * b for a, b in zip(v, rs.cartan[i]))
+        word.append(i)
+    return word
+
+
 def _expand(
     rs: RootSystem, coeffs: dict[Weight, int], dim_cap: int, term_cap: int
 ) -> Character:
-    # sum_nu k_nu weyl_character(nu) as weight multiplicities
-    out: dict[Weight, int] = {}
-    for nu, k in sorted(coeffs.items()):
-        for w, c in weyl_character(rs, nu, dim_cap=dim_cap).mults.items():
-            v = out.get(w, 0) + k * c
-            if v:
-                out[w] = v
-            else:
-                del out[w]
+    # sum_nu k_nu weyl_character(nu) = D_w0(sum_nu k_nu e^nu) by Demazure's
+    # character formula, one Demazure operator per letter of a reduced word
+    # of w0.  D_i sends e^mu, with a = mu_i, to e^mu + e^(mu - alpha_i) + ...
+    # + e^(s_i mu) when a >= 0, to 0 when a = -1, and to minus the terms
+    # strictly between mu and s_i mu when a <= -2.
+    nus = sorted(coeffs)
+    expected = 0
+    for nu in nus:
+        dim = weyl_dimension(rs, nu)
+        if dim > dim_cap:
+            raise ResourceLimitError(f"Weyl dimension {dim} exceeds cap {dim_cap}")
+        expected += coeffs[nu] * dim
+    # Every weight met lies in the convex hull of the orbits W nu, so no
+    # coordinate exceeds the largest <nu, beta^vee> in absolute value, and a
+    # field per coordinate biased by one more holds it: mu - alpha_i is then
+    # one int subtraction that cannot carry between fields.
+    bias = 1 + max((sum(map(mul, r.coroot, nu)) for r in rs.positive_roots for nu in nus),
+                   default=0)
+    width = (2 * bias).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, width * rs.rank, width)
+    cur = {sum((c + bias) << s for c, s in zip(nu, shifts)): coeffs[nu] for nu in nus}
+    for i in _w0_word(rs):
+        alpha = sum(a << s for a, s in zip(rs.cartan[i], shifts))
+        shift = shifts[i]
+        out: dict[int, int] = {}
+        get = out.get
+        for x, k in cur.items():
+            a = ((x >> shift) & mask) - bias
+            if a >= 0:
+                for y in range(x, x - (a + 1) * alpha, -alpha):
+                    out[y] = get(y, 0) + k
+            elif a < -1:
+                for y in range(x + alpha, x - a * alpha, alpha):
+                    out[y] = get(y, 0) - k
+        # a multiplicity that cancels to 0 keeps its key, which only spreads
+        # zeros, until the keys exceed the cap; then only nonzero ones count
         if len(out) > term_cap:
-            raise ResourceLimitError(f"module Euler characteristic exceeds term cap {term_cap}")
-    return Character._from_mults(rs, out)
+            out = {x: k for x, k in out.items() if k}
+            if len(out) > term_cap:
+                raise ResourceLimitError(f"module Euler characteristic exceeds term cap {term_cap}")
+        cur = out
+    mults = {tuple(((x >> s) & mask) - bias for s in shifts): k for x, k in cur.items() if k}
+    total = sum(mults.values())
+    if total != expected:
+        raise InvariantError(
+            f"Demazure expansion gives dimension {total}, Weyl's formula {expected}"
+        )
+    return Character._from_mults(rs, mults)
 
 
 # -- symmetric / exterior / truncated algebras -----------------------------

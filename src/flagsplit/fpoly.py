@@ -161,8 +161,11 @@ class SparsePolynomial:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
+        from heapq import nsmallest   # kept off the import path: only this method uses it
+
         bits = []
-        for e, c in self.sorted_terms()[:8]:
+        for e in nsmallest(8, self.terms):
+            c = self.terms[e]
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.variables, e) if k

@@ -35,6 +35,8 @@ precomputed root multiples, and dominant weight multiplicities by
 Freudenthal's recursion reading each m(mu + k alpha) at the dominant
 conjugate found by make_dominant, with every inner product recomputed,
 instead of one orbit-filled weight table with stepped inner products,
+sums of Weyl characters by adding one Freudenthal table per character
+instead of one Demazure pass over packed weights,
 symmetrizers and the inverse transposed Cartan matrix by Fraction
 arithmetic instead of integers scaled as they go and fraction-free
 elimination, and verify's random polynomials by random.randint instead of
@@ -348,6 +350,25 @@ def euler_by_weyl_search(rs: RootSystem, module: Character, lam) -> Character:
             sign = (-1) ** len(word)
             out = out + sign * m * weyl_character(rs, tuple(c - 1 for c in moved))
     return out
+
+
+def expand_by_freudenthal(
+    rs: RootSystem, coeffs: dict[Weight, int], dim_cap: int = DEFAULT_DIM_CAP,
+    term_cap: int = CHAR_TERM_CAP,
+) -> Character:
+    """sum_nu k_nu weyl_character(nu): one Freudenthal table per nu, added
+    weight by weight in sorted order of nu."""
+    out: dict[Weight, int] = {}
+    for nu, k in sorted(coeffs.items()):
+        for w, c in weyl_character(rs, nu, dim_cap=dim_cap).mults.items():
+            v = out.get(w, 0) + k * c
+            if v:
+                out[w] = v
+            else:
+                del out[w]
+        if len(out) > term_cap:
+            raise ResourceLimitError(f"module Euler characteristic exceeds term cap {term_cap}")
+    return Character(rs, out)
 
 
 class ExpandedKoszulReport(NamedTuple):

@@ -3,6 +3,7 @@ filtration decompositions and the reduction identities."""
 
 import inspect
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -34,6 +35,7 @@ from oracles import (
     brute_exterior_power,
     brute_sym_power,
     euler_by_weyl_search,
+    expand_by_freudenthal,
     freudenthal_by_dominant_lookup,
     greedy_peel,
     koszul_by_expansion,
@@ -130,28 +132,20 @@ def _assert_matches_lookup_oracle(rs, lam):
 
 @pytest.mark.parametrize("case", E_WEIGHTS + OTHER_WEYL_WEIGHTS,
                          ids=lambda c: f"{c[0]}{c[1]}-{''.join(map(str, c[2]))}")
-def test_weyl_character_matches_lookup_oracle_benchmark_weights(monkeypatch, case):
+def test_weyl_character_matches_lookup_oracle_benchmark_weights(case):
     # the `char weyl` highest weights of the benchmark, E7 and E8 included
-    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
     type_label, rank, lam = case
     _assert_matches_lookup_oracle(build_root_system(type_label, rank), lam)
 
 
 @pytest.mark.parametrize("rs", [B2, C2, G2], ids=["B2", "C2", "G2"])
-def test_weyl_character_matches_lookup_oracle_graded_sections(monkeypatch, rs):
-    # every nu whose Weyl character the sweep's graded sections at (2,2) expand
-    reached = set()
-    expand = charalg.weyl_character
-
-    def record(rs, nu, **kw):
-        reached.add(tuple(nu))
-        return expand(rs, nu, **kw)
-
-    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
-    monkeypatch.setattr(charalg, "weyl_character", record)
-    graded_section_char(parabolic_subset(rs), (2, 2), 3 if rs.type_label == "G" else 5)
+def test_weyl_character_matches_lookup_oracle_graded_sections(rs):
+    # every nu with a Weyl-basis coefficient in a graded section of the
+    # sweep at (2,2), so every Weyl character that section sums
+    graded = sym_power_graded(parabolic_subset(rs), 3 if rs.type_label == "G" else 5)
+    reached = {nu for _, sym in graded.pieces
+               for nu in charalg._weyl_coefficients(rs, sym.shift((2, 2)).mults)}
     assert len(reached) > 10
-    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
     for nu in sorted(reached):
         _assert_matches_lookup_oracle(rs, nu)
 
@@ -216,6 +210,119 @@ def test_module_euler_matches_weyl_group_search():
             })
             lam = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
             assert module_euler(rs, module, lam) == euler_by_weyl_search(rs, module, lam)
+
+
+def test_euler_char_matches_module_euler():
+    # seeded weights in A1 to C3: singular ones give zero, and both signs occur
+    rng = random.Random(37)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for rs in (A1, A2, B2, C2, G2, *(build_root_system(t, 3) for t in "ABC")):
+        for _ in range(30):
+            lam = tuple(rng.randint(-6, 4) for _ in range(rs.rank))
+            ch = euler_char(rs, lam)
+            assert ch == module_euler(rs, Character.trivial(rs), lam), (rs, lam)
+            dim = ch.dimension()
+            signs[(dim > 0) - (dim < 0)] += 1
+    assert all(signs.values()), signs
+
+
+def test_euler_char_reads_one_weyl_character(monkeypatch):
+    calls = []
+    weyl = charalg.weyl_character
+
+    def record(rs, lam, dim_cap):
+        calls.append(lam)
+        return weyl(rs, lam, dim_cap=dim_cap)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("euler_char expanded a sum")
+
+    monkeypatch.setattr(charalg, "weyl_character", record)
+    monkeypatch.setattr(charalg, "_expand", refuse)
+    assert euler_char(A2, (-4, 1)) == weyl(A2, (1, 0))   # two dot-reflections
+    assert euler_char(A2, (-2, 3)) == -weyl(A2, (0, 2))   # one
+    assert not euler_char(A2, (-2, 0))
+    assert calls == [(1, 0), (0, 2)]
+    with pytest.raises(ResourceLimitError, match="Weyl dimension 120 exceeds cap 100$"):
+        euler_char(A2, (-13, 9), dim_cap=100)
+
+
+# -- expansion of Weyl-basis sums --------------------------------------------------
+
+def _section_coefficients(rs, lam, n_max):
+    # the Weyl-basis coefficients of each degree of the Borel graded sections
+    graded = sym_power_graded(parabolic_subset(rs), n_max)
+    return [charalg._weyl_coefficients(rs, sym.shift(lam).mults) for _, sym in graded.pieces]
+
+
+def _expansion_cases():
+    rank2 = [(rs, lam, 3 if rs.type_label == "G" else 5) for rs in (A1, A2, B2, C2, G2)
+             for lam in itertools.product(range(-1, 3), repeat=rs.rank) if rs.in_cone_c(lam)]
+    assert len(rank2) == 59
+    rank3 = [(build_root_system(t, 3), lam, n_max) for t, n_max in (("A", 4), ("B", 3), ("C", 3))
+             for lam in itertools.product((0, 1), repeat=3)]
+    # criterion 11: g1 at lam = (1, ..., 1) reads degrees up to 3 on A1 and A2
+    g1 = [(rs, (1,) * rs.rank, 3) for rs in (A1, A2)]
+    d4 = [(build_root_system("D", 4), (1, 1, 1, 1), 2)]
+    return rank2 + rank3 + g1 + d4
+
+
+@pytest.mark.parametrize(
+    "case", _expansion_cases(),
+    ids=lambda c: f"{c[0].type_label}{c[0].rank}-{','.join(map(str, c[1]))}-d{c[2]}")
+def test_expand_matches_freudenthal_oracle_on_sections(case):
+    rs, lam, n_max = case
+    for coeffs in _section_coefficients(rs, lam, n_max):
+        assert charalg._expand(rs, coeffs, charalg.DEFAULT_DIM_CAP, charalg.DEFAULT_TERM_CAP) \
+            == expand_by_freudenthal(rs, coeffs), (coeffs, case)
+
+
+def test_expand_matches_freudenthal_oracle_on_signed_sums():
+    # seeded signed coefficients: k ch(nu) - k ch(nu - beta) for a positive
+    # root beta, plus a few more, so Weyl characters cancel weight by weight
+    rng = random.Random(41)
+    cancelled = 0
+    for rs in (A1, A2, B2, C2, G2, *(build_root_system(t, 3) for t in "ABC")):
+        top = 3 if rs.rank <= 2 else 2
+        for _ in range(20):
+            nu = tuple(rng.randint(0, top) for _ in range(rs.rank))
+            below = [mu for mu in (tuple(map(operator.sub, nu, r.fund)) for r in rs.positive_roots)
+                     if min(mu) >= 0] or [(0,) * rs.rank]
+            k = rng.randint(1, 3)
+            coeffs = {nu: k}
+            coeffs[rng.choice(below)] = -k
+            for _ in range(rng.randint(0, 3)):
+                extra = tuple(rng.randint(0, top) for _ in range(rs.rank))
+                coeffs[extra] = rng.choice((-2, -1, 1, 2))
+            got = charalg._expand(rs, coeffs, charalg.DEFAULT_DIM_CAP, charalg.DEFAULT_TERM_CAP)
+            assert got == expand_by_freudenthal(rs, coeffs), (rs, coeffs)
+            support = set().union(*(weyl_character(rs, nu).mults for nu in coeffs))
+            cancelled += len(got.mults) < len(support)
+    assert cancelled > 40
+
+
+def test_expand_caps():
+    # the support of every step stays within the final one here, so the
+    # final support is the least term cap that passes
+    for coeffs in _section_coefficients(C2, (2, 2), 5):
+        size = len(charalg._expand(C2, coeffs, 10**6, 10**6).mults)
+        assert len(charalg._expand(C2, coeffs, 10**6, size).mults) == size
+        with pytest.raises(ResourceLimitError,
+                           match=f"module Euler characteristic exceeds term cap {size - 1}$"):
+            charalg._expand(C2, coeffs, 10**6, size - 1)
+    # the dimension cap is checked on every nu first, in sorted order
+    with pytest.raises(ResourceLimitError, match="Weyl dimension 27 exceeds cap 20$"):
+        charalg._expand(A2, {(0, 0): 1, (2, 2): 1, (3, 3): -1}, 20, 1)
+
+
+def test_expand_checks_the_dimension(monkeypatch):
+    # a word one letter short of w0 gives the Demazure character of a
+    # smaller module, which only the dimension check sees (also under -O)
+    word = charalg._w0_word
+    monkeypatch.setattr(charalg, "_w0_word", lambda rs: word(rs)[:-1])
+    with pytest.raises(InvariantError,
+                       match="Demazure expansion gives dimension 5, Weyl's formula 8$"):
+        module_euler(A2, sym_power_char(parabolic_subset(A2), 1), (0, 0))
 
 
 # -- symmetric, exterior, truncated -------------------------------------------
@@ -605,11 +712,18 @@ def test_character_arithmetic():
     assert shifted.multiplicity((2, 1)) == a.multiplicity((1, 0))
     with pytest.raises(InputError):
         a + weyl_character(B2, (1, 0))
-    # a returned character is a copy, fresh or from the memo: changing it
-    # leaves the memo intact
+    # each call builds its own character: changing one leaves the next intact
     a.mults.clear()
     weyl_character(A2, (1, 0)).mults.clear()
     assert weyl_character(A2, (1, 0)).dimension() == 3
+
+
+def test_character_repr_shows_the_six_smallest_weights():
+    assert repr(weyl_character(A2, (2, 1))) == (
+        "Character((-3, 2):1, (-2, 0):1, (-2, 3):1, (-1, -2):1, (-1, 1):2, (0, -1):2, "
+        "... (12 weights))")
+    assert repr(-weyl_character(A1, (3,))) == "Character((-3,):-1, (-1,):-1, (1,):-1, (3,):-1)"
+    assert repr(Character.zero(A2)) == "Character()"
 
 
 # An off-by-one inner product breaks Freudenthal: on A2 at (1,1) the
@@ -623,7 +737,6 @@ BROKEN_FREUDENTHAL = [(("A", 2), (1, 1), "Weyl's formula"), (("B", 2), (1, 1), "
 def test_freudenthal_invariants_are_checked(monkeypatch, key, lam, message):
     product = charalg._weight_root_product
     monkeypatch.setattr(charalg, "_weight_root_product", lambda rs, w, r: product(rs, w, r) + 1)
-    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
     with pytest.raises(InvariantError, match=message):
         weyl_character(build_root_system(*key), lam)
 
@@ -634,7 +747,6 @@ def test_freudenthal_rejects_a_multiplicity_below_one(monkeypatch, fault):
     # weight of the weight system must never be entered with m < 1
     product = charalg._weight_root_product
     monkeypatch.setattr(charalg, "_weight_root_product", lambda rs, w, r: fault(product(rs, w, r)))
-    monkeypatch.setattr(charalg, "_WEYL_CHARACTERS", {})
     with pytest.raises(InvariantError, match=r"multiplicity of the dominant weight \(0, 0\) "
                                              r"in the character of \(1, 1\) is -?\d+, not positive"):
         weyl_character(A2, (1, 1))

@@ -251,6 +251,32 @@ def test_zero_coefficients_dropped():
     assert not mk(2, ("x",), {(5,): 2})
 
 
+def _repr_by_sorting(f):
+    # the repr read off all terms sorted, as it was written before
+    if not f.terms:
+        return "0"
+    bits = []
+    for e, c in f.sorted_terms()[:8]:
+        mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(f.variables, e) if k)
+        bits.append(f"{c}*{mono}" if mono else str(c))
+    tail = "" if len(f.terms) <= 8 else f" + ... ({len(f.terms)} terms)"
+    return " + ".join(bits) + tail
+
+
+def test_repr_shows_the_eight_smallest_terms():
+    names = ("x", "y", "z")
+    x, y, z = (SparsePolynomial.variable(7, names, v) for v in names)
+    f = (x + y + z + SparsePolynomial.constant(7, names, 1)) ** 3
+    assert f.term_count() == 20
+    assert repr(f) == ("1 + 3*z + 3*z^2 + 1*z^3 + 3*y + 6*y*z + 3*y*z^2 + 3*y^2"
+                       " + ... (20 terms)")
+    assert repr(SparsePolynomial(7, names, {})) == "0"
+    rng = random.Random(59)
+    for _ in range(40):
+        g = random_poly_by_randint(rng, 5, names, max_terms=rng.choice((1, 3, 8, 9, 30)))
+        assert repr(g) == _repr_by_sorting(g)
+
+
 def test_mul_term_cap():
     names = ("x", "y")
     f = mk(101, names, {(i, 0): 1 for i in range(50)})
