@@ -15,14 +15,25 @@ A sum sum_nu k_nu ch(nu) is expanded in one pass: Demazure's character
 formula ch(nu) = D_w0(e^nu) (Demazure, Bull. Sci. Math. 98 (1974); proved
 by Frobenius splitting of Schubert varieties in Andersen, Invent. Math. 79
 (1985)) applies the Demazure operators along a reduced word of w0 to
-sum_nu k_nu e^nu, with weights packed into ints.  A single Euler
-characteristic (:func:`euler_char`) is one signed Weyl character.
+sum_nu k_nu e^nu.  A single Euler characteristic (:func:`euler_char`) is one
+signed Weyl character.
+
+The Demazure expansion and the products over roots (truncated and exterior
+powers) share one weight layout: each weight is packed into an int, one
+biased field per coordinate with coordinate 0 most significant, sized from a
+proven bound on the coordinates so that no field carries.  Adding a root is
+one int addition, int order is weight order, and the result is decoded once,
+in sorted order.  The truncated character prod_alpha>0 (1 + e^alpha + ... +
+e^((p-1) alpha)) equals e^((p-1) rho) ch St, the Steinberg character at
+(p-1) rho shifted (Jantzen, Representations of Algebraic Groups, II.3.18-19),
+which the tests check against Freudenthal.  Symmetric powers stay on weight
+tuples: their pieces are shifted and fed to Brauer--Klimyk as tuples.
 
 All arithmetic is exact.  Expensive operations take explicit caps
 (``dim_cap`` on the Weyl dimension of any single irreducible piece,
 ``term_cap`` on the number of stored weights, checked after each Demazure
-operator of an expansion) and raise :class:`ResourceLimitError` rather than
-truncating.
+operator of an expansion and after each root of a product) and raise
+:class:`ResourceLimitError` rather than truncating.
 """
 
 from __future__ import annotations
@@ -168,6 +179,45 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     if rem:
         raise InvariantError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
     return dim
+
+
+# -- packed weights ------------------------------------------------------------
+
+class _Packing:
+    # Weights whose coordinates lie in [-bound, bound], packed into ints: one
+    # field per coordinate, biased by bound, coordinate 0 in the most
+    # significant field, so int order is the lexicographic order of weights.
+    # Packing is affine, pack(w) + step(v) == pack(w + v), and no field
+    # carries into the next while w + v is again within the bound; every
+    # caller takes bound from a proven bound on the weights it meets.
+
+    __slots__ = ("bias", "mask", "shifts")
+
+    def __init__(self, rank: int, bound: int):
+        width = (2 * bound + 1).bit_length()
+        self.bias = bound
+        self.mask = (1 << width) - 1
+        self.shifts = range(width * (rank - 1), -1, -width)
+
+    def pack(self, w: Sequence[int]) -> int:
+        return sum((c + self.bias) << s for c, s in zip(w, self.shifts))
+
+    def step(self, v: Sequence[int]) -> int:
+        return sum(c << s for c, s in zip(v, self.shifts))
+
+    def unpack_sorted(self, packed: dict[int, int]) -> dict[Weight, int]:
+        # keyed by weight and inserted in sorted order; decoded a coordinate
+        # at a time over all keys
+        keys = sorted(packed)
+        mask, bias = self.mask, self.bias
+        cols = [[((x >> s) & mask) - bias for x in keys] for s in self.shifts]
+        return dict(zip(zip(*cols), map(packed.__getitem__, keys)))
+
+
+def _root_sum_bound(roots: Sequence[Weight], k: int) -> int:
+    # no coordinate of sum_r c_r r with every |c_r| <= k exceeds
+    # k * sum_r |r_j| in absolute value, whichever roots are taken
+    return k * max(sum(map(abs, col)) for col in zip(*roots))
 
 
 # -- Weyl characters by Freudenthal ----------------------------------------
@@ -332,18 +382,15 @@ def _expand(
             raise ResourceLimitError(f"Weyl dimension {dim} exceeds cap {dim_cap}")
         expected += coeffs[nu] * dim
     # Every weight met lies in the convex hull of the orbits W nu, so no
-    # coordinate exceeds the largest <nu, beta^vee> in absolute value, and a
-    # field per coordinate biased by one more holds it: mu - alpha_i is then
-    # one int subtraction that cannot carry between fields.
-    bias = 1 + max((sum(map(mul, r.coroot, nu)) for r in rs.positive_roots for nu in nus),
-                   default=0)
-    width = (2 * bias).bit_length()
-    mask = (1 << width) - 1
-    shifts = range(0, width * rs.rank, width)
-    cur = {sum((c + bias) << s for c, s in zip(nu, shifts)): coeffs[nu] for nu in nus}
+    # coordinate exceeds the largest <nu, beta^vee> in absolute value; one
+    # more bounds the packing, and mu - alpha_i is one int subtraction.
+    packing = _Packing(rs.rank, 1 + max(
+        (sum(map(mul, r.coroot, nu)) for r in rs.positive_roots for nu in nus), default=0))
+    bias, mask = packing.bias, packing.mask
+    cur = {packing.pack(nu): coeffs[nu] for nu in nus}
     for i in _w0_word(rs):
-        alpha = sum(a << s for a, s in zip(rs.cartan[i], shifts))
-        shift = shifts[i]
+        alpha = packing.step(rs.cartan[i])
+        shift = packing.shifts[i]
         out: dict[int, int] = {}
         get = out.get
         for x, k in cur.items():
@@ -361,7 +408,7 @@ def _expand(
             if len(out) > term_cap:
                 raise ResourceLimitError(f"module Euler characteristic exceeds term cap {term_cap}")
         cur = out
-    mults = {tuple(((x >> s) & mask) - bias for s in shifts): k for x, k in cur.items() if k}
+    mults = packing.unpack_sorted({x: k for x, k in cur.items() if k})
     total = sum(mults.values())
     if total != expected:
         raise InvariantError(
@@ -413,16 +460,20 @@ def exterior_power_char(
     n = rs.num_positive_roots
     if not 0 <= j <= n:
         raise InputError(f"exterior degree {j} out of range 0..{n}")
-    zero = (0,) * rs.rank
-    table: list[dict[Weight, int]] = [{zero: 1}] + [dict() for _ in range(j)]
-    for wt in rs.negative_roots:
-        for d in range(min(j, n), 0, -1):
-            for w, m in table[d - 1].items():
-                shifted = tuple(a + b for a, b in zip(w, wt))
-                table[d][shifted] = table[d].get(shifted, 0) + m
-            if len(table[d]) > term_cap:
+    roots = rs.negative_roots
+    packing = _Packing(rs.rank, _root_sum_bound(roots, 1))
+    table: list[dict[int, int]] = [{packing.pack((0,) * rs.rank): 1}] + [{} for _ in range(j)]
+    for root in roots:
+        b = packing.step(root)
+        for d in range(j, 0, -1):
+            tgt = table[d]
+            get = tgt.get
+            for x, m in table[d - 1].items():
+                y = x + b
+                tgt[y] = get(y, 0) + m
+            if len(tgt) > term_cap:
                 raise ResourceLimitError(f"exterior power exceeds term cap {term_cap}")
-    return Character._from_mults(rs, table[j])
+    return Character._from_mults(rs, packing.unpack_sorted(table[j]))
 
 
 def truncated_char(
@@ -433,18 +484,21 @@ def truncated_char(
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    out: dict[Weight, int] = {(0,) * rs.rank: 1}
-    for r in rs.positive_roots:
-        steps = [tuple(k * b for b in r.fund) for k in range(p)]
-        nxt: dict[Weight, int] = {}
-        for w, m in out.items():
-            for step in steps:
-                shifted = tuple(map(add, w, step))
-                nxt[shifted] = nxt.get(shifted, 0) + m
+    roots = [r.fund for r in rs.positive_roots]
+    packing = _Packing(rs.rank, _root_sum_bound(roots, p - 1))
+    out: dict[int, int] = {packing.pack((0,) * rs.rank): 1}
+    for root in roots:
+        a = packing.step(root)
+        span = p * a
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for x, m in out.items():
+            for y in range(x, x + span, a):
+                nxt[y] = get(y, 0) + m
         if len(nxt) > term_cap:
             raise ResourceLimitError(f"truncated algebra exceeds term cap {term_cap}")
         out = nxt
-    return Character._from_mults(rs, out)
+    return Character._from_mults(rs, packing.unpack_sorted(out))
 
 
 # -- good-filtration decomposition ------------------------------------------

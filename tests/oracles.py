@@ -31,7 +31,9 @@ leading and shifted minors, the splitting criterion on every term whose
 x-part is x^(p-1), built by a truncated product with x- and y-fields,
 instead of on the centre coefficient alone, truncated coordinate algebras
 by shifting each weight through a zip generator per term instead of adding
-precomputed root multiples, and dominant weight multiplicities by
+packed root multiples, and also as the Steinberg character at (p-1) rho
+shifted by (p-1) rho (Freudenthal's recursion, no product over roots at
+all), and dominant weight multiplicities by
 Freudenthal's recursion reading each m(mu + k alpha) at the dominant
 conjugate found by make_dominant, with every inner product recomputed,
 instead of one orbit-filled weight table with stepped inner products,
@@ -261,6 +263,17 @@ def truncated_char_by_zip(rs: RootSystem, p: int) -> dict[Weight, int]:
                 nxt[shifted] = nxt.get(shifted, 0) + m
         out = nxt
     return out
+
+
+def truncated_char_by_steinberg(rs: RootSystem, p: int) -> dict[Weight, int]:
+    """The same product as e^((p-1) rho) ch St: Weyl's denominator formula at
+    p rho (Jantzen, Representations of Algebraic Groups, II.3.18-19) makes
+    prod_alpha>0 (1 - e^(p alpha)) / (1 - e^alpha) the Weyl character of
+    (p-1) rho shifted up by (p-1) rho, found here by Freudenthal."""
+    top = tuple((p - 1) * c for c in rs.rho)
+    st = weyl_character(rs, top, dim_cap=p ** rs.num_positive_roots)
+    return {tuple(a + b for a, b in zip(w, top)): m for w, m in st.mults.items()}
+
 
 def dominance_by_descent(rs: RootSystem, mu, lam) -> bool:
     """Is lam - mu a sum of simple roots?  Breadth-first subtraction oracle."""

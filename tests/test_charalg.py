@@ -3,11 +3,13 @@ filtration decompositions and the reduction identities."""
 
 import inspect
 import itertools
+import math
 import operator
 import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -40,6 +42,7 @@ from oracles import (
     greedy_peel,
     koszul_by_expansion,
     kostant_multiplicity,
+    truncated_char_by_steinberg,
     truncated_char_by_zip,
 )
 from test_rootdata import E_WEIGHTS, OTHER_WEYL_WEIGHTS
@@ -296,6 +299,7 @@ def test_expand_matches_freudenthal_oracle_on_signed_sums():
                 coeffs[extra] = rng.choice((-2, -1, 1, 2))
             got = charalg._expand(rs, coeffs, charalg.DEFAULT_DIM_CAP, charalg.DEFAULT_TERM_CAP)
             assert got == expand_by_freudenthal(rs, coeffs), (rs, coeffs)
+            assert list(got.mults) == sorted(got.mults)   # decoded in packed order
             support = set().union(*(weyl_character(rs, nu).mults for nu in coeffs))
             cancelled += len(got.mults) < len(support)
     assert cancelled > 40
@@ -366,11 +370,22 @@ def test_exterior_power_examples():
         exterior_power_char(A2, n + 1)
 
 
-@pytest.mark.parametrize("rs", [A2, B2, G2])
+@pytest.mark.parametrize("rs", [A2, B2, G2, build_root_system("D", 4)])
 def test_exterior_power_matches_enumeration(rs):
     for j in range(rs.num_positive_roots + 1):
         expected = brute_exterior_power(list(rs.negative_roots), j)
         assert dict(exterior_power_char(rs, j).items()) == dict(sorted(expected.items()))
+
+
+def test_exterior_power_f4():
+    F4 = build_root_system("F", 4)
+    for j in range(4):
+        expected = brute_exterior_power(list(F4.negative_roots), j)
+        assert dict(exterior_power_char(F4, j).items()) == dict(sorted(expected.items()))
+    middle = exterior_power_char(F4, 12)
+    assert middle.dimension() == math.comb(24, 12) == 2_704_156
+    assert middle.term_count() == 7_523
+    assert list(middle.mults) == sorted(middle.mults)   # decoded in packed order
 
 
 def test_truncated_char():
@@ -387,14 +402,100 @@ def test_truncated_char():
         truncated_char(A1, 4)
 
 
-@pytest.mark.parametrize("rs, p", [
-    (A1, 3), (G2, 5), (G2, 7), (build_root_system("B", 3), 5),
-    (build_root_system("C", 3), 5), (build_root_system("D", 4), 3),
-], ids=lambda x: f"{x.type_label}{x.rank}" if isinstance(x, RootSystem) else f"p{x}")
+_TRUNCATED_CASES = [
+    (A1, 3), (A2, 5), (B2, 7), (G2, 7), *((build_root_system(t, 3), 5) for t in "ABC"),
+    (build_root_system("D", 4), 3), (build_root_system("F", 4), 2),
+    (build_root_system("B", 4), 3), (build_root_system("C", 4), 3),
+    (build_root_system("A", 5), 2), (build_root_system("D", 5), 2),
+]
+
+
+def _truncated_id(x):
+    return f"{x.type_label}{x.rank}" if isinstance(x, RootSystem) else f"p{x}"
+
+
+@pytest.mark.parametrize("rs, p", [(G2, 5), *_TRUNCATED_CASES], ids=_truncated_id)
 def test_truncated_char_matches_zip_oracle(rs, p):
     ch = truncated_char(rs, p)
     assert ch.mults == truncated_char_by_zip(rs, p)
     assert ch.dimension() == p**rs.num_positive_roots
+    assert list(ch.mults) == sorted(ch.mults)   # decoded in packed order
+
+
+@pytest.mark.parametrize("rs, p", _TRUNCATED_CASES, ids=_truncated_id)
+def test_truncated_char_matches_steinberg_oracle(rs, p):
+    # the product over roots against Freudenthal's Steinberg character at
+    # (p-1) rho, shifted: the two share no code
+    assert truncated_char(rs, p).mults == truncated_char_by_steinberg(rs, p)
+
+
+def _prefix(rs, roots):
+    # the rank and first positive roots of rs, as the zip oracle reads them
+    return types.SimpleNamespace(rank=rs.rank, positive_roots=roots)
+
+
+@pytest.mark.parametrize("rs, p", [(A2, 5), (B2, 3), (G2, 3), (build_root_system("A", 3), 2)],
+                         ids=_truncated_id)
+def test_truncated_char_term_cap(rs, p):
+    # the largest support after any root, read from the zip oracle over the
+    # roots so far, is the least term cap that passes
+    roots = rs.positive_roots
+    largest = max(len(truncated_char_by_zip(_prefix(rs, roots[:i]), p))
+                  for i in range(1, len(roots) + 1))
+    assert truncated_char(rs, p, term_cap=largest).mults == truncated_char_by_zip(rs, p)
+    with pytest.raises(ResourceLimitError,
+                       match=f"^truncated algebra exceeds term cap {largest - 1}$"):
+        truncated_char(rs, p, term_cap=largest - 1)
+
+
+@pytest.mark.parametrize("rs, j", [(A2, 2), (B2, 2), (G2, 3), (build_root_system("A", 3), 3)],
+                         ids=lambda x: x.type_label + str(x.rank) if isinstance(x, RootSystem)
+                         else f"j{x}")
+def test_exterior_power_term_cap(rs, j):
+    # every degree up to j is stored after every root; the largest such
+    # support, read from the brute oracle, is the least term cap that passes
+    roots = list(rs.negative_roots)
+    largest = max(len(brute_exterior_power(roots[:i], d))
+                  for i in range(1, len(roots) + 1) for d in range(1, j + 1))
+    expected = brute_exterior_power(roots, j)
+    assert exterior_power_char(rs, j, term_cap=largest).mults == expected
+    with pytest.raises(ResourceLimitError,
+                       match=f"^exterior power exceeds term cap {largest - 1}$"):
+        exterior_power_char(rs, j, term_cap=largest - 1)
+
+
+# -- packed weights -------------------------------------------------------------
+
+def test_packing_orders_like_weights():
+    # weights with coordinates at +-bound and between: packed ints sort and
+    # decode as the weight tuples sort
+    rng = random.Random(24)
+    for rank, bound in ((1, 1), (2, 3), (3, 8), (4, 16), (6, 5), (8, 40)):
+        packing = charalg._Packing(rank, bound)
+        weights = {tuple(rng.choice((-bound, bound, rng.randint(-bound, bound)))
+                         for _ in range(rank)) for _ in range(300)}
+        packed = {packing.pack(w): m for m, w in enumerate(weights, 1)}
+        assert len(packed) == len(weights)
+        decoded = packing.unpack_sorted(packed)
+        assert list(decoded) == sorted(weights)
+        assert all(packed[packing.pack(w)] == m for w, m in decoded.items())
+
+
+@pytest.mark.parametrize("rs", [A2, B2, G2, build_root_system("B", 3), build_root_system("D", 4)],
+                         ids=lambda rs: f"{rs.type_label}{rs.rank}")
+def test_packing_root_steps_do_not_carry(rs):
+    # each root applied to weights at the extremes of every field, keeping
+    # both ends within the truncated product's bound at p = 3
+    positive = [r.fund for r in rs.positive_roots]
+    bound = charalg._root_sum_bound(positive, 2)
+    packing = charalg._Packing(rs.rank, bound)
+    for root in positive + list(rs.negative_roots):
+        step = packing.step(root)
+        ends = [(-bound - min(c, 0), bound - max(c, 0)) for c in root]
+        for w in itertools.product(*ends):
+            moved = tuple(map(operator.add, w, root))
+            assert max(map(abs, moved)) == bound or max(map(abs, w)) == bound
+            assert list(packing.unpack_sorted({packing.pack(w) + step: 1})) == [moved]
 
 
 # -- decomposition -------------------------------------------------------------
