@@ -5,6 +5,12 @@ so the i-th entry of a weight is its pairing with the i-th simple coroot.
 Simple-root coordinates are recovered on demand from the inverse of the
 transposed Cartan matrix, held as integers over a common denominator.
 
+The positive roots come from closing the simple roots, each with its
+coroot, under the simple reflections; the symmetrizers and bad primes are
+read off the highest root.  A disconnected Dynkin graph, a coroot not
+pairing to 2 with its root and symmetrizers that do not symmetrise the
+Cartan matrix raise :class:`InvariantError`.
+
 Conventions:
   * ``cartan[i][j]`` is the pairing of the i-th simple root with the j-th
     simple coroot, so row i of the Cartan matrix is the i-th simple root
@@ -91,26 +97,29 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    # Positive integers d with a[i][j]*d[j] == a[j][i]*d[i]; the Dynkin graph
-    # of a simple type is connected, so propagate from node 0, scaling the
-    # values found so far whenever a[i][j] does not divide a[j][i]*d[i].
+def _root_walk(cartan: Sequence[Sequence[int]]) -> dict[tuple[int, ...], Root]:
+    """The positive roots with their coroots, keyed by simple coordinates.
+
+    s_i permutes the positive roots other than alpha_i (Humphreys,
+    *Reflection Groups and Coxeter Groups* 1.4), so closing the simple roots
+    under the s_i reaches every positive root, and each coroot moves with its
+    root: s_i beta^vee = beta^vee - <alpha_i, beta^vee> alpha_i^vee."""
     n = len(cartan)
-    d = [1] + [0] * (n - 1)   # 0: not reached yet
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0 and not d[j]:
-                num, den = cartan[j][i] * d[i], cartan[i][j]
-                scale = abs(den) // math.gcd(num, den)
-                d = [x * scale for x in d]
-                d[j] = num * scale // den
-                todo.append(j)
-    if not all(d):
-        raise InvariantError("the Dynkin graph is not connected: no symmetrizers")
-    g = math.gcd(*d)
-    return tuple(x // g for x in d)
+    simple_roots = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    roots = {e: Root(e, tuple(row), e) for e, row in zip(simple_roots, cartan)}
+    walk = list(roots.values())
+    for beta, fund, coroot in walk:   # the list grows as it is walked
+        for i, c in enumerate(fund):   # c = <beta, alpha_i^vee>
+            if c == 0 or beta == simple_roots[i]:
+                continue
+            image = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+            if image not in roots:
+                c_dual = sum(a * u for a, u in zip(cartan[i], coroot))
+                dual = coroot[:i] + (coroot[i] - c_dual,) + coroot[i + 1:]
+                moved = tuple(x - c * a for x, a in zip(fund, cartan[i]))
+                roots[image] = root = Root(image, moved, dual)
+                walk.append(root)
+    return roots
 
 
 def _inverse_over_den(m: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -156,72 +165,38 @@ class RootSystem:
             tuple((k, a) for k, a in enumerate(row) if a and k != i)
             for i, row in enumerate(self.cartan)
         )
-        self.symmetrizers = _symmetrizers(self.cartan)
         # Inverse of the transposed Cartan matrix over a common denominator:
         # converts fundamental coordinates to simple-root coordinates.
         self._coord_den, self._coord_num = _inverse_over_den(
             [[self.cartan[j][i] for j in range(rank)] for i in range(rank)]
         )
-        self.positive_roots: tuple[Root, ...] = self._close_positive_roots()
+        # sort by height, then so that alpha_1, ..., alpha_n come in order
+        self.positive_roots: tuple[Root, ...] = tuple(sorted(
+            _root_walk(self.cartan).values(),
+            key=lambda r: (sum(r.simple), tuple(-x for x in r.simple)),
+        ))
+        for r in self.positive_roots:
+            pairing = sum(a * u for a, u in zip(r.fund, r.coroot))
+            if pairing != 2:
+                raise InvariantError(f"root {r.simple} pairs to {pairing} with its coroot, not 2")
         self.num_positive_roots = len(self.positive_roots)
         self.rho: Weight = (1,) * rank
-        self.highest_root = max(self.positive_roots, key=lambda r: r.height)
-        self.coxeter_number = self.highest_root.height + 1
-        bad = set()
-        for coeff in self.highest_root.simple:
-            for q in _prime_factors(coeff):
-                bad.add(q)
-        self.bad_primes = tuple(sorted(bad))
-
-    # -- construction ---------------------------------------------------
-
-    def _close_positive_roots(self) -> tuple[Root, ...]:
-        n = self.rank
-        simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-        found = set(simple)
-        queue = list(simple)
-        while queue:
-            beta = queue.pop(0)
-            for i in range(n):
-                # length of the alpha_i-string below beta
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in found:
-                        p += 1
-                    else:
-                        break
-                pairing = sum(beta[j] * self.cartan[j][i] for j in range(n))
-                if p - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in found:
-                        found.add(t)
-                        queue.append(t)
-        roots = []
-        # sort by height, then so that alpha_1, ..., alpha_n come in order
-        for m in sorted(found, key=lambda m: (sum(m), tuple(-x for x in m))):
-            fund = tuple(sum(m[j] * self.cartan[j][i] for j in range(n)) for i in range(n))
-            roots.append(Root(m, fund, self._coroot_coords(m)))
-        return tuple(roots)
-
-    def _coroot_coords(self, m: tuple[int, ...]) -> tuple[int, ...]:
-        # beta^vee = sum_i (d_i m_i / d_beta) alpha_i^vee with d_beta = (beta,beta)/2.
-        d = self.symmetrizers
-        n = self.rank
-        norm = sum(m[i] * self.cartan[i][j] * d[j] * m[j] for i in range(n) for j in range(n))
-        if norm <= 0 or norm % 2:
-            raise InvariantError(f"root {m} has squared length {norm}, not a positive even number")
-        half = norm // 2
-        out = []
-        for i in range(n):
-            num = d[i] * m[i]
-            if num % half:
-                raise InvariantError(f"coroot of {m} has a non-integral coefficient {num}/{half}")
-            out.append(num // half)
-        return tuple(out)
+        self.highest_root = theta = self.positive_roots[-1]
+        self.coxeter_number = theta.height + 1
+        # d_i is proportional to theta^vee_i / theta_i, as beta^vee is
+        # sum_i (d_i beta_i / d_beta) alpha_i^vee for every root beta
+        if 0 in theta.simple:
+            raise InvariantError("the Dynkin graph is not connected: "
+                                 f"the highest root {theta.simple} has a zero coefficient")
+        scale = math.lcm(*theta.simple)
+        d = [u * (scale // m) for u, m in zip(theta.coroot, theta.simple)]
+        g = math.gcd(*d)
+        self.symmetrizers = d = tuple(x // g for x in d)
+        if any(self.cartan[i][j] * d[j] != self.cartan[j][i] * d[i]
+               for i in range(rank) for j in range(rank)):
+            raise InvariantError(f"symmetrizers {d} do not symmetrise the Cartan matrix")
+        # every coefficient of theta is at most 6
+        self.bad_primes = tuple(q for q in (2, 3, 5) if any(m % q == 0 for m in theta.simple))
 
     # -- basic queries ---------------------------------------------------
 
@@ -293,10 +268,7 @@ class RootSystem:
         return p not in self.bad_primes
 
     def minimal_good_prime(self) -> int:
-        for p in (2, 3, 5, 7, 11, 13):
-            if p not in self.bad_primes:
-                return p
-        raise AssertionError("unreachable: highest-root coefficients are bounded by 6")
+        return next(p for p in (2, 3, 5, 7) if p not in self.bad_primes)
 
     # -- dominance order ---------------------------------------------------
 
@@ -518,21 +490,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 def parse_system(name: str) -> RootSystem:
     """Parse a name like ``A2`` or ``G2`` into a root system."""
     name = name.strip()
-    if len(name) < 2 or not name[1:].isdigit():
+    if len(name) < 2 or not name[1:].isdecimal():
         raise InputError(f"cannot parse root-system name {name!r}")
     return build_root_system(name[0].upper(), int(name[1:]))
 
-
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -126,13 +126,7 @@ def _block_ids(n: int, subset: frozenset[int]) -> list[int]:
 def _block_reversal(n: int, subset: frozenset[int]) -> list[int]:
     # longest element of the Levi Weyl group as a 0-based permutation
     ids = _block_ids(n, subset)
-    perm = list(range(n + 1))
-    start = 0
-    for a in range(1, n + 2):
-        if a == n + 1 or ids[a] != ids[start]:
-            perm[start:a] = list(reversed(perm[start:a]))
-            start = a
-    return perm
+    return sorted(range(n + 1), key=lambda a: (ids[a], -a))
 
 
 # -- polynomial matrices --------------------------------------------------

@@ -42,7 +42,10 @@ instead of one Demazure pass over packed weights,
 symmetrizers and the inverse transposed Cartan matrix by Fraction
 arithmetic instead of integers scaled as they go and fraction-free
 elimination, and verify's random polynomials by random.randint instead of
-getrandbits rejection sampling inlined.
+getrandbits rejection sampling inlined, positive roots by alpha-strings
+with coroots from root norms instead of one reflection walk carrying each
+coroot, and bad primes by trial division instead of reading 2, 3 and 5 off
+the highest root.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from flagsplit.fpoly import (
     frobenius_trace,
     is_splitting_function,
 )
-from flagsplit.rootdata import RootSystem, Weight, build_root_system, parabolic_subset
+from flagsplit.rootdata import Root, RootSystem, Weight, build_root_system, parabolic_subset
 from flagsplit.slnsplit import (
     CanonicalCheck,
     ChartFunction,
@@ -831,6 +834,49 @@ def symmetrizers_by_fractions(cartan: Sequence[Sequence[int]]) -> tuple[int, ...
     ints = [int(x * den) for x in d]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
+
+
+def positive_roots_by_strings(cartan: Sequence[Sequence[int]]) -> tuple[Root, ...]:
+    """R+ sorted by height, then with alpha_1, ..., alpha_n in order.
+
+    Grows roots breadth first from the simple ones: beta + alpha_i is a root
+    when the alpha_i-string through beta reaches above it, i.e. when the
+    string's length p below beta exceeds <beta, alpha_i^vee>.  Each coroot is
+    sum_i (d_i m_i / d_beta) alpha_i^vee, with d the symmetrizers and d_beta
+    half the squared length of beta, kept as Fractions, so that a coroot
+    that is not integral compares unequal to every integer one."""
+    n = len(cartan)
+    d = symmetrizers_by_fractions(cartan)
+    simple = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    found = set(simple)
+    queue = list(simple)
+    while queue:
+        beta = queue.pop(0)
+        for i in range(n):
+            p = 0
+            down = list(beta)
+            while True:
+                down[i] -= 1
+                if tuple(down) not in found:
+                    break
+                p += 1
+            if p - sum(beta[j] * cartan[j][i] for j in range(n)) > 0:
+                up = tuple(b + (k == i) for k, b in enumerate(beta))
+                if up not in found:
+                    found.add(up)
+                    queue.append(up)
+    roots = []
+    for m in sorted(found, key=lambda m: (sum(m), tuple(-x for x in m))):
+        fund = tuple(sum(m[j] * cartan[j][i] for j in range(n)) for i in range(n))
+        half = sum(m[i] * cartan[i][j] * d[j] * m[j] for i in range(n) for j in range(n)) // 2
+        roots.append(Root(m, fund, tuple(Fraction(d[i] * m[i], half) for i in range(n))))
+    return tuple(roots)
+
+
+def bad_primes_by_trial_division(highest_root: Sequence[int]) -> tuple[int, ...]:
+    """The primes dividing some coefficient of the highest root, sorted."""
+    return tuple(q for q in range(2, max(highest_root) + 1)
+                 if all(q % k for k in range(2, q)) and any(m % q == 0 for m in highest_root))
 
 
 def inverse_by_fractions(m: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:

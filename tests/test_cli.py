@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, exit codes, JSON determinism."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -13,7 +14,7 @@ import types
 
 import pytest
 
-from flagsplit import charalg, cli, fpoly, slnsplit, verify
+from flagsplit import charalg, cli, fpoly, rootdata, slnsplit, verify
 from flagsplit.cli import main
 from flagsplit.fpoly import SparsePolynomial, poly_to_json_obj, save_poly
 from flagsplit.rootdata import parabolic_subset, parse_system
@@ -308,6 +309,63 @@ def test_rs_show_g2(capsys):
     code, out, _ = run(capsys, "rs", "show", "G2", "--json")
     obj = json.loads(out)
     assert obj["min_good_prime"] == 5 and obj["N"] == 6
+
+
+# sha256 of `rs show X --json` for every valid type, recorded from the
+# alpha-string construction with coroots from root norms
+RS_SHOW_DIGESTS = {
+    "A1": "9293a9cae321a20995d6a1c7ba174598138644e60c525550a631a214f52d543f",
+    "A2": "83d6f74f5d35882a3bd8702963516998f206160aa4365dfa14772f26ec499e6b",
+    "A3": "63d43c976db02c4dbd2a32115227c585550f5f92cc8eec55b95ca4d4ec0e6ead",
+    "A4": "857c60f5e7e21d72cd265f81f5d18232ae94d23b87ffb1f20d26750b28e12d1d",
+    "A5": "88e074f8372f018abfb7cd8b7543b895a2f2a1287774cffa2f022f19a1d3f284",
+    "A6": "9c09c88fc761888ed2562d71c7acc257283b689a3cec267be9bc3b734280cf40",
+    "A7": "6f814c96d9290a2611cf975a6f8e00cb95354a700d3542ee02dead312ed10888",
+    "A8": "8581e211dbcb90f2514b82b58e5b00d564fad70ca58df9c8b251296a8ca07a64",
+    "B2": "28ac26c0205cc0df48dbdda2f4fb493c94cd642abcf543acbbbba005f8b2e0da",
+    "B3": "2aa5eba5c569b8d9bae1166c64450bcf9c28bbc54c23fdc0f9fb2b132849c718",
+    "B4": "0fbdeeb678df23109e8a6c579ee52689c608777a508120d9a7e03f317eafb098",
+    "B5": "4bbabbabaafa0f57619e79908b84edd0eb516815402c146dafbdc57234872272",
+    "B6": "7ad5dcf3abe0bcaa37aaec83cc560a6ab9c2446644f00538dd2305633a5ccdcc",
+    "B7": "92e1576cb5d371fd975e1eedde0b4a552889867a2967da937fe827350f6700b6",
+    "B8": "5bf78cb6c2adb535ebde7b12ddd312acf3a43d57aa9642cb6973436272ffb53b",
+    "C2": "800a851afb9b0451791e21b4e4421cd9c2d0f55bc7653a1ede03d7d33713e7ff",
+    "C3": "f8fd512fbbc68d80d6161af56fa52c441c25905eb7a3a143c81920fc618c8cc6",
+    "C4": "99f374f6b573848ca242f503f370247de69b35d04b31d0a3065cc86379863def",
+    "C5": "bf66e2cc328e83289f7aac8f26ef2a9568e75d5f46c2fbbc2160ce3d3af021a0",
+    "C6": "8598f924dd1c0468f8b2024b0d776ef744a153ddf3b322c002bfde71d2a06ac2",
+    "C7": "21303903fd717d3d596e41ba1dff5fe795549abaf3d5c44932f078688839a282",
+    "C8": "2725afbd3ef24165219639a986eedf7bd5ad1f238a28eee491d478c40b0cf979",
+    "D3": "e77f12253f2f62387806f86fc69cc8225fa36884ace0104f90d7862c9b7ae065",
+    "D4": "74b5381734f796eb409594cc7202ac157c19e52aef1817f68307129f524eec92",
+    "D5": "29ca4313fd131528873e320e0f5e2f9a36f426225acc4d7908763bd8363ced3f",
+    "D6": "a4e6ca11b4a7f0362647af4469023859699a815d2736d863750afe94c1b10534",
+    "D7": "d4866455cb538dc5c87b1d657bf0aba906fcd319faab3611122a75d81606a10f",
+    "D8": "36fe3b72602315eab3beb2c85075539bff5a7045fb86c9cef9ab2b5c66c20e20",
+    "E6": "1ce8f2818cda8d14bbd68d30f9d574f371ec2e073f5d5820de4c4ad5a6a3d864",
+    "E7": "d7a4f0fb76f7c32463c4787e288e0a89f4c59b3a91ec917808cc0eafb54dfaaf",
+    "E8": "f90029cd2baabfa120a2186825362ef227379f77cc49b4d5a678018e1f94b58e",
+    "F4": "d53ff5945e210a26f05c8eba743e4dce5273fd1d82f610be95296952b27c3fd0",
+    "G2": "f40720eb37f908c7e7233b2c1201da16306fd0dae10ff49242cf3067b7e8db34",
+}
+
+
+def test_rs_show_json_bytes_are_pinned_for_every_type(capsys):
+    # positive roots in order with all three coordinate tuples, symmetrizers,
+    # bad primes and the minimal good prime, byte for byte
+    assert sorted(RS_SHOW_DIGESTS) == sorted(
+        f"{label}{rank}" for label, valid in rootdata._VALID_TYPES.items()
+        for rank in range(1, rootdata.MAX_RANK + 1) if valid(rank))
+    for name, digest in RS_SHOW_DIGESTS.items():
+        code, out, _ = run(capsys, "rs", "show", name, "--json")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_rs_show_rejects_a_superscript_rank(capsys):
+    # '\u00b2'.isdigit() is true, and int() of it used to escape as a ValueError
+    code, out, err = run(capsys, "rs", "show", "A\u00b2")
+    assert code == 2 and out == ""
+    assert err == "input error: cannot parse root-system name 'A\u00b2'\n"
 
 
 def test_weight_reduce(capsys):

@@ -17,10 +17,12 @@ from flagsplit.rootdata import RootSystem, build_root_system, parabolic_subset, 
 from flagsplit.verify import RunConfig, suite_rootdata
 
 from oracles import (
+    bad_primes_by_trial_division,
     dominance_by_descent,
     inverse_by_fractions,
     make_dominant_by_reflect,
     orbit_by_bfs,
+    positive_roots_by_strings,
     symmetrizers_by_fractions,
 )
 
@@ -74,6 +76,13 @@ def test_invalid_types():
     with pytest.raises(InputError):
         parse_system("A")
     assert parse_system("g2") is G2
+
+
+@pytest.mark.parametrize("name", ["A\u00b2", "E\u2078", "B\u2460"])
+def test_parse_system_rejects_digits_int_cannot_read(name):
+    # superscript and circled digits pass str.isdigit() but not int()
+    with pytest.raises(InputError, match="cannot parse root-system name"):
+        parse_system(name)
 
 
 def test_pairing_examples():
@@ -410,11 +419,27 @@ def test_integer_construction_matches_fractions(label, rank):
     # symmetrizers and simple-root coordinates over a common denominator, as
     # the Fraction arithmetic gives them
     cartan = rootdata._cartan_matrix(label, rank)
-    assert rootdata._symmetrizers(cartan) == symmetrizers_by_fractions(cartan)
     rs = RootSystem(label, rank)
     assert rs.symmetrizers == symmetrizers_by_fractions(cartan)
     transposed = [[cartan[j][i] for j in range(rank)] for i in range(rank)]
     assert (rs._coord_den, rs._coord_num) == inverse_by_fractions(transposed)
+
+
+@pytest.mark.parametrize("label, rank", VALID_TYPES, ids=[f"{x}{n}" for x, n in VALID_TYPES])
+def test_root_data_matches_string_oracle(label, rank):
+    # the reflection walk and the readings of its highest root against
+    # alpha-strings, coroots from root norms and trial division
+    cartan = rootdata._cartan_matrix(label, rank)
+    rs = RootSystem(label, rank)
+    roots = positive_roots_by_strings(cartan)
+    assert rs.positive_roots == roots
+    assert rs.symmetrizers == symmetrizers_by_fractions(cartan)
+    theta = max(roots, key=lambda r: r.height)
+    assert rs.highest_root == theta
+    bad = bad_primes_by_trial_division(theta.simple)
+    assert rs.bad_primes == bad
+    assert rs.minimal_good_prime() == next(
+        q for q in itertools.count(2) if all(q % k for k in range(2, q)) and q not in bad)
 
 
 def test_inverse_over_den_matches_fractions_randomised():
@@ -433,20 +458,26 @@ def test_inverse_over_den_matches_fractions_randomised():
     assert swapped > 20
 
 
-# Each construction invariant broken by one patch, as (what breaks, module
-# attribute, replacement, system built, error message):
-#   * a disconnected Cartan matrix has no symmetrizers;
-#   * symmetrizers (1, 1) on B2 give alpha_1 + alpha_2 squared length 1;
-#   * symmetrizers (1, 3) on A2 give alpha_1 + alpha_2 a coroot coefficient 1/2.
+# Each construction invariant broken by one patch, as (module attribute,
+# replacement, type of the rank-2 system built, error message):
+#   * a disconnected Cartan matrix has a highest root with a zero coefficient,
+#     so no symmetrizers;
+#   * the coroot (1, 0) of alpha_1 + alpha_2 on A2 pairs to 1 with it;
+#   * the coroot (2, 1) of the highest root alpha_1 + 2 alpha_2 on B2 pairs to
+#     2 with it, but gives symmetrizers (4, 1), which do not symmetrise.
 BROKEN_CONSTRUCTION = [
     ("_cartan_matrix", "lambda t, n: [[2, 0], [0, 2]]", "A", "not connected"),
-    ("_symmetrizers", "lambda cartan: (1, 1)", "B", "squared length"),
-    ("_symmetrizers", "lambda cartan: (1, 3)", "A", "non-integral"),
+    ("_root_walk", "lambda cartan, walk=rootdata._root_walk: "
+                   "{**walk(cartan), (1, 1): rootdata.Root((1, 1), (1, 1), (1, 0))}",
+     "A", "pairs to 1"),
+    ("_root_walk", "lambda cartan, walk=rootdata._root_walk: "
+                   "{**walk(cartan), (1, 2): rootdata.Root((1, 2), (0, 2), (2, 1))}",
+     "B", "do not symmetrise"),
 ]
 
 
 @pytest.mark.parametrize("attr, patch, label, message", BROKEN_CONSTRUCTION,
-                         ids=["symmetrizers", "norm-parity", "coroot-integrality"])
+                         ids=["symmetrizers", "coroot-pairing", "symmetrizing"])
 def test_construction_invariants_are_checked(monkeypatch, attr, patch, label, message):
     monkeypatch.setattr(rootdata, attr, eval(patch))
     with pytest.raises(InvariantError, match=message):
@@ -464,20 +495,21 @@ def test_rootdata_invariants_are_checked_under_optimisation():
     script = (
         "from flagsplit import rootdata\n"
         "from flagsplit.errors import InvariantError\n"
-        "def raises(build):\n"
+        "def raises(build, message):\n"
         "    try:\n"
         "        build()\n"
-        "    except InvariantError:\n"
-        "        return\n"
+        "    except InvariantError as exc:\n"
+        "        if message in str(exc):\n"
+        "            return\n"
         "    raise SystemExit(1)\n"
-        f"for attr, patch, label, _ in {BROKEN_CONSTRUCTION!r}:\n"
+        f"for attr, patch, label, message in {BROKEN_CONSTRUCTION!r}:\n"
         "    original = getattr(rootdata, attr)\n"
         "    setattr(rootdata, attr, eval(patch))\n"
-        "    raises(lambda: rootdata.RootSystem(label, 2))\n"
+        "    raises(lambda: rootdata.RootSystem(label, 2), message)\n"
         "    setattr(rootdata, attr, original)\n"
         "rs = rootdata.RootSystem('A', 2)\n"
         "rs.positive_roots = rs.positive_roots[:2]\n"
-        "raises(lambda: rootdata.parabolic_subset(rs, [1]))\n"
+        "raises(lambda: rootdata.parabolic_subset(rs, [1]), 'delta_P')\n"
     )
     src = os.path.dirname(os.path.dirname(flagsplit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
