@@ -5,6 +5,11 @@ Exponent vectors are fixed-length integer tuples over a shared variable
 table; coefficients are kept in [1, p-1] and zero terms are never stored.
 A polynomial carries no grading of its variables: a caller that grades
 them (slnsplit's chart weights) keeps the grading itself.
+A product packs each exponent vector into an int, one byte-aligned field
+per variable, and unpacks the result; a product with a one-term operand
+(a constant, a variable, a monomial) is an exponent shift instead, with the
+same term cap: it is refused when the other operand has more terms than
+the cap.
 The serialised form is the exact JSON schema
 ``{"p": 3, "vars": ["x", "y"], "terms": [{"e": [2, 0], "c": 1}]}`` with the
 terms sorted lexicographically by exponent vector.
@@ -13,6 +18,7 @@ terms sorted lexicographically by exponent vector.
 from __future__ import annotations
 
 import json
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -215,11 +221,29 @@ class SparsePolynomial:
         variable, wide enough for the largest exponent sum, so a product
         exponent is one int add that cannot carry between fields.  The
         coefficients are reduced mod p once, at the end.
+
+        A one-term operand c x^e packs nothing: the other operand's exponents
+        are shifted by e and its coefficients scaled by c mod p (by
+        :meth:`scale` when e = 0).  No two terms meet and none vanishes, so
+        the product is refused exactly when that operand has more than
+        ``term_cap`` terms.
         """
         self._check_compatible(other)
         p = self.p
         res = SparsePolynomial._from_terms(p, self.variables, {})
         if not self.terms or not other.terms:
+            return res
+        one, f = (other, self) if len(other.terms) == 1 else (self, other)
+        if len(one.terms) == 1:
+            # one term c x^e: adding e is injective and c * c2 is nonzero mod
+            # the prime p, so the product has len(f) terms and every partial
+            # product is a prefix of it
+            if len(f.terms) > term_cap:
+                raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+            ((e, c),) = one.terms.items()
+            if not any(e):
+                return f.scale(c)
+            res.terms = {tuple(map(add, e, e2)): c * c2 % p for e2, c2 in f.terms.items()}
             return res
         nvars = len(self.variables)
         top = max(map(max, self.terms)) + max(map(max, other.terms)) if nvars else 0

@@ -44,8 +44,10 @@ arithmetic instead of integers scaled as they go and fraction-free
 elimination, and verify's random polynomials by random.randint instead of
 getrandbits rejection sampling inlined, positive roots by alpha-strings
 with coroots from root norms instead of one reflection walk carrying each
-coroot, and bad primes by trial division instead of reading 2, 3 and 5 off
-the highest root.
+coroot, bad primes by trial division instead of reading 2, 3 and 5 off
+the highest root, and the whole Borel chart by conjugating I + X by g over
+plain integer dicts, with the adjugate inverse and Leibniz determinants,
+instead of one table of minors of (I + X) g^{-1} and packed products.
 """
 
 from __future__ import annotations
@@ -251,6 +253,79 @@ def rank1_chart_by_conjugation(p: int) -> dict[tuple[int, int], int]:
     for _ in range(p - 1):
         f = mul(f, conj[0][0])
     return f
+
+
+def chart_by_conjugation(n: int, p: int) -> SparsePolynomial:
+    """prod_s Delta_s^(p-1) for the Borel chart of SL_{n+1}, Delta_s the
+    leading s x s minor of g (I + X) g^{-1}, with plain-dict integer
+    polynomials over the y-variables (row order) then the x-variables.
+
+    g^{-1} is the adjugate of g (whose determinant is checked to be 1), every
+    determinant is a Leibniz sum over permutations, and the minors are
+    reduced mod p only before their powers are multiplied."""
+    size = n + 1
+    lower = [(i, j) for i in range(1, size + 1) for j in range(1, i)]
+    upper = sorted((j, i) for i, j in lower)
+    names = tuple(f"y{i}{j}" for i, j in lower) + tuple(f"x{i}{j}" for i, j in upper)
+    nv = len(names)
+
+    def add(a, b):
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out.get(k, 0) + c
+        return {k: c for k, c in out.items() if c}
+
+    def mul(a, b, mod=0):
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                out[key] = out.get(key, 0) + ca * cb
+        if mod:
+            out = {k: c % mod for k, c in out.items()}
+        return {k: c for k, c in out.items() if c}
+
+    def det(m):
+        acc = {}
+        for perm in itertools.permutations(range(len(m))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            term = {(0,) * nv: -1 if inversions % 2 else 1}
+            for r, c in enumerate(perm):
+                term = mul(term, m[r][c])
+            acc = add(acc, term)
+        return acc
+
+    def matmul(a, b):
+        out = [[{} for _ in range(size)] for _ in range(size)]
+        for i in range(size):
+            for j in range(size):
+                for k in range(size):
+                    out[i][j] = add(out[i][j], mul(a[i][k], b[k][j]))
+        return out
+
+    def var(k):
+        return {tuple(int(i == k) for i in range(nv)): 1}
+
+    one = {(0,) * nv: 1}
+    g = [[one if i == j else {} for j in range(size)] for i in range(size)]
+    i_plus_x = [[one if i == j else {} for j in range(size)] for i in range(size)]
+    for k, (i, j) in enumerate(lower):
+        g[i - 1][j - 1] = var(k)
+    for k, (i, j) in enumerate(upper, len(lower)):
+        i_plus_x[i - 1][j - 1] = var(k)
+    if det(g) != one:
+        raise AssertionError("det g is not 1")
+    # adj(g)[i][j] = (-1)^(i+j) det(g without row j and column i)
+    g_inv = [[{k: c * (-1) ** (i + j) for k, c in det(
+        [[g[r][c] for c in range(size) if c != i] for r in range(size) if r != j]
+    ).items()} for j in range(size)] for i in range(size)]
+    conj = matmul(matmul(g, i_plus_x), g_inv)
+    f = {(0,) * nv: 1}
+    for s in range(1, size):
+        delta = {k: r for k, c in det([row[:s] for row in conj[:s]]).items() if (r := c % p)}
+        for _ in range(p - 1):
+            f = mul(f, delta, p)
+    return SparsePolynomial(p, names, f)
 
 
 

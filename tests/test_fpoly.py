@@ -295,6 +295,12 @@ def test_power_term_cap():
         s.power(4, term_cap=4)
     with pytest.raises(ResourceLimitError):
         s.power(2, term_cap=2)
+    # a one-term base: every step is an exponent shift of one term, which
+    # only a cap of 0 refuses
+    m = mk(7, names, {(2, 1): 3})
+    assert m.power(5, term_cap=1) == m * m * m * m * m == mk(7, names, {(10, 5): 5})
+    with pytest.raises(ResourceLimitError, match="product exceeds term cap 0"):
+        m.power(1, term_cap=0)
 
 
 def _product_or_refusal(mul, a, b, term_cap):
@@ -309,6 +315,19 @@ def _assert_mul_matches_oracle(a, b, term_cap=10**6):
     got = _product_or_refusal(SparsePolynomial.mul, a, b, term_cap)
     assert got == _product_or_refusal(mul_by_tuples, a, b, term_cap)
     return got
+
+
+def _assert_mul_matches_oracle_at_every_cap(a, b):
+    # every cap from "refuse the first row" to "never refuse"; both sides
+    # refuse with the same message
+    full = _assert_mul_matches_oracle(a, b)
+    for cap in range(len(full[2]) + 2):
+        got = _assert_mul_matches_oracle(a, b, cap)
+        if got == "refused":
+            for mul in (SparsePolynomial.mul, mul_by_tuples):
+                with pytest.raises(ResourceLimitError, match=f"^product exceeds term cap {cap}$"):
+                    mul(a, b, cap)
+    return full
 
 
 def _random_poly(rng, p, nvars, nterms, max_exp):
@@ -329,6 +348,16 @@ def test_mul_matches_tuple_oracle_randomised():
         # every cap from "refuse the first row" to "never refuse"
         for cap in range(len(full[2]) + 2):
             _assert_mul_matches_oracle(a, b, cap)
+    # one operand with one term, on either side
+    rng = random.Random(20261)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 13])
+        nvars = rng.randint(0, 6)
+        a = _random_poly(rng, p, nvars, rng.randint(1, 12), rng.randint(0, 6))
+        b = _random_poly(rng, p, nvars, 1, rng.randint(0, 6))
+        if rng.random() < 0.5:
+            a, b = b, a
+        _assert_mul_matches_oracle_at_every_cap(a, b)
 
 
 @pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**64 + 3])
@@ -344,6 +373,13 @@ def test_mul_field_width_boundaries(top):
     big = mk(3, names, {(top, 0, 0): 1, (0, 0, 1): 1})
     _assert_mul_matches_oracle(big, big)
     _assert_mul_matches_oracle(big, mk(3, names, {(2**64, 2**65, 0): 2}))
+    # a one-term operand meeting each operand's largest exponents at top
+    for f in (a, b, big):
+        peak = tuple(max(e[i] for e in f.terms) for i in range(3))
+        mono = mk(f.p, names, {tuple(top - x for x in peak): 2})
+        for left, right in ((f, mono), (mono, f)):
+            _, _, terms = _assert_mul_matches_oracle_at_every_cap(left, right)
+            assert tuple(max(e[i] for e in terms) for i in range(3)) == (top,) * 3
 
 
 def test_mul_empty_and_constant_operands():
@@ -355,6 +391,28 @@ def test_mul_empty_and_constant_operands():
     assert _assert_mul_matches_oracle(zero, zero, term_cap=0)[2] == {}
     # no variables at all: a product of constants
     assert _assert_mul_matches_oracle(mk(7, (), {(): 3}), mk(7, (), {(): 5}))[2] == {(): 1}
+    # one-term operands on either side: the constants 1 and p - 1, a
+    # variable, a monomial; the other operand's terms are shifted and scaled
+    one = SparsePolynomial.constant(7, names, 1)
+    minus_one = SparsePolynomial.constant(7, names, 6)
+    y = SparsePolynomial.variable(7, names, "y")
+    mono = SparsePolynomial.monomial(7, names, (2, 1), 5)
+    for single, expected in (
+        (one, f.terms),
+        (minus_one, {(1, 2): 4, (0, 0): 6}),
+        (y, {(1, 3): 3, (0, 1): 1}),
+        (mono, {(3, 3): 1, (2, 1): 5}),
+    ):
+        for other in (f, single, zero):
+            for left, right in ((single, other), (other, single)):
+                _assert_mul_matches_oracle_at_every_cap(left, right)
+        assert _assert_mul_matches_oracle(single, f)[2] == expected
+        assert _assert_mul_matches_oracle(f, single)[2] == expected
+    # the no-variable table, where every nonzero polynomial has one term
+    c3 = mk(7, (), {(): 3})
+    for other in (mk(7, (), {(): 1}), mk(7, (), {(): 6}), c3):
+        for left, right in ((c3, other), (other, c3)):
+            _assert_mul_matches_oracle_at_every_cap(left, right)
 
 
 def test_mul_cancellation_mod_p():

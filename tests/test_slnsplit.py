@@ -37,6 +37,7 @@ from oracles import (
     canonical_by_substitution,
     chart_weight_by_cartan_rows,
     compat_by_enumeration,
+    chart_by_conjugation,
     conjugated_chart_matrix,
     det_by_laplace,
     mul_by_tuples,
@@ -62,6 +63,21 @@ def test_rank1_closed_form(p):
     assert cf.poly.terms == expected.terms
     # independent symbolic conjugation over plain dicts agrees as well
     assert cf.poly.terms == rank1_chart_by_conjugation(p)
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+def test_chart_matches_conjugation_oracle(n, p):
+    # the whole chart and its fibre-degree N(p-1) component against symbolic
+    # conjugation over plain integer dicts (adjugate inverse, Leibniz minors)
+    expected = chart_by_conjugation(n, p)
+    cf = build_chart_function(n, p)
+    assert cf.poly.variables == expected.variables
+    assert cf.poly.terms == expected.terms
+    top = cf.num_x * (p - 1)
+    component = build_mvk_component(n, p).poly
+    assert component.variables == expected.variables
+    assert component.terms == {e: c for e, c in expected.terms.items()
+                               if sum(e[cf.x_start:]) == top}
 
 
 def test_rank1_p2_literal():
