@@ -35,9 +35,9 @@ from flagsplit.verify import RunConfig, suite_sln
 from oracles import (
     big_cell_slice,
     canonical_by_substitution,
+    chart_by_conjugation,
     chart_weight_by_cartan_rows,
     compat_by_enumeration,
-    chart_by_conjugation,
     conjugated_chart_matrix,
     det_by_laplace,
     mul_by_tuples,
