@@ -1,15 +1,18 @@
 """Sparse multivariate polynomials over a prime field, the Frobenius trace,
 and the affine splitting criterion.
 
-Exponent vectors are fixed-length integer tuples over a shared variable
-table; coefficients are kept in [1, p-1] and zero terms are never stored.
+A polynomial over a shared variable table is a dict from packed exponent
+keys to coefficients in [1, p-1]; zero terms are never stored.  A key holds
+one byte-aligned, big-endian field per variable, the first variable the most
+significant, so int order on keys is lexicographic order on exponent
+vectors.  Each polynomial's fields are as wide as its largest exponent
+needs with one bit to spare, so two keys of the same layout add without a
+carry, and equal polynomials have equal keys whichever route built them.
 A polynomial carries no grading of its variables: a caller that grades
 them (slnsplit's chart weights) keeps the grading itself.
-A product packs each exponent vector into an int, one byte-aligned field
-per variable, and unpacks the result; a product with a one-term operand
-(a constant, a variable, a monomial) is an exponent shift instead, with the
-same term cap: it is refused when the other operand has more terms than
-the cap.
+Exponent tuples appear only at the edges: the validating constructor,
+:meth:`SparsePolynomial.coefficient`, sorted and printed terms, witnesses,
+and the read-only ``terms`` view.
 The serialised form is the exact JSON schema
 ``{"p": 3, "vars": ["x", "y"], "terms": [{"e": [2, 0], "c": 1}]}`` with the
 terms sorted lexicographically by exponent vector.
@@ -18,8 +21,10 @@ terms sorted lexicographically by exponent vector.
 from __future__ import annotations
 
 import json
-from operator import add
-from typing import Iterable, NamedTuple, Optional, Sequence
+from collections.abc import Mapping
+from functools import cache, partial, reduce
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
 
@@ -42,24 +47,88 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _exponent_fields(nvars: int, top: int):
-    """``(pack, unpack, size)`` for exponent vectors with entries <= top.
+def _width(top: int) -> int:
+    # bytes per field for exponents up to top, with the top bit to spare
+    return top.bit_length() // 8 + 1
 
-    ``pack`` turns a vector into ``size`` bytes, one big-endian field per
-    variable, and ``unpack`` turns such bytes back into the tuple.  Fields
-    are one byte wide whenever they can be; then both directions run in C.
-    """
-    width = max(1, (top.bit_length() + 7) // 8)
+
+@cache
+def _exponent_fields(nvars: int, width: int):
+    """``(pack, unpack)`` between exponent vectors and keys of ``width``-byte
+    fields.  One-byte fields go through bytes objects, in C."""
     if width == 1:
-        return bytes, tuple, nvars
+        return partial(int.from_bytes, byteorder="big"), lambda k: tuple(k.to_bytes(nvars, "big"))
+    shifts = range(8 * width * (nvars - 1), -1, -8 * width)
+    mask = (1 << 8 * width) - 1
 
-    def pack(e: Sequence[int]) -> bytes:
-        return b"".join(x.to_bytes(width, "big") for x in e)
+    def pack(e: Iterable[int]) -> int:
+        return sum(x << s for x, s in zip(e, shifts))
 
-    def unpack(b: bytes) -> tuple[int, ...]:
-        return tuple(int.from_bytes(b[i:i + width], "big") for i in range(0, len(b), width))
+    def unpack(k: int) -> tuple[int, ...]:
+        return tuple(k >> s & mask for s in shifts)
 
-    return pack, unpack, nvars * width
+    return pack, unpack
+
+
+def _relayout(packed: dict[int, int], nvars: int, width: int, new: int) -> dict[int, int]:
+    pack, unpack = _exponent_fields(nvars, new)[0], _exponent_fields(nvars, width)[1]
+    return {pack(unpack(k)): c for k, c in packed.items()}
+
+
+@cache
+def _spare_bits(nvars: int, width: int) -> int:
+    # the top bit of every field: set in a key only when it needs wider fields
+    return int.from_bytes((b"\x80" + bytes(width - 1)) * nvars, "big")
+
+
+def _settled(p: int, variables: tuple[str, ...], width: int, packed: dict[int, int],
+             may_widen: bool = False) -> "SparsePolynomial":
+    # keys in a layout at least as wide as their exponents need, or, with
+    # may_widen, one bit short: moved to the width their largest exponent
+    # needs.  The OR of all keys has, in each field, the bit length of its
+    # largest exponent; one-byte fields cannot narrow
+    if width > 1 or may_widen:
+        fold = _exponent_fields(len(variables), width)[1](reduce(or_, packed, 0))
+        need = _width(max(fold, default=0))
+        if need != width:
+            packed, width = _relayout(packed, len(variables), width, need), need
+    return SparsePolynomial._from_packed(p, variables, width, packed)
+
+
+def _product(left: dict[int, int], right: dict[int, int], p: int,
+             term_cap: int) -> dict[int, int]:
+    # the keys of the product of two polynomials of one layout, and their
+    # coefficients mod p; refused as SparsePolynomial.mul says
+    right = list(right.items())
+    out: dict[int, int] = {}
+    get = out.get
+    rows = iter(left.items())
+    for k1, c1 in rows:
+        for k2, c2 in right:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+        if len(out) > term_cap:
+            # only keys nonzero mod p count against the cap: drop the
+            # others once, then go on below
+            for k in [k for k, c in out.items() if not c % p]:
+                del out[k]
+            if len(out) > term_cap:
+                raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+            break
+    # near the cap: after the prune only a key a later row touches can
+    # become 0 mod p, so each such key is reduced as it is touched and
+    # len(out) stays the number of nonzero terms
+    for k1, c1 in rows:
+        for k2, c2 in right:
+            k = k1 + k2
+            c = (get(k, 0) + c1 * c2) % p
+            if c:
+                out[k] = c
+            else:   # c1 * c2 is nonzero mod p, so k was in out
+                del out[k]
+        if len(out) > term_cap:
+            raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+    return {k: r for k, c in out.items() if (r := c % p)}
 
 
 class PrimeField(NamedTuple("PrimeField", [("p", int)])):
@@ -76,9 +145,10 @@ class PrimeField(NamedTuple("PrimeField", [("p", int)])):
 
 
 class SparsePolynomial:
-    """A finite map from exponent vectors to nonzero coefficients mod p."""
+    """A finite map from exponent vectors to nonzero coefficients mod p,
+    stored as ``packed``: key -> coefficient, in ``width``-byte fields."""
 
-    __slots__ = ("p", "variables", "terms")
+    __slots__ = ("p", "variables", "width", "packed")
 
     def __init__(
         self,
@@ -89,31 +159,51 @@ class SparsePolynomial:
         PrimeField(p)
         self.p = p
         self.variables = tuple(variables)
-        self.terms: dict[tuple[int, ...], int] = {}
-        if terms:
-            nvars = len(self.variables)
-            for e, c in terms.items():
-                e = tuple(map(int, e))
-                if len(e) != nvars:
-                    raise InputError(f"exponent vector {e} has wrong length")
-                if e and min(e) < 0:
-                    raise InputError(f"negative exponent in {e}")
-                c = c % p
-                if c:
-                    self.terms[e] = c
+        # one-byte fields unless an exponent is above 127 (a one-byte pack
+        # refuses one above 255)
+        self.width = 1
+        try:
+            wide = self._store(terms) & _spare_bits(len(self.variables), 1)
+        except ValueError:
+            wide = True
+        if wide:
+            top = max(max(map(int, e), default=0) for e, c in terms.items() if c % p)
+            self.width = _width(top)
+            self._store(terms)
+
+    def _store(self, terms: Optional[dict]) -> int:
+        # validate the terms and keep the nonzero ones, packed in this
+        # layout; the OR of their keys
+        p, nvars = self.p, len(self.variables)
+        pack = self._fields()[0]
+        self.packed, fold = {}, 0
+        for e, c in (terms or {}).items():
+            e = tuple(map(int, e))
+            if len(e) != nvars:
+                raise InputError(f"exponent vector {e} has wrong length")
+            if e and min(e) < 0:
+                raise InputError(f"negative exponent in {e}")
+            c = c % p
+            if c:
+                k = pack(e)
+                fold |= k
+                self.packed[k] = c
+        return fold
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _from_terms(cls, p: int, variables: tuple[str, ...],
-                    terms: dict[tuple[int, ...], int]) -> "SparsePolynomial":
+    def _from_packed(cls, p: int, variables: tuple[str, ...], width: int,
+                     packed: dict[int, int]) -> "SparsePolynomial":
         # arithmetic results: p and the variable table come from operands
-        # that were validated when they were built, and the terms are
-        # already reduced mod p, so nothing is checked again
+        # that were validated when they were built, the terms are already
+        # reduced mod p and the width is the one their exponents need, so
+        # nothing is checked again
         res = cls.__new__(cls)
         res.p = p
         res.variables = variables
-        res.terms = terms
+        res.width = width
+        res.packed = packed
         return res
 
     @classmethod
@@ -136,71 +226,106 @@ class SparsePolynomial:
 
     # -- basic queries ------------------------------------------------------
 
+    def _fields(self):
+        # (pack, unpack) of this polynomial's layout
+        return _exponent_fields(len(self.variables), self.width)
+
+    @property
+    def terms(self) -> "_Terms":
+        """The terms as a read-only map from exponent tuples to coefficients."""
+        return _Terms(self)
+
+    def exponents(self) -> Iterator[tuple[int, ...]]:
+        """The terms' exponent vectors, in ``packed``'s order, unpacked one
+        at a time."""
+        return map(self._fields()[1], self.packed)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def coefficient(self, exponents: Sequence[int]) -> int:
-        return self.terms.get(tuple(exponents), 0)
+        # a vector of the wrong length, or with an entry outside the fields,
+        # names no term: it is not packed, so it cannot alias another key
+        e = tuple(exponents)
+        limit = 1 << 8 * self.width - 1
+        if len(e) != len(self.variables) or not all(0 <= x < limit for x in e):
+            return 0
+        return self.packed.get(self._fields()[0](e), 0)
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        return not any(self.packed)
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.packed)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        # the exponents are distinct: sort them alone, then look up
-        keys = sorted(self.terms)
-        return list(zip(keys, map(self.terms.__getitem__, keys)))
+    def sorted_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(exponent vector, coefficient) in lexicographic order, unpacked
+        one at a time: key order is that order."""
+        unpack, get = self._fields()[1], self.packed.__getitem__
+        return ((unpack(k), get(k)) for k in sorted(self.packed))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparsePolynomial)
             and other.p == self.p
             and other.variables == self.variables
-            and other.terms == self.terms
+            and other.width == self.width
+            and other.packed == self.packed
         )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         from heapq import nsmallest   # kept off the import path: only this method uses it
 
         bits = []
-        for e in nsmallest(8, self.terms):
-            c = self.terms[e]
+        unpack = self._fields()[1]
+        for k in nsmallest(8, self.packed):
             mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.variables, e) if k
+                f"{v}^{x}" if x > 1 else v
+                for v, x in zip(self.variables, unpack(k)) if x
             )
+            c = self.packed[k]
             bits.append(f"{c}*{mono}" if mono else str(c))
-        tail = "" if len(self.terms) <= 8 else f" + ... ({len(self.terms)} terms)"
+        tail = "" if len(self.packed) <= 8 else f" + ... ({len(self.packed)} terms)"
         return " + ".join(bits) + tail
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_compatible(self, other: "SparsePolynomial") -> None:
+    def _check_compatible(self, other: "SparsePolynomial") -> tuple[int, dict, dict]:
+        # refuses operands over different tables; else both operands' keys
+        # in the wider of their layouts
         if self.p != other.p or self.variables != other.variables:
             raise InputError("polynomials live over different variable tables")
+        if self.width == other.width:
+            return self.width, self.packed, other.packed
+        width, n = max(self.width, other.width), len(self.variables)
+        return width, *(f.packed if f.width == width else _relayout(f.packed, n, f.width, width)
+                        for f in (self, other))
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = (out.get(e, 0) + c) % self.p
+        width, out, right = self._check_compatible(other)
+        out = dict(out)
+        p = self.p
+        for k, c in right.items():
+            v = (out.get(k, 0) + c) % p
             if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return SparsePolynomial._from_terms(self.p, self.variables, out)
+                out[k] = v
+            elif k in out:
+                del out[k]
+        # only equal widths above one byte can narrow: of different widths,
+        # the wider operand's largest exponent has no partner to cancel
+        if width > 1 and self.width == other.width:
+            return _settled(p, self.variables, width, out)
+        return SparsePolynomial._from_packed(p, self.variables, width, out)
 
     def __neg__(self) -> "SparsePolynomial":
         p = self.p
-        return SparsePolynomial._from_terms(
-            p, self.variables, {e: p - c for e, c in self.terms.items()}
+        return SparsePolynomial._from_packed(
+            p, self.variables, self.width, {k: p - c for k, c in self.packed.items()}
         )
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
@@ -209,86 +334,51 @@ class SparsePolynomial:
     def scale(self, k: int) -> "SparsePolynomial":
         p = self.p
         k %= p
+        if not k:
+            return SparsePolynomial._from_packed(p, self.variables, 1, {})
         # p is prime, so c * k is nonzero mod p for nonzero c and k
-        terms = {e: c * k % p for e, c in self.terms.items()} if k else {}
-        return SparsePolynomial._from_terms(p, self.variables, terms)
+        return SparsePolynomial._from_packed(
+            p, self.variables, self.width, {e: c * k % p for e, c in self.packed.items()}
+        )
 
     def mul(self, other: "SparsePolynomial", term_cap: int = DEFAULT_TERM_CAP) -> "SparsePolynomial":
         """Product, refused once a partial product (after any row of
         ``self``) has more than ``term_cap`` terms nonzero mod p.
 
-        Exponent vectors are packed into ints with one byte-aligned field per
-        variable, wide enough for the largest exponent sum, so a product
-        exponent is one int add that cannot carry between fields.  The
-        coefficients are reduced mod p once, at the end.
+        Both operands' keys are in one layout, so a product exponent is one
+        int add that cannot carry.  Per variable, the product's largest
+        exponent is the sum of the operands' (a leading term never cancels
+        over a domain), so the product keeps that layout unless the sum of
+        the operands' ORed keys reaches a field's spare bit; only then are
+        its own keys read to widen it.  The coefficients are reduced mod p
+        once, at the end.
 
-        A one-term operand c x^e packs nothing: the other operand's exponents
-        are shifted by e and its coefficients scaled by c mod p (by
+        A one-term operand c x^e is a shift: the other operand's keys are
+        offset by e's key and its coefficients scaled by c mod p (by
         :meth:`scale` when e = 0).  No two terms meet and none vanishes, so
         the product is refused exactly when that operand has more than
         ``term_cap`` terms.
         """
-        self._check_compatible(other)
-        p = self.p
-        res = SparsePolynomial._from_terms(p, self.variables, {})
-        if not self.terms or not other.terms:
-            return res
-        one, f = (other, self) if len(other.terms) == 1 else (self, other)
-        if len(one.terms) == 1:
+        width, left, right = self._check_compatible(other)
+        p, variables = self.p, self.variables
+        if not left or not right:
+            return SparsePolynomial._from_packed(p, variables, 1, {})
+        one, f = (right, left) if len(right) == 1 else (left, right)
+        if len(one) == 1:
             # one term c x^e: adding e is injective and c * c2 is nonzero mod
             # the prime p, so the product has len(f) terms and every partial
             # product is a prefix of it
-            if len(f.terms) > term_cap:
+            if len(f) > term_cap:
                 raise ResourceLimitError(f"product exceeds term cap {term_cap}")
-            ((e, c),) = one.terms.items()
-            if not any(e):
-                return f.scale(c)
-            res.terms = {tuple(map(add, e, e2)): c * c2 % p for e2, c2 in f.terms.items()}
-            return res
-        nvars = len(self.variables)
-        top = max(map(max, self.terms)) + max(map(max, other.terms)) if nvars else 0
-        pack, unpack, size = _exponent_fields(nvars, top)
-        from_bytes = int.from_bytes
-        right = [(from_bytes(pack(e), "big"), c) for e, c in other.terms.items()]
-        out: dict[int, int] = {}
-        get = out.get
-        rows = iter(self.terms.items())
-        for e1, c1 in rows:
-            k1 = from_bytes(pack(e1), "big")
-            for k2, c2 in right:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-            if len(out) > term_cap:
-                # only keys nonzero mod p count against the cap: drop the
-                # others once, then go on below
-                for k in [k for k, c in out.items() if not c % p]:
-                    del out[k]
-                if len(out) > term_cap:
-                    raise ResourceLimitError(f"product exceeds term cap {term_cap}")
-                break
-        # near the cap: after the prune only a key a later row touches can
-        # become 0 mod p, so each such key is reduced as it is touched and
-        # len(out) stays the number of nonzero terms
-        for e1, c1 in rows:
-            k1 = from_bytes(pack(e1), "big")
-            for k2, c2 in right:
-                k = k1 + k2
-                c = (get(k, 0) + c1 * c2) % p
-                if c:
-                    out[k] = c
-                else:   # c1 * c2 is nonzero mod p, so k was in out
-                    del out[k]
-            if len(out) > term_cap:
-                raise ResourceLimitError(f"product exceeds term cap {term_cap}")
-        # drain while unpacking, so the packed and the tuple dict are never
-        # both at full size
-        terms = res.terms
-        while out:
-            k, c = out.popitem()
-            c %= p
-            if c:
-                terms[unpack(k.to_bytes(size, "big"))] = c
-        return res
+            ((e, c),) = one.items()
+            if not e:
+                return (other if f is right else self).scale(c)
+            out = {e + k: c * c2 % p for k, c2 in f.items()}
+        else:
+            out = _product(left, right, p, term_cap)
+        if (reduce(or_, left) + reduce(or_, right)) & _spare_bits(len(variables), width):
+            return _settled(p, variables, width, out, True)
+        return SparsePolynomial._from_packed(p, variables, width, out)
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self.mul(other)
@@ -301,9 +391,7 @@ class SparsePolynomial:
         product, as in :meth:`mul`."""
         if n < 0:
             raise InputError("negative powers are not defined")
-        result = SparsePolynomial._from_terms(
-            self.p, self.variables, {(0,) * len(self.variables): 1}
-        )
+        result = SparsePolynomial._from_packed(self.p, self.variables, 1, {0: 1})
         base = self
         while n:
             if n & 1:
@@ -324,50 +412,109 @@ class SparsePolynomial:
         self._check_compatible(replacement)
         if name not in self.variables:
             raise InputError(f"unknown variable {name!r}")
-        p, variables = self.p, self.variables
-        idx = variables.index(name)
-        slices: dict[int, SparsePolynomial] = {}
-        for e, c in self.terms.items():
-            f_k = slices.get(e[idx])
-            if f_k is None:
-                f_k = slices[e[idx]] = SparsePolynomial._from_terms(p, variables, {})
-            f_k.terms[e[:idx] + (0,) + e[idx + 1:]] = c
-        out = SparsePolynomial._from_terms(p, variables, {})
-        power = SparsePolynomial._from_terms(p, variables, {(0,) * len(variables): 1})
-        for k in range(max(slices, default=-1) + 1):
-            if k:
+        p, variables, width = self.p, self.variables, self.width
+        # the variable's field: its exponent is k >> shift & mask
+        shift = 8 * width * (len(variables) - 1 - variables.index(name))
+        mask = (1 << 8 * width) - 1
+        slices: dict[int, dict[int, int]] = {}
+        for k, c in self.packed.items():
+            j = k >> shift & mask
+            slices.setdefault(j, {})[k - (j << shift)] = c
+        out = SparsePolynomial._from_packed(p, variables, 1, {})
+        power = SparsePolynomial._from_packed(p, variables, 1, {0: 1})
+        for j in range(max(slices, default=-1) + 1):
+            if j:
                 power = power.mul(replacement, term_cap)
-            f_k = slices.pop(k, None)
-            if f_k is not None:
-                out = out + f_k.mul(power, term_cap)
+            f_j = slices.pop(j, None)
+            if f_j is not None:
+                out = out + _settled(p, variables, width, f_j).mul(power, term_cap)
         return out
 
 
+class _Terms(Mapping):
+    """A polynomial's terms as a read-only map from exponent tuples to
+    coefficients, unpacked as they are read; its length is the term count."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: SparsePolynomial):
+        self._f = f
+
+    def __len__(self) -> int:
+        return len(self._f.packed)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return self._f.exponents()
+
+    def __getitem__(self, e: Sequence[int]) -> int:
+        c = self._f.coefficient(e)
+        if not c:
+            raise KeyError(e)
+        return c
+
+    def items(self) -> list[tuple[tuple[int, ...], int]]:
+        return list(zip(self, self._f.packed.values()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 # -- the trace operator and the splitting criterion ---------------------------
+
+@cache
+def _digits(p: int, nvars: int, width: int):
+    """``(split, partner)`` for keys of one layout, a key's exponents e:
+    split(k) is e mod p and the key of e // p, and partner(k) is (-1 - e)
+    mod p, the residues of the terms that meet k's in a trace.  One-byte
+    fields stay bytes objects and go through translate tables, in C; wider
+    ones are tuples."""
+    if width == 1:
+        # (-1 - x) mod p is clamped to 255, which no field below 128 equals
+        mod, div, comp = (bytes(x % p for x in range(256)), bytes(x // p for x in range(256)),
+                          bytes(min((-1 - x) % p, 255) for x in range(256)))
+        return (lambda k: ((b := k.to_bytes(nvars, "big")).translate(mod),
+                           int.from_bytes(b.translate(div), "big")),
+                lambda k: k.to_bytes(nvars, "big").translate(comp))
+    pack, unpack = _exponent_fields(nvars, width)
+
+    def split(k: int) -> tuple[tuple[int, ...], int]:
+        e = unpack(k)
+        return tuple(x % p for x in e), pack([x // p for x in e])
+
+    return split, lambda k: tuple((-1 - x) % p for x in unpack(k))
+
 
 def frobenius_trace(
     f: SparsePolynomial, g: SparsePolynomial, term_cap: int = DEFAULT_TERM_CAP
 ) -> SparsePolynomial:
     """Apply the trace of multiplication by f to g: x^gamma in f*g goes to
     x^((gamma+1)/p - 1) if every gamma_i is -1 mod p, else to zero.  f*g is
-    never formed: a term x^a of f meets only g's terms of class (-1-a) mod p.
+    never formed: a term x^a of f meets only g's terms of class (-1-a) mod p,
+    and for such a pair (a + b + 1)/p - 1 = a // p + b // p, so the target's
+    key is the sum of the two quotient keys.
     ``term_cap`` bounds the trace's nonzero terms after each term of f.
     Additive in f and g; semilinear: trace(f, h^p*g) = h*trace(f, g)."""
-    f._check_compatible(g)
-    p = f.p
-    classes: dict[tuple[int, ...], list] = {}
-    for e, c in g.terms.items():
-        classes.setdefault(tuple(x % p for x in e), []).append((e, c))
-    out: dict[tuple[int, ...], int] = {}
-    for a, c1 in f.terms.items():
-        for b, c2 in classes.get(tuple((-1 - x) % p for x in a), ()):
-            target = tuple((x + y + 1) // p - 1 for x, y in zip(a, b))
-            c = (out.pop(target, 0) + c1 * c2) % p
-            if c:
-                out[target] = c
+    width, left, right = f._check_compatible(g)
+    p, n = f.p, len(f.variables)
+    split, partner = _digits(p, n, width)
+    classes: dict[Sequence[int], list] = {}
+    for k, c in right.items():
+        r, q = split(k)
+        classes.setdefault(r, []).append((q, c))
+    out: dict[int, int] = {}
+    for k, c1 in left.items():
+        partners = classes.get(partner(k))
+        if partners:
+            q1 = split(k)[1]
+            for q2, c2 in partners:
+                t = q1 + q2
+                c = (out.pop(t, 0) + c1 * c2) % p
+                if c:
+                    out[t] = c
         if len(out) > term_cap:
             raise ResourceLimitError(f"trace exceeds term cap {term_cap}")
-    return SparsePolynomial._from_terms(p, f.variables, out)
+    # quotients by p >= 2 leave a spare bit, so the targets never widen
+    return _settled(p, f.variables, width, out)
 
 
 class SplittingCheck(NamedTuple):
@@ -391,11 +538,13 @@ def is_splitting_function(f: SparsePolynomial) -> SplittingCheck:
     center = (p - 1,) * len(f.variables)
     if f.coefficient(center) == 0:
         return SplittingCheck(False, center)
-    offending = [
-        e for e in f.terms if e != center and all(x % p == p - 1 for x in e)
-    ]
+    pack, unpack = f._fields()
+    partner = _digits(p, len(f.variables), f.width)[1]
+    key = pack(center)
+    # congruent to p - 1 everywhere: -1 - e is 0 mod p everywhere
+    offending = [k for k in f.packed if not any(partner(k)) and k != key]
     if offending:
-        return SplittingCheck(False, min(offending))
+        return SplittingCheck(False, unpack(min(offending)))
     return SplittingCheck(True)
 
 
@@ -443,30 +592,30 @@ def splits_ideal_compatibly(
     By semilinearity it suffices to check trace(f, x^e) for exponent vectors
     e in [0, p-1]^nvars that touch a generator variable.  A term x^gamma of f
     reaches trace(f, x^e) only when gamma = -1-e (mod p), and then lands
-    alone on x^((gamma+e+1)/p - 1), so nothing cancels.  One pass over the
-    terms therefore decides every e at once: e = (-1-gamma) mod p fails
-    exactly when it touches a generator and that target monomial avoids
-    every generator.  The witness is the failing e with the smallest flat
+    alone on x^((gamma+e+1)/p - 1) = x^(gamma // p), so nothing cancels.
+    One pass over the terms therefore decides every e at once: e =
+    (-1-gamma) mod p fails exactly when it touches a generator and that
+    target monomial avoids every generator.  The witness is the failing e with the smallest flat
     index sum(e_i p^i), with its full trace.  ``enum_cap`` bounds the number
     of terms of f the pass walks.
     """
     if not is_splitting_function(f):
         raise InputError("f must satisfy the splitting criterion first")
-    if len(f.terms) > enum_cap:
+    if len(f.packed) > enum_cap:
         raise ResourceLimitError(
-            f"compatibility pass over {len(f.terms)} terms exceeds cap {enum_cap}"
+            f"compatibility pass over {len(f.packed)} terms exceeds cap {enum_cap}"
         )
-    p = f.p
+    split, partner = _digits(f.p, len(f.variables), f.width)
+    unpack = f._fields()[1]
     failing = []
-    for gamma in f.terms:
-        e = tuple((-1 - x) % p for x in gamma)
-        target = tuple((x + y + 1) // p - 1 for x, y in zip(gamma, e))
-        if ideal.contains_monomial(e) and not ideal.contains_monomial(target):
-            failing.append(e)
+    for k in f.packed:
+        e = partner(k)
+        if ideal.contains_monomial(e) and not ideal.contains_monomial(unpack(split(k)[1])):
+            failing.append(tuple(e))
     if not failing:
         return CompatibilityCheck(True)
     e = min(failing, key=lambda e: e[::-1])   # reversed order is flat order
-    witness_trace = frobenius_trace(f, SparsePolynomial.monomial(p, f.variables, e))
+    witness_trace = frobenius_trace(f, SparsePolynomial.monomial(f.p, f.variables, e))
     return CompatibilityCheck(False, e, witness_trace)
 
 

@@ -44,6 +44,7 @@ from .fpoly import (
     SparsePolynomial,
     SplittingCheck,
     VariableIdeal,
+    _settled,
     is_prime,
     is_splitting_function,
     splits_ideal_compatibly,
@@ -70,7 +71,7 @@ class ChartFunction(NamedTuple):
 
     def max_x_degree(self) -> int:
         x_start = self.x_start
-        return max((sum(e[x_start:]) for e in self.poly.terms), default=0)
+        return max((sum(e[x_start:]) for e in self.poly.exponents()), default=0)
 
     def x_degree_component(self, d: int) -> SparsePolynomial:
         return _x_part(self.poly, self.x_start, d)
@@ -81,13 +82,13 @@ class ChartFunction(NamedTuple):
 
     def is_t_invariant(self) -> bool:
         zero = (0,) * self.n
-        return all(self.monomial_weight(e) == zero for e in self.poly.terms)
+        return all(self.monomial_weight(e) == zero for e in self.poly.exponents())
 
 
 def _x_part(f: SparsePolynomial, x_start: int, d: int) -> SparsePolynomial:
     # the terms of f of x-degree d, the x-variables from x_start on
-    return SparsePolynomial._from_terms(f.p, f.variables, {
-        e: c for e, c in f.terms.items() if sum(e[x_start:]) == d})
+    return _settled(f.p, f.variables, f.width, {
+        k: c for (k, c), e in zip(f.packed.items(), f.exponents()) if sum(e[x_start:]) == d})
 
 
 def _monomial_weight(n: int, positions: Sequence[tuple[int, int]], e: Sequence[int]) -> Weight:
@@ -247,9 +248,9 @@ def _chart_minors(
     perm = _block_reversal(n, subset)
     minors = _minor_table([[m[i][j] for j in perm] for i in perm], width, term_cap)
     deltas = [minors[(1 << s) - 1] for s in range(1, n + 1)]
-    one = {(0,) * len(names): 1}
     for s, d in enumerate(deltas, 1):
-        if {e: c for e, c in d.terms.items() if not any(e[x_start:])} != one:
+        x_fields = (1 << 8 * d.width * (len(names) - x_start)) - 1   # the trailing fields
+        if {k: c for k, c in d.packed.items() if not k & x_fields} != {0: 1}:
             raise InvariantError(
                 f"leading minor {s} for n={n}, p={p}, subset={sorted(subset)} "
                 "is not 1 at X=0"
@@ -326,8 +327,8 @@ def _centre_coefficient(factors: Sequence[SparsePolynomial], term_cap: int) -> i
     p = factors[0].p
     top = p - 1
     # a factor term with an exponent above p-1 reaches no kept term
-    kept = sorted(([(e, c) for e, c in f.terms.items() if max(e, default=0) <= top]
-                   for f in factors), key=len, reverse=True)
+    kept = sorted(([(e, c) for e, c in zip(f.exponents(), f.packed.values())
+                    if max(e, default=0) <= top] for f in factors), key=len, reverse=True)
     if not all(kept):
         return 0
     width = (2 * top).bit_length() + 1   # a partial field is at most 2(p-1)
@@ -372,7 +373,7 @@ def _weight_certificate(
     # sum to `total`, else None
     weights = []
     for d in polys:
-        found = {_monomial_weight(n, positions, e) for e in d.terms}
+        found = {_monomial_weight(n, positions, e) for e in d.exponents()}
         if len(found) != 1:
             return None
         weights.append(found.pop())
@@ -401,7 +402,7 @@ def splitting_check(
     """
     inside = _simple_subset(n, subset)
     (names, positions, x_start), deltas, _ = _chart_minors(n, p, inside, n, term_cap)
-    degrees = [max(sum(e[x_start:]) for e in d.terms) for d in deltas]
+    degrees = [max(sum(e[x_start:]) for e in d.exponents()) for d in deltas]
     degree, num_x = sum(degrees), len(names) - x_start
     centre = SplittingCheck(False, (p - 1,) * len(names))
     if degree < num_x:

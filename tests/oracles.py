@@ -555,8 +555,9 @@ def mul_by_tuples(
     self._check_compatible(other)
     p = self.p
     out: dict[tuple[int, ...], int] = {}
+    right = other.terms.items()
     for e1, c1 in self.terms.items():
-        for e2, c2 in other.terms.items():
+        for e2, c2 in right:
             e = tuple(a + b for a, b in zip(e1, e2))
             v = (out.get(e, 0) + c1 * c2) % p
             if v:
@@ -565,9 +566,7 @@ def mul_by_tuples(
                 del out[e]
         if len(out) > term_cap:
             raise ResourceLimitError(f"product exceeds term cap {term_cap}")
-    res = SparsePolynomial(p, self.variables)
-    res.terms = out
-    return res
+    return SparsePolynomial(p, self.variables, out)
 
 
 def trace_by_product(
@@ -592,7 +591,7 @@ def trace_by_product(
                 out[target] = v
             elif target in out:
                 del out[target]
-    return SparsePolynomial._from_terms(p, f.variables, out)
+    return SparsePolynomial(p, f.variables, out)
 
 
 def substitute_by_tuples(
@@ -623,9 +622,7 @@ def substitute_by_tuples(
                 out[t] = v
             elif t in out:
                 del out[t]
-    res = SparsePolynomial(self.p, self.variables)
-    res.terms = out
-    return res
+    return SparsePolynomial(self.p, self.variables, out)
 
 
 def unipotent_inverse_by_neumann(g, term_cap: int = DEFAULT_TERM_CAP):
@@ -756,8 +753,7 @@ def canonical_by_substitution(
     names = cf.poly.variables
     ext_names = names + ("t",)
 
-    f_ext = SparsePolynomial(p, ext_names)
-    f_ext.terms = {e + (0,): c for e, c in cf.poly.terms.items()}
+    f_ext = SparsePolynomial(p, ext_names, {e + (0,): c for e, c in cf.poly.terms.items()})
     t_var = SparsePolynomial.variable(p, ext_names, "t")
     one_ext = SparsePolynomial.constant(p, ext_names, 1)
 
@@ -867,7 +863,7 @@ def _truncated_product(
             if len(out) > term_cap:
                 raise ResourceLimitError(f"product exceeds term cap {term_cap}")
     masks = [(1 << y_width) - 1] * x_start + [(1 << width) - 1] * nx
-    return SparsePolynomial._from_terms(p, variables, {
+    return SparsePolynomial(p, variables, {
         tuple((k >> s) & m for s, m in zip(shifts, masks)): c for k, c in out.items()})
 
 

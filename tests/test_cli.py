@@ -263,7 +263,7 @@ def test_sorted_items_match_sorting_pairs():
                charalg.euler_char(parse_system("A2"), (-4, 1)), charalg.Character(E6)):
         assert list(ch.items()) == sorted(ch.mults.items())
     for f in (slnsplit.build_mvk_component(3, 2).poly, SparsePolynomial(5, ("x",))):
-        assert f.sorted_terms() == sorted(f.terms.items())
+        assert list(f.sorted_terms()) == sorted(f.terms.items())
 
 
 @pytest.mark.parametrize("flag", ["--term-cap", "--dim-cap", "--weyl-cap", "--enum-cap",

@@ -1,6 +1,7 @@
 """Polynomial arithmetic mod p, the trace operator, splitting criterion,
 ideal compatibility and the file format."""
 
+import itertools
 import json
 import random
 import re
@@ -256,7 +257,7 @@ def _repr_by_sorting(f):
     if not f.terms:
         return "0"
     bits = []
-    for e, c in f.sorted_terms()[:8]:
+    for e, c in list(f.sorted_terms())[:8]:
         mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(f.variables, e) if k)
         bits.append(f"{c}*{mono}" if mono else str(c))
     tail = "" if len(f.terms) <= 8 else f" + ... ({len(f.terms)} terms)"
@@ -360,7 +361,13 @@ def test_mul_matches_tuple_oracle_randomised():
         _assert_mul_matches_oracle_at_every_cap(a, b)
 
 
-@pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**64 + 3])
+# largest exponents either side of where a layout's fields widen (127/128 and
+# 32767/32768: each field keeps its top bit spare) and of the byte
+# boundaries themselves, up to fields of nine bytes
+BOUNDARY_TOPS = [127, 128, 255, 256, 32767, 32768, 65535, 65536, 2**64 + 3]
+
+
+@pytest.mark.parametrize("top", BOUNDARY_TOPS)
 def test_mul_field_width_boundaries(top):
     # the largest exponent sum sits on either side of a byte boundary, so
     # the packed fields are as narrow as they can be without carrying
@@ -380,6 +387,121 @@ def test_mul_field_width_boundaries(top):
         for left, right in ((f, mono), (mono, f)):
             _, _, terms = _assert_mul_matches_oracle_at_every_cap(left, right)
             assert tuple(max(e[i] for e in terms) for i in range(3)) == (top,) * 3
+
+
+def _add_by_tuples(a, b):
+    out = dict(a.terms.items())
+    for e, c in b.terms.items():
+        out[e] = out.get(e, 0) + c
+    return mk(a.p, a.variables, out)
+
+
+def _criterion_by_definition(f):
+    p = f.p
+    centre = (p - 1,) * len(f.variables)
+    if centre not in f.terms:
+        return False, centre
+    congruent = [e for e in f.terms if e != centre and all(x % p == p - 1 for x in e)]
+    return (False, min(congruent)) if congruent else (True, None)
+
+
+def _json_bytes(f):
+    return json.dumps(poly_to_json_obj(f), sort_keys=True)
+
+
+@pytest.mark.parametrize("top", BOUNDARY_TOPS)
+def test_layouts_agree_across_operations(top):
+    # the operands of test_mul_field_width_boundaries, a one-byte operand
+    # meeting each, and every operation against a reference over tuples
+    names = ("x", "y", "z")
+    half = top // 2
+    a = mk(5, names, {(half, 0, 1): 1, (0, half, 0): 2, (1, 1, 1): 3})
+    b = mk(5, names, {(top - half, 1, 0): 4, (0, top - half, top - half): 1, (0, 0, 0): 2})
+    narrow = mk(5, names, {(1, 2, 0): 1, (0, 0, 3): 4, (4, 4, 4): 2})
+    for f, g in ((a, b), (b, a), (a, narrow), (narrow, b), (narrow, narrow)):
+        total = _add_by_tuples(f, g)
+        assert f + g == total and (f + g).terms == total.terms
+        assert (f + g) - g == f and f - f == mk(5, names, {})
+        assert f.power(3) == mul_by_tuples(mul_by_tuples(f, f), f)
+        # g aimed at the residue classes f's terms reach, with quotients
+        # near top in one field at a time
+        aimed = mk(5, names, {
+            tuple((-1 - x) % 5 + (5 * (top // 5) if i == j else 0) for i, x in enumerate(e)): 1
+            for e in f.terms for j in range(3)})
+        for h in (g, aimed, _add_by_tuples(g, aimed)):
+            assert frobenius_trace(f, h) == trace_by_product(f, h)
+            assert frobenius_trace(h, f) == trace_by_product(h, f)
+        assert frobenius_trace(f, aimed)
+        for h in (f, g, total):
+            text = _json_bytes(h)
+            assert poly_from_json_obj(json.loads(text)) == h
+            assert text == json.dumps({"p": h.p, "vars": list(h.variables), "terms": [
+                {"e": list(e), "c": c} for e, c in sorted(h.terms.items())]}, sort_keys=True)
+
+
+@pytest.mark.parametrize("top", BOUNDARY_TOPS)
+def test_criterion_and_compatibility_at_every_layout(top):
+    names = ("x", "y", "z")
+    p = 3
+    centre = (2, 2, 2)
+    congruent = (2 + 3 * (top // 3), 2, 2)   # = 2 mod 3 everywhere
+    for terms in (
+        {centre: 1, (top, 0, 1): 2, (0, top, 2): 1},
+        {centre: 2, (top, 2, 2): 1, (5, 0, top): 1},
+        {centre: 1, congruent: 1, (top, 1, 1): 1},
+        {(top, 2, 2): 1, (2, 2, 5): 1},   # no centre
+    ):
+        f = mk(p, names, terms)
+        check = is_splitting_function(f)
+        assert (check.ok, check.witness) == _criterion_by_definition(f)
+        if not check.ok:
+            continue
+        for r in range(1, 4):
+            for gens in itertools.combinations(range(3), r):
+                ideal = VariableIdeal(gens)
+                got, want = splits_ideal_compatibly(f, ideal), compat_by_enumeration(f, ideal)
+                assert (got.ok, got.witness_exponent) == (want.ok, want.witness_exponent)
+                assert got.witness_trace == want.witness_trace
+
+
+def test_equal_polynomials_have_one_layout():
+    names = ("x", "y")
+    # per variable, the ORed keys of the operands add up to 127 + 63 = 190
+    # in x, past the one-byte fields, but the product's largest x-exponent
+    # is 64 + 63: it stays in one-byte fields, as the same terms built
+    # directly do
+    a = mk(7, names, {(64, 0): 1, (63, 1): 2})
+    b = mk(7, names, {(63, 0): 3, (0, 0): 1})
+    product = a * b
+    direct = mk(7, names, {(127, 0): 3, (126, 1): 6, (64, 0): 1, (63, 1): 2})
+    assert product == direct == mul_by_tuples(a, b)
+    assert product.width == direct.width == 1
+    assert _json_bytes(product) == _json_bytes(direct)
+    # a sum, a trace and a substitution whose wide terms drop out
+    x200 = mk(7, names, {(200, 0): 1})
+    one = SparsePolynomial.constant(7, names, 1)
+    assert (x200 + one) - x200 == one and ((x200 + one) - x200).width == 1
+    shrunk = frobenius_trace(mk(7, names, {(6, 6): 1}), mk(7, names, {(7 * 100, 0): 1}))
+    assert shrunk == mk(7, names, {(100, 0): 1}) and shrunk.width == 1
+    sub = (x200 + mk(7, names, {(0, 3): 1})).substitute("x", mk(7, names, {}))
+    assert sub == mk(7, names, {(0, 3): 1}) and sub.width == 1
+    assert sub == substitute_by_tuples(x200 + mk(7, names, {(0, 3): 1}), "x", mk(7, names, {}))
+
+
+def test_coefficient_never_aliases_another_key():
+    # a packed key is read only for a vector of the right length whose
+    # entries fit the fields: (1,) packs like (0, 1), (0, 65536) like (1, 0)
+    # in two-byte fields, and (1, -65280) like (0, 256)
+    narrow = mk(3, ("x", "y"), {(0, 1): 2})
+    assert narrow.coefficient((0, 1)) == 2
+    assert narrow.coefficient((1,)) == 0 and narrow.coefficient((0, 0, 1)) == 0
+    assert narrow.coefficient((0, 257)) == 0 and narrow.coefficient((1, -255)) == 0
+    wide = mk(3, ("x", "y"), {(1, 0): 1, (0, 256): 2})
+    assert wide.coefficient((1, 0)) == 1 and wide.coefficient((0, 256)) == 2
+    assert wide.coefficient((0, 65536)) == 0 and wide.coefficient((1, -65280)) == 0
+    assert (0, 65536) not in wide.terms and (1,) not in wide.terms
+    with pytest.raises(KeyError):
+        wide.terms[(0, 65536)]
 
 
 def test_mul_empty_and_constant_operands():
@@ -449,6 +571,20 @@ def test_trace_examples():
     assert frobenius_trace(f, one) == one
     assert frobenius_trace(f, x).is_zero()
     assert frobenius_trace(f, x ** 3) == x
+
+
+def test_trace_with_primes_past_one_byte():
+    # exponents in one-byte fields, p above them: no pair of terms has
+    # exponent sums of -1 mod p until they reach p - 1, past the fields
+    names = ("x", "y")
+    for p in (131, 251, 257, 65537, 2**31 - 1):
+        f = mk(p, names, {(0, 0): 1, (1, 0): 2, (0, 127): 3})
+        g = mk(p, names, {(0, 0): 5, (0, 1): 1, (126, 0): 1})
+        for a, b in ((f, g), (g, f), (f, f)):
+            assert frobenius_trace(a, b) == trace_by_product(a, b)
+        centre = mk(p, names, {(p - 1, p - 1): 1})
+        one = mk(p, names, {(0, 0): 1})
+        assert frobenius_trace(centre, f) == trace_by_product(centre, f) == one
 
 
 def _trace_or_refusal(trace, f, g, term_cap):

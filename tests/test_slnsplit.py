@@ -812,6 +812,21 @@ def test_centre_coefficient_matches_mul_then_coefficient():
     assert outcomes == {True, False, "refused"}
 
 
+def test_chart_helpers_read_wide_layouts():
+    # an exponent of 200 puts the keys in two-byte fields; the parts that
+    # drop it are back in one-byte fields, as the same terms built directly
+    names = ("y21", "x12")
+    f = SparsePolynomial(3, names, {(200, 1): 1, (0, 2): 2, (1, 2): 1})
+    part = slnsplit._x_part(f, 1, 2)
+    assert part == SparsePolynomial(3, names, {(0, 2): 2, (1, 2): 1}) and part.width == 1
+    assert slnsplit._x_part(f, 1, 1) == SparsePolynomial(3, names, {(200, 1): 1})
+    # the centre coefficient drops the terms above p-1 in any layout
+    g = SparsePolynomial(3, names, {(2, 0): 1, (300, 0): 1})
+    h = SparsePolynomial(3, names, {(0, 2): 2, (0, 130): 1})
+    assert slnsplit._centre_coefficient([g, h], DEFAULT_TERM_CAP) == 2
+    assert g.mul(h).coefficient((2, 2)) == 2
+
+
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3), (4, 2), (3, 5), (4, 3)])
 def test_slice_is_the_big_cell_splitting(n, p, monkeypatch):
     # the coefficient of x^(p-1) in the Borel chart is the Mehta-Ramanathan
