@@ -18,16 +18,17 @@ by Frobenius splitting of Schubert varieties in Andersen, Invent. Math. 79
 sum_nu k_nu e^nu.  A single Euler characteristic (:func:`euler_char`) is one
 signed Weyl character.
 
-The Demazure expansion and the products over roots (truncated and exterior
-powers) share one weight layout: each weight is packed into an int, one
-biased field per coordinate with coordinate 0 most significant, sized from a
-proven bound on the coordinates so that no field carries.  Adding a root is
-one int addition, int order is weight order, and the result is decoded once,
-in sorted order.  The truncated character prod_alpha>0 (1 + e^alpha + ... +
-e^((p-1) alpha)) equals e^((p-1) rho) ch St, the Steinberg character at
-(p-1) rho shifted (Jantzen, Representations of Algebraic Groups, II.3.18-19),
-which the tests check against Freudenthal.  Symmetric powers stay on weight
-tuples: their pieces are shifted and fed to Brauer--Klimyk as tuples.
+The Demazure expansion and the products over roots (truncated, symmetric
+and exterior powers) share one weight layout: each weight is packed into an
+int, one biased field per coordinate with coordinate 0 most significant,
+sized from a proven bound on the coordinates so that no field carries.
+Adding a root is one int addition, int order is weight order, and the result
+is decoded once, in sorted order.  Symmetric and exterior powers share one
+loop: new[d] = old[d] + new[d-1] e^alpha per factor 1/(1 - q e^alpha).  The
+truncated character prod_alpha>0 (1 + e^alpha + ... + e^((p-1) alpha))
+equals e^((p-1) rho) ch St, the Steinberg character at (p-1) rho shifted
+(Jantzen, Representations of Algebraic Groups, II.3.18-19), which the tests
+check against Freudenthal.
 
 All arithmetic is exact.  Expensive operations take explicit caps
 (``dim_cap`` on the Weyl dimension of any single irreducible piece,
@@ -217,7 +218,7 @@ class _Packing:
 def _root_sum_bound(roots: Sequence[Weight], k: int) -> int:
     # no coordinate of sum_r c_r r with every |c_r| <= k exceeds
     # k * sum_r |r_j| in absolute value, whichever roots are taken
-    return k * max(sum(map(abs, col)) for col in zip(*roots))
+    return k * max((sum(map(abs, col)) for col in zip(*roots)), default=0)
 
 
 # -- Weyl characters by Freudenthal ----------------------------------------
@@ -419,27 +420,37 @@ def _expand(
 
 # -- symmetric / exterior / truncated algebras -----------------------------
 
+def _root_power_tables(rank: int, roots: Sequence[Weight], top: int, repeat: bool,
+                       what: str, term_cap: int) -> tuple[_Packing, list[dict[int, int]]]:
+    # Degrees 0..top of prod_r 1/(1 - q e^r) if repeat, else of prod_r (1 + q e^r):
+    # d adds table d-1 shifted by r, read after r's update in rising d, before it in falling d
+    if top > term_cap:
+        raise ResourceLimitError(f"{what} exceeds term cap {term_cap}")
+    packing = _Packing(rank, _root_sum_bound(roots, top if repeat else 1))
+    table: list[dict[int, int]] = [{packing.pack((0,) * rank): 1}] + [{} for _ in range(top)]
+    for root in roots:
+        b = packing.step(root)
+        for d in range(1, top + 1) if repeat else range(top, 0, -1):
+            tgt = table[d]
+            get = tgt.get
+            for x, m in table[d - 1].items():
+                y = x + b
+                tgt[y] = get(y, 0) + m
+            if len(tgt) > term_cap:
+                raise ResourceLimitError(f"{what} exceeds term cap {term_cap}")
+    return packing, table
+
+
 def sym_power_graded(
     par: ParabolicSubset, n_max: int, term_cap: int = DEFAULT_TERM_CAP
 ) -> GradedCharacter:
-    """Characters of S^0 .. S^n_max of the dual nilradical of the parabolic."""
+    """Characters of S^0 .. S^n_max of the dual nilradical, refused if n_max > term_cap."""
     if n_max < 0:
         raise InputError("degree must be nonnegative")
-    rs = par.rs
-    zero = (0,) * rs.rank
-    table: list[dict[Weight, int]] = [{zero: 1}] + [dict() for _ in range(n_max)]
-    for wt in par.radical_weights:
-        for d in range(n_max, 0, -1):
-            # append powers of e^wt to lower-degree monomials not using wt yet
-            for k in range(1, d + 1):
-                for w, m in table[d - k].items():
-                    shifted = tuple(a + k * b for a, b in zip(w, wt))
-                    table[d][shifted] = table[d].get(shifted, 0) + m
-            if len(table[d]) > term_cap:
-                raise ResourceLimitError(f"symmetric power exceeds term cap {term_cap}")
-    return GradedCharacter(
-        tuple((d, Character._from_mults(rs, t)) for d, t in enumerate(table))
-    )
+    packing, table = _root_power_tables(
+        par.rs.rank, par.radical_weights, n_max, True, "symmetric power", term_cap)
+    return GradedCharacter(tuple(
+        (d, Character._from_mults(par.rs, packing.unpack_sorted(t))) for d, t in enumerate(table)))
 
 
 def sym_power_char(
@@ -460,19 +471,8 @@ def exterior_power_char(
     n = rs.num_positive_roots
     if not 0 <= j <= n:
         raise InputError(f"exterior degree {j} out of range 0..{n}")
-    roots = rs.negative_roots
-    packing = _Packing(rs.rank, _root_sum_bound(roots, 1))
-    table: list[dict[int, int]] = [{packing.pack((0,) * rs.rank): 1}] + [{} for _ in range(j)]
-    for root in roots:
-        b = packing.step(root)
-        for d in range(j, 0, -1):
-            tgt = table[d]
-            get = tgt.get
-            for x, m in table[d - 1].items():
-                y = x + b
-                tgt[y] = get(y, 0) + m
-            if len(tgt) > term_cap:
-                raise ResourceLimitError(f"exterior power exceeds term cap {term_cap}")
+    packing, table = _root_power_tables(
+        rs.rank, rs.negative_roots, j, False, "exterior power", term_cap)
     return Character._from_mults(rs, packing.unpack_sorted(table[j]))
 
 

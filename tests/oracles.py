@@ -3,7 +3,10 @@
 These deliberately use different algorithms from the library: weight
 multiplicities via the Kostant alternating sum over the Weyl group instead
 of the Freudenthal recursion, symmetric/exterior powers by direct multiset
-enumeration instead of the graded convolution, the rank-1 chart function
+enumeration instead of the graded convolution, symmetric powers also by
+multiplying out each root's series 1 + q e^alpha + q^2 e^(2 alpha) + ... on
+weight tuples instead of the recurrence for 1/(1 - q e^alpha) on packed
+weights, the rank-1 chart function
 from the binomial theorem instead of symbolic conjugation, good-filtration
 decompositions by greedily peeling expanded Weyl characters instead of
 Brauer--Klimyk coefficients, Euler characteristics by searching the
@@ -64,6 +67,7 @@ from flagsplit.charalg import (
     DEFAULT_TERM_CAP as CHAR_TERM_CAP,
     Character,
     GoodFiltrationDecomposition,
+    GradedCharacter,
     module_euler,
     sym_power_char,
     weyl_character,
@@ -78,7 +82,14 @@ from flagsplit.fpoly import (
     frobenius_trace,
     is_splitting_function,
 )
-from flagsplit.rootdata import Root, RootSystem, Weight, build_root_system, parabolic_subset
+from flagsplit.rootdata import (
+    ParabolicSubset,
+    Root,
+    RootSystem,
+    Weight,
+    build_root_system,
+    parabolic_subset,
+)
 from flagsplit.slnsplit import (
     CanonicalCheck,
     ChartFunction,
@@ -200,6 +211,30 @@ def brute_exterior_power(weights, j) -> dict[tuple[int, ...], int]:
         total = tuple(sum(weights[i][k] for i in combo) for k in range(rank))
         out[total] = out.get(total, 0) + 1
     return out
+
+
+def sym_power_by_series(
+    par: ParabolicSubset, n_max: int, term_cap: int = CHAR_TERM_CAP
+) -> GradedCharacter:
+    """Characters of S^0 .. S^n_max of the dual nilradical, multiplying out
+    each root's series 1 + q e^wt + q^2 e^(2 wt) + ... on weight tuples."""
+    if n_max < 0:
+        raise InputError("degree must be nonnegative")
+    rs = par.rs
+    zero = (0,) * rs.rank
+    table: list[dict[Weight, int]] = [{zero: 1}] + [dict() for _ in range(n_max)]
+    for wt in par.radical_weights:
+        for d in range(n_max, 0, -1):
+            # append powers of e^wt to lower-degree monomials not using wt yet
+            for k in range(1, d + 1):
+                for w, m in table[d - k].items():
+                    shifted = tuple(a + k * b for a, b in zip(w, wt))
+                    table[d][shifted] = table[d].get(shifted, 0) + m
+            if len(table[d]) > term_cap:
+                raise ResourceLimitError(f"symmetric power exceeds term cap {term_cap}")
+    return GradedCharacter(
+        tuple((d, Character._from_mults(rs, t)) for d, t in enumerate(table))
+    )
 
 
 def rank1_chart_closed_form(p: int) -> SparsePolynomial:

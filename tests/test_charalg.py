@@ -42,6 +42,7 @@ from oracles import (
     greedy_peel,
     koszul_by_expansion,
     kostant_multiplicity,
+    sym_power_by_series,
     truncated_char_by_steinberg,
     truncated_char_by_zip,
 )
@@ -352,6 +353,17 @@ def test_sym_power_matches_enumeration(rs, subset):
         assert dict(graded.piece(n).items()) == dict(sorted(expected.items()))
 
 
+def test_sym_power_matches_series_product():
+    # the recurrence for 1/(1 - q e^alpha) on packed weights against the
+    # series product on weight tuples, every degree table compared
+    for name in "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D3 D4 G2 F4 E6".split():
+        rs = build_root_system(name[0], int(name[1]))
+        n_max = 3 if rs.type_label == "E" else 5
+        for subset in [()] + [(i,) for i in range(1, rs.rank + 1)]:
+            par = parabolic_subset(rs, subset)
+            assert sym_power_graded(par, n_max) == sym_power_by_series(par, n_max), (rs, subset)
+
+
 def test_sym_power_full_levi():
     # taking the whole simple set leaves an empty nilradical
     par = parabolic_subset(A2, [1, 2])
@@ -462,6 +474,23 @@ def test_exterior_power_term_cap(rs, j):
     with pytest.raises(ResourceLimitError,
                        match=f"^exterior power exceeds term cap {largest - 1}$"):
         exterior_power_char(rs, j, term_cap=largest - 1)
+
+
+@pytest.mark.parametrize("rs, n", [(A2, 3), (B2, 3), (G2, 3), (build_root_system("A", 3), 3)],
+                         ids=lambda x: x.type_label + str(x.rank) if isinstance(x, RootSystem)
+                         else f"n{x}")
+def test_sym_power_term_cap(rs, n):
+    # every degree up to n is stored after every root; the largest such
+    # support, read from the brute oracle, is the least term cap that passes
+    roots = [r.fund for r in rs.positive_roots]
+    largest = max(len(brute_sym_power(roots[:i], d))
+                  for i in range(1, len(roots) + 1) for d in range(1, n + 1))
+    assert n < largest   # so the refusal below comes from a table, not the degree
+    expected = brute_sym_power(roots, n)
+    assert sym_power_char(parabolic_subset(rs), n, term_cap=largest).mults == expected
+    with pytest.raises(ResourceLimitError,
+                       match=f"^symmetric power exceeds term cap {largest - 1}$"):
+        sym_power_char(parabolic_subset(rs), n, term_cap=largest - 1)
 
 
 # -- packed weights -------------------------------------------------------------

@@ -368,6 +368,15 @@ def test_rs_show_rejects_a_superscript_rank(capsys):
     assert err == "input error: cannot parse root-system name 'A\u00b2'\n"
 
 
+def test_symmetric_degree_above_the_term_cap_exits_2(capsys):
+    # the degree is checked against the cap before any table is allocated
+    code, out, err = run(capsys, "--term-cap", "10", "char", "sym", "A1", "--degree", "11")
+    assert code == 2 and out == ""
+    assert err == "resource limit: symmetric power exceeds term cap 10\n"
+    code, out, err = run(capsys, "--term-cap", "10", "char", "sym", "A1", "--degree", "10")
+    assert code == 0 and err == "" and "[20]" in out
+
+
 def test_weight_reduce(capsys):
     code, out, _ = run(capsys, "weight", "reduce", "A2",
                        "--weight", "-1,1", "--degree", "1", "--json")
