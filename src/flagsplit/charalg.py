@@ -22,13 +22,13 @@ The Demazure expansion and the products over roots (truncated, symmetric
 and exterior powers) share one weight layout: each weight is packed into an
 int, one biased field per coordinate with coordinate 0 most significant,
 sized from a proven bound on the coordinates so that no field carries.
-Adding a root is one int addition, int order is weight order, and the result
-is decoded once, in sorted order.  Symmetric and exterior powers share one
-loop: new[d] = old[d] + new[d-1] e^alpha per factor 1/(1 - q e^alpha).  The
-truncated character prod_alpha>0 (1 + e^alpha + ... + e^((p-1) alpha))
-equals e^((p-1) rho) ch St, the Steinberg character at (p-1) rho shifted
-(Jantzen, Representations of Algebraic Groups, II.3.18-19), which the tests
-check against Freudenthal.
+Adding a root is one int addition, int order is weight order, and only the
+tables a caller reads are decoded, once each, in sorted order.  Symmetric
+and exterior powers share one loop: new[d] = old[d] + new[d-1] e^alpha per
+factor 1/(1 - q e^alpha).  The truncated character prod_alpha>0 (1 + e^alpha
++ ... + e^((p-1) alpha)) equals e^((p-1) rho) ch St, the Steinberg character
+at (p-1) rho shifted (Jantzen, Representations of Algebraic Groups,
+II.3.18-19), which the tests check against Freudenthal.
 
 All arithmetic is exact.  Expensive operations take explicit caps
 (``dim_cap`` on the Weyl dimension of any single irreducible piece,
@@ -441,23 +441,30 @@ def _root_power_tables(rank: int, roots: Sequence[Weight], top: int, repeat: boo
     return packing, table
 
 
-def sym_power_graded(
-    par: ParabolicSubset, n_max: int, term_cap: int = DEFAULT_TERM_CAP
-) -> GradedCharacter:
-    """Characters of S^0 .. S^n_max of the dual nilradical, refused if n_max > term_cap."""
+def _sym_power_pieces(par: ParabolicSubset, n_max: int, degrees: Sequence[int],
+                      term_cap: int) -> list[Character]:
+    # the characters of S^d of the dual nilradical for d in degrees, all at
+    # most n_max: every table up to n_max is built, only these are decoded
     if n_max < 0:
         raise InputError("degree must be nonnegative")
     packing, table = _root_power_tables(
         par.rs.rank, par.radical_weights, n_max, True, "symmetric power", term_cap)
-    return GradedCharacter(tuple(
-        (d, Character._from_mults(par.rs, packing.unpack_sorted(t))) for d, t in enumerate(table)))
+    return [Character._from_mults(par.rs, packing.unpack_sorted(table[d])) for d in degrees]
+
+
+def sym_power_graded(
+    par: ParabolicSubset, n_max: int, term_cap: int = DEFAULT_TERM_CAP
+) -> GradedCharacter:
+    """Characters of S^0 .. S^n_max of the dual nilradical, refused if n_max > term_cap."""
+    degrees = range(n_max + 1)
+    return GradedCharacter(tuple(zip(degrees, _sym_power_pieces(par, n_max, degrees, term_cap))))
 
 
 def sym_power_char(
     par: ParabolicSubset, n: int, term_cap: int = DEFAULT_TERM_CAP
 ) -> Character:
     """Character of the n-th symmetric power of the dual nilradical."""
-    return sym_power_graded(par, n, term_cap=term_cap).piece(n)
+    return _sym_power_pieces(par, n, (n,), term_cap)[0]
 
 
 def exterior_power_char(
@@ -710,11 +717,11 @@ def koszul_check(
     if n < 1:
         raise InputError("the reduction identity needs n >= 1")
     rs._check_index(i)
-    whole = sym_power_graded(parabolic_subset(rs), n, term_cap=term_cap)
+    below, top = _sym_power_pieces(parabolic_subset(rs), n, (n - 1, n), term_cap)
     minimal = sym_power_char(parabolic_subset(rs, [i]), n, term_cap=term_cap).shift(lam)
     alpha = rs.simple_root(i).fund
-    shifted = whole.piece(n - 1).shift(tuple(a + b for a, b in zip(lam, alpha)))
-    difference = whole.piece(n).shift(lam) - shifted - minimal
+    shifted = below.shift(tuple(a + b for a, b in zip(lam, alpha)))
+    difference = top.shift(lam) - shifted - minimal
     identity_ok = not _weyl_coefficients(rs, difference.mults)
     par_term = _weyl_coefficients(rs, minimal.mults)
     applicable = rs.pairing(lam, i) == -1

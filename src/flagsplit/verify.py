@@ -295,7 +295,11 @@ def _random_poly(rng: random.Random, p: int, variables, max_terms=6, max_exp=6):
     # rng.randint(1, max_terms) terms, each with rng.randint(0, max_exp) per
     # variable and coefficient rng.randint(1, p - 1), drawn by randint's own
     # algorithm without its three frames per draw: randint(a, b) is a plus
-    # the first getrandbits(k) below n = b - a + 1, where k = n.bit_length()
+    # the first getrandbits(k) below n = b - a + 1, where k = n.bit_length().
+    # Each term is keyed in fpoly's one-byte layout as it is drawn; drawn
+    # terms need no validation, so they go to fpoly's trusted builder
+    if not 0 <= max_exp <= 127:
+        raise InputError(f"exponent bound {max_exp} does not fit a one-byte field")
     draw = rng.getrandbits
 
     def below(n: int) -> int:
@@ -308,14 +312,24 @@ def _random_poly(rng: random.Random, p: int, variables, max_terms=6, max_exp=6):
     n_exp, k_exp = max_exp + 1, (max_exp + 1).bit_length()
     terms = {}
     for _ in range(1 + below(max_terms)):
-        e = []
+        k = 0
         for _ in variables:   # below(n_exp), inlined: most of the draws
             r = draw(k_exp)
             while r >= n_exp:
                 r = draw(k_exp)
-            e.append(r)
-        terms[tuple(e)] = 1 + below(p - 1)
-    return fpoly.SparsePolynomial(p, variables, terms)
+            k = k << 8 | r
+        terms[k] = 1 + below(p - 1)
+    return fpoly._settled(p, variables, 1, terms)
+
+
+def _shift_monomials(rng: random.Random, p: int, variables):
+    # beta by rng.randint(0, 2) per variable, and x^(p beta) and x^beta in
+    # fpoly's one-byte layout: p times x^beta's key is x^(p beta)'s
+    if 2 * p > 127:
+        raise InputError(f"exponent 2p = {2 * p} does not fit a one-byte field")
+    beta = tuple(rng.randint(0, 2) for _ in variables)
+    k = int.from_bytes(beta, "big")
+    return beta, *(fpoly._settled(p, variables, 1, {key: 1}) for key in (p * k, k))
 
 
 def suite_fpoly(cfg: RunConfig) -> list[CheckResult]:
@@ -369,9 +383,7 @@ def suite_fpoly(cfg: RunConfig) -> list[CheckResult]:
             for _ in range(100):
                 f = _random_poly(rng, p, variables)
                 g = _random_poly(rng, p, variables, max_terms=3, max_exp=2)
-                beta = tuple(rng.randint(0, 2) for _ in variables)
-                mono = fpoly.SparsePolynomial.monomial(p, variables, tuple(p * b for b in beta))
-                shift = fpoly.SparsePolynomial.monomial(p, variables, beta)
+                beta, mono, shift = _shift_monomials(rng, p, variables)
                 lhs = fpoly.frobenius_trace(f, mono.mul(g, cap), cap)
                 rhs = shift.mul(fpoly.frobenius_trace(f, g, cap), cap)
                 if lhs != rhs:

@@ -44,8 +44,10 @@ sums of Weyl characters by adding one Freudenthal table per character
 instead of one Demazure pass over packed weights,
 symmetrizers and the inverse transposed Cartan matrix by Fraction
 arithmetic instead of integers scaled as they go and fraction-free
-elimination, and verify's random polynomials by random.randint instead of
-getrandbits rejection sampling inlined, positive roots by alpha-strings
+elimination, verify's random polynomials and shift monomials by
+random.randint and the validating constructor on exponent tuples instead of
+getrandbits rejection sampling inlined and keys packed as they are drawn,
+and positive roots by alpha-strings
 with coroots from root norms instead of one reflection walk carrying each
 coroot, bad primes by trial division instead of reading 2, 3 and 5 off
 the highest root, and the whole Borel chart by conjugating I + X by g over
@@ -1013,3 +1015,11 @@ def random_poly_by_randint(rng, p: int, variables, max_terms: int = 6, max_exp: 
         e = tuple(rng.randint(0, max_exp) for _ in variables)
         terms[e] = rng.randint(1, p - 1)
     return SparsePolynomial(p, variables, terms)
+
+
+def shift_monomials_by_randint(rng, p: int, variables):
+    """verify's shift draw: beta by randint(0, 2) per variable, then the
+    monomials x^(p beta) and x^beta from the validating constructor."""
+    beta = tuple(rng.randint(0, 2) for _ in variables)
+    return (beta, SparsePolynomial.monomial(p, variables, tuple(p * b for b in beta)),
+            SparsePolynomial.monomial(p, variables, beta))

@@ -364,6 +364,19 @@ def test_sym_power_matches_series_product():
             assert sym_power_graded(par, n_max) == sym_power_by_series(par, n_max), (rs, subset)
 
 
+def test_sym_power_char_is_the_graded_piece():
+    # sym_power_char decodes only its own degree's table: every degree of
+    # the graded character, on the systems above
+    for name in "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D3 D4 G2 F4 E6".split():
+        rs = build_root_system(name[0], int(name[1]))
+        n_max = 3 if rs.type_label == "E" else 5
+        for subset in [()] + [(i,) for i in range(1, rs.rank + 1)]:
+            par = parabolic_subset(rs, subset)
+            graded = sym_power_graded(par, n_max)
+            for n in range(n_max + 1):
+                assert sym_power_char(par, n) == graded.piece(n), (rs, subset, n)
+
+
 def test_sym_power_full_levi():
     # taking the whole simple set leaves an empty nilradical
     par = parabolic_subset(A2, [1, 2])

@@ -31,6 +31,7 @@ from oracles import (
     compat_by_enumeration,
     mul_by_tuples,
     random_poly_by_randint,
+    shift_monomials_by_randint,
     substitute_by_tuples,
     trace_by_product,
 )
@@ -765,8 +766,10 @@ SUITE_SHAPES = [(6, 6), (3, 3), (3, 2)] + [(50, 2 * p) for p in (2, 3, 5)]
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_poly_draws_as_randint(seed):
-    # the getrandbits draw gives randint's polynomials, one after another from
-    # one generator, and leaves the generator in randint's state
+    # the getrandbits draw gives randint's polynomials and the shift draw the
+    # validating constructor's monomials, one after another from one
+    # generator, keys and width alike, and they leave the generator in
+    # randint's state
     for nvars in (1, 2, 3):
         names = tuple(f"x{i}" for i in range(1, nvars + 1))
         ours, theirs = random.Random(seed), random.Random(seed)
@@ -775,24 +778,73 @@ def test_random_poly_draws_as_randint(seed):
                 for max_terms, max_exp in SUITE_SHAPES:
                     assert verify._random_poly(ours, p, names, max_terms, max_exp) == (
                         random_poly_by_randint(theirs, p, names, max_terms, max_exp))
+                assert verify._shift_monomials(ours, p, names) == (
+                    shift_monomials_by_randint(theirs, p, names))
         assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_verify_fpoly_draws_the_randint_corpus(monkeypatch, seed):
-    # the suite checks the same 3,000 polynomials, with the same report, as
-    # when each is drawn by randint
-    runs = {}
-    for draw in (verify._random_poly, random_poly_by_randint):
+    # the suite checks the same 3,000 polynomials and 600 shift monomials,
+    # with the same report, as when each is drawn by randint and built by the
+    # validating constructor
+    runs = []
+    for draws in ((verify._random_poly, verify._shift_monomials),
+                  (random_poly_by_randint, shift_monomials_by_randint)):
         drawn = []
-        monkeypatch.setattr(verify, "_random_poly",
-                            lambda *args, draw=draw, **kwargs: drawn.append(draw(*args, **kwargs))
-                            or drawn[-1])
+        for name, draw in zip(("_random_poly", "_shift_monomials"), draws):
+            monkeypatch.setattr(verify, name, lambda *args, draw=draw, **kwargs:
+                                drawn.append(draw(*args, **kwargs)) or drawn[-1])
         checks = verify.suite_fpoly(verify.RunConfig(seed=seed))
-        runs[draw] = drawn, [(c.name, c.status, c.detail) for c in checks]
-    ours, theirs = runs.values()
-    assert len(ours[0]) == 300 * (3 + 4 + 1 + 2)
+        runs.append((drawn, [(c.name, c.status, c.detail) for c in checks]))
+    ours, theirs = runs
+    assert len(ours[0]) == 300 * (3 + 4 + 1 + 2) + 300
+    assert sum(isinstance(d, tuple) for d in ours[0]) == 300   # (beta, x^(p beta), x^beta)
     assert ours == theirs
+
+
+def test_random_poly_refuses_exponents_past_one_byte(monkeypatch):
+    # a bound above 127 could set a field's spare bit: it is refused by a
+    # raise, so also under python -O, before any draw or key is made
+    built = []
+    monkeypatch.setattr(fpoly, "_settled", lambda *args, **kwargs: built.append(args))
+    rng = random.Random(0)
+    state = rng.getstate()
+    for max_exp in (128, 255, -1):
+        with pytest.raises(InputError, match="does not fit a one-byte field"):
+            verify._random_poly(rng, 3, ("x1", "x2"), max_exp=max_exp)
+    with pytest.raises(InputError, match="does not fit a one-byte field"):
+        verify._shift_monomials(rng, 67, ("x1", "x2"))
+    assert built == [] and rng.getstate() == state
+    monkeypatch.undo()
+    # at 127 the keys reach the largest one-byte exponent, spare bits clear
+    ours, theirs, top = random.Random(1), random.Random(1), 0
+    spare = fpoly._spare_bits(2, 1)
+    for _ in range(100):
+        f = verify._random_poly(ours, 3, ("x1", "x2"), max_exp=127)
+        assert f == random_poly_by_randint(theirs, 3, ("x1", "x2"), max_exp=127)
+        assert f.width == 1 and not any(k & spare for k in f.packed)
+        top = max(top, *(max(e) for e in f.exponents()))
+    assert top == 127
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_fpoly_catches_a_wrong_trace_or_criterion(monkeypatch, seed):
+    # the packed draws leave no check vacuous: a trace with one coefficient
+    # changed (its constant term, by 1) fails the three trace laws, and a
+    # negated criterion fails the equivalence
+    trace, criterion = fpoly.frobenius_trace, fpoly.is_splitting_function
+    monkeypatch.setattr(fpoly, "frobenius_trace", lambda f, g, cap:
+                        trace(f, g, cap) + SparsePolynomial.constant(f.p, f.variables, 1))
+    status = {c.name: c.status for c in verify.suite_fpoly(verify.RunConfig(seed=seed))}
+    assert [status[f"fpoly.trace_{law}"] for law in ("semilinearity", "additivity", "shift")] == (
+        ["fail"] * 3)
+    monkeypatch.setattr(fpoly, "frobenius_trace", trace)
+    monkeypatch.setattr(fpoly, "is_splitting_function", lambda f: not criterion(f))
+    checks = verify.suite_fpoly(verify.RunConfig(seed=seed))
+    assert [(c.name, c.status) for c in checks] == [
+        ("fpoly.trace_semilinearity", "pass"), ("fpoly.trace_additivity", "pass"),
+        ("fpoly.criterion_equivalence", "fail"), ("fpoly.trace_shift", "pass")]
 
 
 def test_trace_additivity_and_shift():
