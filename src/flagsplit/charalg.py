@@ -18,14 +18,19 @@ by Frobenius splitting of Schubert varieties in Andersen, Invent. Math. 79
 sum_nu k_nu e^nu.  A single Euler characteristic (:func:`euler_char`) is one
 signed Weyl character.
 
-The Demazure expansion and the products over roots (truncated, symmetric
-and exterior powers) share one weight layout: each weight is packed into an
-int, one biased field per coordinate with coordinate 0 most significant,
-sized from a proven bound on the coordinates so that no field carries.
-Adding a root is one int addition, int order is weight order, and only the
-tables a caller reads are decoded, once each, in sorted order.  Symmetric
-and exterior powers share one loop: new[d] = old[d] + new[d-1] e^alpha per
-factor 1/(1 - q e^alpha).  The truncated character prod_alpha>0 (1 + e^alpha
+A :class:`Character` is stored under packed weight keys, in rootdata's
+layout of the orbit walk: each weight is packed into an int, one biased
+field per coordinate with coordinate 0 most significant, sized from a
+proven bound on the coordinates so that no field carries.  Every producer
+hands its table over as it stands: Freudenthal's root strings, the orbits
+that fill its table, the Demazure expansion and the products over roots add
+a root by one int addition, and sums, scaling and shifts work on the keys.
+Int order is weight order, so a character is sorted by sorting ints.
+Weight tuples appear only where a character is read by weight
+(``items``, ``mults``, ``multiplicity``, text output) and where
+Brauer--Klimyk straightens each weight; ``--json`` output is written from
+decoded coordinate columns.  Symmetric and exterior powers share one loop:
+new[d] = old[d] + new[d-1] e^alpha per factor 1/(1 - q e^alpha).  The truncated character prod_alpha>0 (1 + e^alpha
 + ... + e^((p-1) alpha)) equals e^((p-1) rho) ch St, the Steinberg character
 at (p-1) rho shifted (Jantzen, Representations of Algebraic Groups,
 II.3.18-19), which the tests check against Freudenthal.
@@ -39,35 +44,38 @@ operator of an expansion and after each root of a product) and raise
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from operator import add, mul, sub
 from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
 from .fpoly import DEFAULT_TERM_CAP, is_prime
-from .rootdata import ParabolicSubset, RootSystem, Weight, parabolic_subset
+from .rootdata import ParabolicSubset, RootSystem, Weight, _Packing, parabolic_subset
 
 DEFAULT_DIM_CAP = 10**6
 
 
 class Character:
-    """Finite map from weights to nonzero integer multiplicities."""
+    """Finite map from weights to nonzero integer multiplicities, stored as
+    ``packed``: packed weight key -> multiplicity, in the layout ``packing``."""
 
-    __slots__ = ("rs", "mults")
+    __slots__ = ("rs", "packing", "packed")
 
-    def __init__(self, rs: RootSystem, mults: Optional[dict[Weight, int]] = None):
+    def __init__(self, rs: RootSystem, mults: Optional[Mapping[Sequence[int], int]] = None):
+        weights = {rs._check_weight(w): int(m) for w, m in (mults or {}).items() if m != 0}
         self.rs = rs
-        self.mults: dict[Weight, int] = {}
-        if mults:
-            for w, m in mults.items():
-                if m != 0:
-                    self.mults[tuple(w)] = int(m)
+        self.packing = _Packing(rs.rank, max((max(map(abs, w)) for w in weights), default=0))
+        self.packed = dict(zip(map(self.packing.pack, weights), weights.values()))
 
     @classmethod
-    def _from_mults(cls, rs: RootSystem, mults: dict[Weight, int]) -> "Character":
-        # library results: weights are tuples and multiplicities nonzero ints
+    def _from_packed(cls, rs: RootSystem, packing: _Packing,
+                     packed: dict[int, int]) -> "Character":
+        # library results: keys in a layout that holds their weights, and
+        # multiplicities nonzero ints
         ch = cls.__new__(cls)
         ch.rs = rs
-        ch.mults = mults
+        ch.packing = packing
+        ch.packed = packed
         return ch
 
     @classmethod
@@ -78,57 +86,76 @@ class Character:
     def trivial(cls, rs: RootSystem) -> "Character":
         return cls(rs, {(0,) * rs.rank: 1})
 
+    @property
+    def mults(self) -> "_Mults":
+        """The multiplicities as a read-only map from weight tuples."""
+        return _Mults(self)
+
     def multiplicity(self, w: Sequence[int]) -> int:
-        return self.mults.get(tuple(w), 0)
+        # a weight of the wrong length, or outside the layout's bound, is no
+        # weight of the character: it is not packed, so it cannot alias a key
+        w = tuple(w)
+        if len(w) != self.rs.rank or not self.packing.holds(w):
+            return 0
+        return self.packed.get(self.packing.pack(w), 0)
 
     def items(self) -> Iterator[tuple[Weight, int]]:
-        # the weights are distinct, so sorting them alone gives the order of
-        # sorting (weight, mult) pairs at about half the cost
-        keys = sorted(self.mults)
-        return zip(keys, map(self.mults.__getitem__, keys))
+        """(weight, multiplicity) pairs in weight order, decoded as they are read."""
+        keys = sorted(self.packed)   # int order is weight order
+        return zip(map(self.packing.weight, keys), map(self.packed.__getitem__, keys))
 
     def dimension(self) -> int:
-        return sum(self.mults.values())
+        return sum(self.packed.values())
 
     def term_count(self) -> int:
-        return len(self.mults)
+        return len(self.packed)
 
     def __bool__(self) -> bool:
-        return bool(self.mults)
+        return bool(self.packed)
+
+    def _meet(self, other: "Character") -> tuple[_Packing, dict[int, int], dict[int, int]]:
+        # the wider of the two layouts, and both tables in it
+        p, q = self.packing, other.packing
+        wide = p if p.bias >= q.bias else q
+        return wide, p.moved(self.packed, wide), q.moved(other.packed, wide)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Character)
-            and other.rs == self.rs
-            and other.mults == self.mults
-        )
+        if not (isinstance(other, Character) and other.rs == self.rs
+                and len(other.packed) == len(self.packed)):
+            return False
+        _, mine, theirs = self._meet(other)
+        return mine == theirs
 
     def __add__(self, other: "Character") -> "Character":
         self._check_compatible(other)
-        out = dict(self.mults)
-        for w, m in other.mults.items():
-            out[w] = out.get(w, 0) + m
-        return Character._from_mults(self.rs, {w: m for w, m in out.items() if m})
+        packing, mine, theirs = self._meet(other)
+        out = dict(mine)
+        get = out.get
+        for x, m in theirs.items():
+            out[x] = get(x, 0) + m
+        return Character._from_packed(self.rs, packing, {x: m for x, m in out.items() if m})
 
     def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
 
     def __neg__(self) -> "Character":
-        return Character._from_mults(self.rs, {w: -m for w, m in self.mults.items()})
+        return Character._from_packed(
+            self.rs, self.packing, {x: -m for x, m in self.packed.items()})
 
     def __mul__(self, k: int) -> "Character":
         if not isinstance(k, int):
             return NotImplemented
-        return Character._from_mults(self.rs, {w: k * m for w, m in self.mults.items() if k})
+        return Character._from_packed(
+            self.rs, self.packing, {x: k * m for x, m in self.packed.items() if k})
 
     __rmul__ = __mul__
 
     def shift(self, lam: Sequence[int]) -> "Character":
         """Tensor with the one-dimensional character of weight ``lam``."""
-        lam = tuple(lam)
-        return Character._from_mults(
-            self.rs, {tuple(a + b for a, b in zip(w, lam)): m for w, m in self.mults.items()}
-        )
+        lam = self.rs._check_weight(lam)
+        packing = _Packing(self.rs.rank, self.packing.bias + max(map(abs, lam)))
+        return Character._from_packed(
+            self.rs, packing, self.packing.moved(self.packed, packing, lam))
 
     def _check_compatible(self, other: "Character") -> None:
         if other.rs != self.rs:
@@ -140,9 +167,40 @@ class Character:
     def __repr__(self) -> str:
         from heapq import nsmallest   # kept off the import path: only this method uses it
 
-        parts = ", ".join(f"{w}:{self.mults[w]}" for w in nsmallest(6, self.mults))
-        more = "" if len(self.mults) <= 6 else f", ... ({len(self.mults)} weights)"
+        parts = ", ".join(f"{self.packing.weight(x)}:{self.packed[x]}"
+                          for x in nsmallest(6, self.packed))   # int order is weight order
+        more = "" if len(self.packed) <= 6 else f", ... ({len(self.packed)} weights)"
         return f"Character({parts}{more})"
+
+
+class _Mults(Mapping):
+    """A character's multiplicities as a read-only map from weight tuples,
+    unpacked as they are read; its length is the number of weights."""
+
+    __slots__ = ("_ch",)
+
+    def __init__(self, ch: Character):
+        self._ch = ch
+
+    def __len__(self) -> int:
+        return len(self._ch.packed)
+
+    def __iter__(self) -> Iterator[Weight]:
+        return map(self._ch.packing.weight, self._ch.packed)
+
+    def __getitem__(self, w: Sequence[int]) -> int:
+        m = self._ch.multiplicity(w)
+        if not m:
+            raise KeyError(w)
+        return m
+
+    def items(self) -> list[tuple[Weight, int]]:
+        # in storage order, decoded a coordinate at a time over all keys
+        ch = self._ch
+        return list(zip(ch.packing.unpack(list(ch.packed)), ch.packed.values()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class GradedCharacter(NamedTuple):
@@ -184,37 +242,6 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
 
 # -- packed weights ------------------------------------------------------------
 
-class _Packing:
-    # Weights whose coordinates lie in [-bound, bound], packed into ints: one
-    # field per coordinate, biased by bound, coordinate 0 in the most
-    # significant field, so int order is the lexicographic order of weights.
-    # Packing is affine, pack(w) + step(v) == pack(w + v), and no field
-    # carries into the next while w + v is again within the bound; every
-    # caller takes bound from a proven bound on the weights it meets.
-
-    __slots__ = ("bias", "mask", "shifts")
-
-    def __init__(self, rank: int, bound: int):
-        width = (2 * bound + 1).bit_length()
-        self.bias = bound
-        self.mask = (1 << width) - 1
-        self.shifts = range(width * (rank - 1), -1, -width)
-
-    def pack(self, w: Sequence[int]) -> int:
-        return sum((c + self.bias) << s for c, s in zip(w, self.shifts))
-
-    def step(self, v: Sequence[int]) -> int:
-        return sum(c << s for c, s in zip(v, self.shifts))
-
-    def unpack_sorted(self, packed: dict[int, int]) -> dict[Weight, int]:
-        # keyed by weight and inserted in sorted order; decoded a coordinate
-        # at a time over all keys
-        keys = sorted(packed)
-        mask, bias = self.mask, self.bias
-        cols = [[((x >> s) & mask) - bias for x in keys] for s in self.shifts]
-        return dict(zip(zip(*cols), map(packed.__getitem__, keys)))
-
-
 def _root_sum_bound(roots: Sequence[Weight], k: int) -> int:
     # no coordinate of sum_r c_r r with every |c_r| <= k exceeds
     # k * sum_r |r_j| in absolute value, whichever roots are taken
@@ -241,30 +268,38 @@ def _dominant_weight_system(rs: RootSystem, lam: Weight) -> list[Weight]:
     return sorted(seen, key=lambda mu: (depth(mu), mu))
 
 
-def _freudenthal_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
+def _freudenthal_table(rs: RootSystem, lam: Weight) -> Character:
     # Every weight of the irreducible with its multiplicity.  Dominant mu are
     # taken in order of depth, and each one's W-orbit is entered as soon as
     # its multiplicity is known.  A weight mu + k alpha above a dominant mu
     # has its dominant conjugate strictly above mu, so it is already in the
-    # table when it is a weight at all: get(w, 0) reads m(mu + k alpha).
+    # table when it is a weight at all: get(x, 0) reads m(mu + k alpha).
     # weyl_character has checked that lam is dominant, and every mu below is
     # dominant by construction, so their orbits are walked without validation.
-    table = dict.fromkeys(rs._orbit_walk(lam), 1)
-    roots = [(r.fund, r.simple, _weight_root_product(rs, r.fund, r.simple))
-             for r in rs.positive_roots]
+    # No coordinate of a weight exceeds <lam, top coroot>, and a string reads
+    # at most one root past a weight, so that plus one root step bounds the
+    # packing, and each step along a string is one int addition.
+    roots = rs.positive_roots
+    packing = _Packing(rs.rank, sum(map(mul, rs._top_coroot, lam))
+                       + max(max(map(abs, r.fund)) for r in roots))
+    pack = packing.pack
+    table = dict.fromkeys(rs._orbit_walk(pack(lam), packing), 1)
+    strings = [(r.fund, packing.step(r.fund), r.simple,
+                _weight_root_product(rs, r.fund, r.simple)) for r in roots]
     for mu in _dominant_weight_system(rs, lam)[1:]:
+        top = pack(mu)
         num = 0
-        for fund, simple, norm in roots:
-            w = tuple(map(add, mu, fund))
-            m = table.get(w, 0)
+        for fund, a, simple, norm in strings:
+            x = top + a
+            m = table.get(x, 0)
             if m:
                 # (mu + k alpha, alpha), stepped by (alpha, alpha) along the string
-                ip = _weight_root_product(rs, w, simple)
+                ip = _weight_root_product(rs, tuple(map(add, mu, fund)), simple)
                 while m:
                     num += m * ip
                     ip += norm
-                    w = tuple(map(add, w, fund))
-                    m = table.get(w, 0)
+                    x += a
+                    m = table.get(x, 0)
         # denominator: (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         # with lam - mu in simple-root coordinates scaled by rs._coord_den
         both = tuple(a + b + 2 for a, b in zip(lam, mu))
@@ -284,8 +319,8 @@ def _freudenthal_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
                 f"Freudenthal multiplicity of the dominant weight {mu} in the "
                 f"character of {lam} is {m}, not positive"
             )
-        table.update(dict.fromkeys(rs._orbit_walk(mu), m))
-    return table
+        table.update(dict.fromkeys(rs._orbit_walk(top, packing), m))
+    return Character._from_packed(rs, packing, table)
 
 
 def weyl_character(
@@ -298,7 +333,7 @@ def weyl_character(
     dim = weyl_dimension(rs, lam)   # also validates dominance
     if dim > dim_cap:
         raise ResourceLimitError(f"Weyl dimension {dim} exceeds cap {dim_cap}")
-    ch = Character._from_mults(rs, _freudenthal_table(rs, lam))
+    ch = _freudenthal_table(rs, lam)
     if ch.dimension() != dim:
         raise InvariantError(
             f"Freudenthal gives dimension {ch.dimension()} for {lam}, Weyl's formula {dim}"
@@ -306,7 +341,7 @@ def weyl_character(
     return ch
 
 
-def _weyl_coefficients(rs: RootSystem, weights: dict[Weight, int]) -> dict[Weight, int]:
+def _weyl_coefficients(rs: RootSystem, weights: Mapping[Weight, int]) -> dict[Weight, int]:
     # Brauer--Klimyk: the Euler characteristic of the line bundles sum_w m_w e^w
     # as {dominant nu: coefficient of weyl_character(nu)}, nonzero entries only.
     out: dict[Weight, int] = {}
@@ -383,10 +418,10 @@ def _expand(
             raise ResourceLimitError(f"Weyl dimension {dim} exceeds cap {dim_cap}")
         expected += coeffs[nu] * dim
     # Every weight met lies in the convex hull of the orbits W nu, so no
-    # coordinate exceeds the largest <nu, beta^vee> in absolute value; one
+    # coordinate exceeds the largest <nu, top coroot> in absolute value; one
     # more bounds the packing, and mu - alpha_i is one int subtraction.
     packing = _Packing(rs.rank, 1 + max(
-        (sum(map(mul, r.coroot, nu)) for r in rs.positive_roots for nu in nus), default=0))
+        (sum(map(mul, rs._top_coroot, nu)) for nu in nus), default=0))
     bias, mask = packing.bias, packing.mask
     cur = {packing.pack(nu): coeffs[nu] for nu in nus}
     for i in _w0_word(rs):
@@ -409,13 +444,12 @@ def _expand(
             if len(out) > term_cap:
                 raise ResourceLimitError(f"module Euler characteristic exceeds term cap {term_cap}")
         cur = out
-    mults = packing.unpack_sorted({x: k for x, k in cur.items() if k})
-    total = sum(mults.values())
-    if total != expected:
+    ch = Character._from_packed(rs, packing, {x: k for x, k in cur.items() if k})
+    if ch.dimension() != expected:
         raise InvariantError(
-            f"Demazure expansion gives dimension {total}, Weyl's formula {expected}"
+            f"Demazure expansion gives dimension {ch.dimension()}, Weyl's formula {expected}"
         )
-    return Character._from_mults(rs, mults)
+    return ch
 
 
 # -- symmetric / exterior / truncated algebras -----------------------------
@@ -449,7 +483,7 @@ def _sym_power_pieces(par: ParabolicSubset, n_max: int, degrees: Sequence[int],
         raise InputError("degree must be nonnegative")
     packing, table = _root_power_tables(
         par.rs.rank, par.radical_weights, n_max, True, "symmetric power", term_cap)
-    return [Character._from_mults(par.rs, packing.unpack_sorted(table[d])) for d in degrees]
+    return [Character._from_packed(par.rs, packing, table[d]) for d in degrees]
 
 
 def sym_power_graded(
@@ -480,7 +514,7 @@ def exterior_power_char(
         raise InputError(f"exterior degree {j} out of range 0..{n}")
     packing, table = _root_power_tables(
         rs.rank, rs.negative_roots, j, False, "exterior power", term_cap)
-    return Character._from_mults(rs, packing.unpack_sorted(table[j]))
+    return Character._from_packed(rs, packing, table[j])
 
 
 def truncated_char(
@@ -505,7 +539,7 @@ def truncated_char(
         if len(nxt) > term_cap:
             raise ResourceLimitError(f"truncated algebra exceeds term cap {term_cap}")
         out = nxt
-    return Character._from_mults(rs, packing.unpack_sorted(out))
+    return Character._from_packed(rs, packing, out)
 
 
 # -- good-filtration decomposition ------------------------------------------
@@ -572,17 +606,22 @@ def decompose_good_filtration(c: Character) -> GoodFiltrationDecomposition:
     the support weights w with c(s_i w) != c(w) for some i.
     """
     rs = c.rs
-    mults = c.mults
+    # s_i w changes each coordinate of w by at most 3 |w_i|, so a layout of
+    # four times the bound holds every reflected weight: s_i is one int step
+    wide = _Packing(rs.rank, 4 * c.packing.bias)
+    bias, mask = wide.bias, wide.mask
+    packed = c.packing.moved(c.packed, wide)
+    steps = [(s, wide.step(row)) for s, row in zip(wide.shifts, rs.cartan)]
     moved = [
-        w for w, m in mults.items()
-        if any(mults.get(rs.reflect(i, w), 0) != m for i in range(1, rs.rank + 1))
+        x for x, m in packed.items()
+        if any(packed.get(x - (((x >> s) & mask) - bias) * a, 0) != m for s, a in steps)
     ]
     if moved:
-        top = _peel_order(rs, moved)[0]
+        top = _peel_order(rs, wide.unpack(moved))[0]
         return GoodFiltrationDecomposition(
-            ok=False, entries=(), failure_weight=top, failure_mult=mults[top]
+            ok=False, entries=(), failure_weight=top, failure_mult=c.multiplicity(top)
         )
-    return _decomposition(rs, _weyl_coefficients(rs, mults))
+    return _decomposition(rs, _weyl_coefficients(rs, c.mults))
 
 
 def _decomposition(rs: RootSystem, coeffs: dict[Weight, int]) -> GoodFiltrationDecomposition:

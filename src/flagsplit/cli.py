@@ -145,8 +145,15 @@ def _emit(obj: dict, lines: Callable[[], Iterable[str]], as_json: bool) -> None:
 
 
 def _char_rows(ch: charalg.Character) -> _Rows:
-    # ch.to_json_obj() as rows
-    return _table_rows(ch.items(), "mult", "weight", ch.rs.rank)
+    # ch.to_json_obj() as rows: the multiplicities and each decoded coordinate
+    # column of the sorted keys, interleaved, with no weight tuple built
+    keys = sorted(ch.packed)   # int order is weight order
+    width = ch.rs.rank + 1
+    ints = [0] * (width * len(keys))
+    ints[::width] = map(ch.packed.__getitem__, keys)
+    for j, col in enumerate(ch.packing.columns(keys), 1):
+        ints[j::width] = col
+    return _Rows(("mult", "weight", ch.rs.rank, ints))
 
 
 def _poly_obj(f: fpoly.SparsePolynomial) -> dict:

@@ -26,6 +26,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
@@ -47,6 +48,61 @@ _VALID_TYPES = {
     "F": lambda n: n == 4,
     "G": lambda n: n == 2,
 }
+
+
+class _Packing:
+    """Weights whose coordinates lie in [-bound, bound], packed into ints.
+
+    One field per coordinate, biased by bound, coordinate 0 in the most
+    significant field, so int order is the lexicographic order of weights.
+    Packing is affine, pack(w) + step(v) == pack(w + v), and no field
+    carries into the next while w + v is again within the bound; every
+    caller takes bound from a proven bound on the weights it meets.
+    """
+
+    __slots__ = ("bias", "mask", "shifts")
+
+    def __init__(self, rank: int, bound: int):
+        width = (2 * bound + 1).bit_length()
+        self.bias = bound
+        self.mask = (1 << width) - 1
+        self.shifts = range(width * (rank - 1), -1, -width)
+
+    def pack(self, w: Sequence[int]) -> int:
+        return sum((c + self.bias) << s for c, s in zip(w, self.shifts))
+
+    def step(self, v: Iterable[int]) -> int:
+        return sum(c << s for c, s in zip(v, self.shifts))
+
+    def holds(self, w: Sequence[int]) -> bool:
+        # every coordinate within the bound, so pack(w) aliases no other weight
+        return all(-self.bias <= c <= self.bias for c in w)
+
+    def columns(self, keys: Sequence[int]) -> list[list[int]]:
+        # the coordinates of the keys, decoded a coordinate at a time over all keys
+        mask, bias = self.mask, self.bias
+        return [[((x >> s) & mask) - bias for x in keys] for s in self.shifts]
+
+    def unpack(self, keys: Sequence[int]) -> list[Weight]:
+        return list(zip(*self.columns(keys)))
+
+    def weight(self, x: int) -> Weight:
+        # one key decoded, for readers that take one weight at a time
+        return tuple(((x >> s) & self.mask) - self.bias for s in self.shifts)
+
+    def moved(self, packed: dict[int, int], dst: "_Packing",
+              lam: Sequence[int] = ()) -> dict[int, int]:
+        # the entries of packed with their weights shifted by lam, keyed in
+        # the layout dst, which must hold the shifted weights; between fields
+        # of one width that is one int addition per key
+        lam = lam or (0,) * len(self.shifts)
+        if dst.mask == self.mask:
+            offset = dst.step(c + dst.bias - self.bias for c in lam)
+            return {x + offset: m for x, m in packed.items()} if offset else packed
+        keys = list(packed)
+        offset = dst.step(lam)
+        return dict(zip([dst.pack(w) + offset for w in zip(*self.columns(keys))],
+                        map(packed.__getitem__, keys)))
 
 
 class Root(NamedTuple):
@@ -182,6 +238,10 @@ class RootSystem:
         self.num_positive_roots = len(self.positive_roots)
         self.rho: Weight = (1,) * rank
         self.highest_root = theta = self.positive_roots[-1]
+        # the highest coroot, over the simple coroots: it lies above every
+        # positive coroot, so its pairing with a dominant weight bounds every
+        # coordinate of the weight's orbit in absolute value
+        self._top_coroot = max((r.coroot for r in self.positive_roots), key=sum)
         self.coxeter_number = theta.height + 1
         # d_i is proportional to theta^vee_i / theta_i, as beta^vee is
         # sum_i (d_i beta_i / d_beta) alpha_i^vee for every root beta
@@ -225,10 +285,14 @@ class RootSystem:
         return lam[self._check_index(i)]
 
     def reflect(self, i: int, lam: Sequence[int]) -> Weight:
-        lam = self._check_weight(lam)
+        # s_i changes coordinate i and those of i's neighbours in the Dynkin diagram
+        w = list(self._check_weight(lam))
         k = self._check_index(i)
-        c = lam[k]
-        return tuple(a - c * b for a, b in zip(lam, self.cartan[k]))
+        c = w[k]
+        w[k] = -c
+        for j, a in self._adjacent[k]:
+            w[j] -= c * a
+        return tuple(w)
 
     def weight_action(self, word: Sequence[int], lam: Sequence[int]) -> Weight:
         """Apply the Weyl-group element s_{w1} ... s_{wk} (rightmost letter first)."""
@@ -354,10 +418,13 @@ class RootSystem:
 
     def weyl_orbit(self, lam: Sequence[int]) -> list[Weight]:
         """The W-orbit of a weight, sorted."""
-        return sorted(self._orbit_walk(self.make_dominant(lam)[0]))
+        top = self.make_dominant(lam)[0]
+        packing = _Packing(self.rank, sum(map(mul, self._top_coroot, top)))
+        return packing.unpack(sorted(self._orbit_walk(packing.pack(top), packing)))
 
-    def _orbit_walk(self, top: Weight) -> list[Weight]:
-        """The W-orbit of the dominant weight ``top``, unvalidated, in walk order.
+    def _orbit_walk(self, top: int, packing: _Packing) -> list[int]:
+        """The W-orbit of the dominant weight packed as ``top``, unvalidated,
+        as packed keys in walk order; ``packing`` must hold the orbit.
 
         Builds each member exactly once, on a tree rooted at the orbit's
         dominant member: make_dominant's reduction path read backwards.  A
@@ -367,32 +434,35 @@ class RootSystem:
         coordinate of the child before i is negative.  s_i changes only
         coordinate i and raises those of i's neighbours in the Dynkin
         diagram, so every such i before v's first negative coordinate
-        qualifies, and past it only a neighbour of it can.
+        qualifies, and past it only a neighbour of it can.  A child is one
+        int subtraction, v - v_i step(alpha_i), with v_i read from field i.
         """
-        adjacent = self._adjacent
-
-        def child(v: Weight, i: int) -> list[int]:
-            c = v[i]
-            w = list(v)
-            w[i] = -c
-            for k, a in adjacent[i]:
-                w[k] -= c * a
-            return w
-
+        bias, mask, shifts = packing.bias, packing.mask, packing.shifts
+        steps = [packing.step(row) for row in self.cartan]
+        fields = list(zip(range(self.rank), shifts, steps))
+        # for each node i, its later neighbours j, each with the fields i..j-1
+        later = [[(shifts[j], steps[j], shifts[i:j]) for j, _ in adjacent if j > i]
+                 for i, adjacent in enumerate(self._adjacent)]
         orbit = [top]
+        append = orbit.append
         for v in orbit:   # the list grows as it is walked
-            for i, c in enumerate(v):
-                if c > 0:
-                    orbit.append(tuple(child(v, i)))
-                elif c < 0:
+            for i, s, a in fields:
+                c = (v >> s) & mask
+                if c > bias:
+                    append(v - (c - bias) * a)
+                elif c < bias:
                     # i is v's first negative coordinate: only s_j for a later
-                    # neighbour j of i can lift it, and nothing before j may
-                    # stay negative
-                    for j, _ in adjacent[i]:
-                        if j > i and v[j] > 0:
-                            w = child(v, j)
-                            if min(w[:j]) >= 0:
-                                orbit.append(tuple(w))
+                    # neighbour j of i can lift it, and no coordinate of the
+                    # child before j may stay negative (those before i only rise)
+                    for t, b, between in later[i]:
+                        d = ((v >> t) & mask) - bias
+                        if d > 0:
+                            w = v - d * b
+                            for u in between:
+                                if (w >> u) & mask < bias:
+                                    break
+                            else:
+                                append(w)
                     break
         return orbit
 

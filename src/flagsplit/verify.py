@@ -300,6 +300,8 @@ def _random_poly(rng: random.Random, p: int, variables, max_terms=6, max_exp=6):
     # terms need no validation, so they go to fpoly's trusted builder
     if not 0 <= max_exp <= 127:
         raise InputError(f"exponent bound {max_exp} does not fit a one-byte field")
+    if max_terms < 1:
+        raise InputError(f"term bound {max_terms} is below 1")
     draw = rng.getrandbits
 
     def below(n: int) -> int:

@@ -47,6 +47,8 @@ arithmetic instead of integers scaled as they go and fraction-free
 elimination, verify's random polynomials and shift monomials by
 random.randint and the validating constructor on exponent tuples instead of
 getrandbits rejection sampling inlined and keys packed as they are drawn,
+Weyl characters by the same Freudenthal table and orbit walk on weight
+tuples instead of packed weight keys,
 and positive roots by alpha-strings
 with coroots from root norms instead of one reflection walk carrying each
 coroot, bad primes by trial division instead of reading 2, 3 and 5 off
@@ -61,7 +63,7 @@ import itertools
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
 from flagsplit.charalg import (
@@ -70,11 +72,13 @@ from flagsplit.charalg import (
     Character,
     GoodFiltrationDecomposition,
     GradedCharacter,
+    _dominant_weight_system,
+    _weight_root_product,
     module_euler,
     sym_power_char,
     weyl_character,
 )
-from flagsplit.errors import InputError, ResourceLimitError
+from flagsplit.errors import InputError, InvariantError, ResourceLimitError
 from flagsplit.fpoly import (
     DEFAULT_ENUM_CAP,
     DEFAULT_TERM_CAP,
@@ -235,7 +239,7 @@ def sym_power_by_series(
             if len(table[d]) > term_cap:
                 raise ResourceLimitError(f"symmetric power exceeds term cap {term_cap}")
     return GradedCharacter(
-        tuple((d, Character._from_mults(rs, t)) for d, t in enumerate(table))
+        tuple((d, Character(rs, t)) for d, t in enumerate(table))
     )
 
 
@@ -1023,3 +1027,96 @@ def shift_monomials_by_randint(rng, p: int, variables):
     beta = tuple(rng.randint(0, 2) for _ in variables)
     return (beta, SparsePolynomial.monomial(p, variables, tuple(p * b for b in beta)),
             SparsePolynomial.monomial(p, variables, beta))
+
+
+def orbit_walk_by_tuples(rs: RootSystem, top: Weight) -> list[Weight]:
+    """The W-orbit of the dominant weight ``top``, unvalidated, in walk order,
+    on weight tuples: the library's walk before it moved to packed keys.
+
+    Builds each member exactly once, on a tree rooted at the orbit's
+    dominant member: make_dominant's reduction path read backwards.  A
+    member w other than the top has a least index j with w_j < 0, and its
+    one parent is s_j w = w - w_j alpha_j, which lies higher.  So from v
+    the walk keeps the child s_i v (where v_i > 0) exactly when no
+    coordinate of the child before i is negative.  s_i changes only
+    coordinate i and raises those of i's neighbours in the Dynkin
+    diagram, so every such i before v's first negative coordinate
+    qualifies, and past it only a neighbour of it can.
+    """
+    adjacent = rs._adjacent
+
+    def child(v: Weight, i: int) -> list[int]:
+        c = v[i]
+        w = list(v)
+        w[i] = -c
+        for k, a in adjacent[i]:
+            w[k] -= c * a
+        return w
+
+    orbit = [top]
+    for v in orbit:   # the list grows as it is walked
+        for i, c in enumerate(v):
+            if c > 0:
+                orbit.append(tuple(child(v, i)))
+            elif c < 0:
+                # i is v's first negative coordinate: only s_j for a later
+                # neighbour j of i can lift it, and nothing before j may
+                # stay negative
+                for j, _ in adjacent[i]:
+                    if j > i and v[j] > 0:
+                        w = child(v, j)
+                        if min(w[:j]) >= 0:
+                            orbit.append(tuple(w))
+                break
+    return orbit
+
+
+def freudenthal_table_by_tuples(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
+    """Every weight of the irreducible with highest weight ``lam`` and its
+    multiplicity, by the library's Freudenthal table before it moved to
+    packed keys: each root string stepped by adding weight tuples, each
+    orbit filled by :func:`orbit_walk_by_tuples`."""
+    # Every weight of the irreducible with its multiplicity.  Dominant mu are
+    # taken in order of depth, and each one's W-orbit is entered as soon as
+    # its multiplicity is known.  A weight mu + k alpha above a dominant mu
+    # has its dominant conjugate strictly above mu, so it is already in the
+    # table when it is a weight at all: get(w, 0) reads m(mu + k alpha).
+    # weyl_character has checked that lam is dominant, and every mu below is
+    # dominant by construction, so their orbits are walked without validation.
+    table = dict.fromkeys(orbit_walk_by_tuples(rs, lam), 1)
+    roots = [(r.fund, r.simple, _weight_root_product(rs, r.fund, r.simple))
+             for r in rs.positive_roots]
+    for mu in _dominant_weight_system(rs, lam)[1:]:
+        num = 0
+        for fund, simple, norm in roots:
+            w = tuple(map(add, mu, fund))
+            m = table.get(w, 0)
+            if m:
+                # (mu + k alpha, alpha), stepped by (alpha, alpha) along the string
+                ip = _weight_root_product(rs, w, simple)
+                while m:
+                    num += m * ip
+                    ip += norm
+                    w = tuple(map(add, w, fund))
+                    m = table.get(w, 0)
+        # denominator: (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
+        # with lam - mu in simple-root coordinates scaled by rs._coord_den
+        both = tuple(a + b + 2 for a, b in zip(lam, mu))
+        diff = rs._scaled_simple_coords(tuple(map(sub, lam, mu)))
+        den, rem = divmod(
+            sum(d * b * x for d, b, x in zip(rs.symmetrizers, both, diff)), rs._coord_den
+        )
+        if rem or den <= 0 or (2 * num) % den:
+            raise InvariantError(
+                f"Freudenthal multiplicity of {mu} in the character of {lam} "
+                "is not an integer"
+            )
+        m = (2 * num) // den
+        if m < 1:
+            # a zero would read as "not a weight" further down
+            raise InvariantError(
+                f"Freudenthal multiplicity of the dominant weight {mu} in the "
+                f"character of {lam} is {m}, not positive"
+            )
+        table.update(dict.fromkeys(orbit_walk_by_tuples(rs, mu), m))
+    return table

@@ -31,7 +31,7 @@ from flagsplit.charalg import (
     weyl_dimension,
 )
 from flagsplit.errors import InputError, InvariantError, ResourceLimitError
-from flagsplit.rootdata import RootSystem, build_root_system, parabolic_subset
+from flagsplit.rootdata import RootSystem, _Packing, build_root_system, parabolic_subset
 
 from oracles import (
     brute_exterior_power,
@@ -39,6 +39,7 @@ from oracles import (
     euler_by_weyl_search,
     expand_by_freudenthal,
     freudenthal_by_dominant_lookup,
+    freudenthal_table_by_tuples,
     greedy_peel,
     koszul_by_expansion,
     kostant_multiplicity,
@@ -46,7 +47,7 @@ from oracles import (
     truncated_char_by_steinberg,
     truncated_char_by_zip,
 )
-from test_rootdata import E_WEIGHTS, OTHER_WEYL_WEIGHTS
+from test_rootdata import E_WEIGHTS, OTHER_WEYL_WEIGHTS, VALID_TYPES
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -124,6 +125,73 @@ def test_weyl_character_matches_kostant_oracle(rs, lam):
     for _ in range(10):
         w = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
         assert ch.multiplicity(w) == kostant_multiplicity(rs, lam, w)
+
+
+@pytest.mark.parametrize("label, rank", VALID_TYPES, ids=[f"{x}{n}" for x, n in VALID_TYPES])
+def test_weyl_character_matches_tuple_table(label, rank):
+    # the packed table against the tuple table it replaced, on seeded
+    # dominant weights of dimension at most 4000, and the trivial one
+    rs = build_root_system(label, rank)
+    rng = random.Random(f"tuple table {label}{rank}")
+    drawn = [(0,) * rank]
+    for _ in range(1000):
+        lam = [0] * rank
+        for _ in range(rng.randint(1, 3)):
+            lam[rng.randrange(rank)] += rng.randint(1, 3)
+        lam = tuple(lam)
+        if lam not in drawn and weyl_dimension(rs, lam) <= 4000:
+            drawn.append(lam)
+            if len(drawn) == 4:
+                break
+    assert len(drawn) >= 3, drawn
+    for lam in drawn:
+        ch = weyl_character(rs, lam)
+        assert ch.mults == freudenthal_table_by_tuples(rs, lam), (rs, lam)
+        assert dict(ch.items()) == ch.mults
+
+
+@pytest.mark.parametrize("rs, lam", [(A1, (300,)), (A1, (255,)), (A2, (200, 3)), (A2, (3, 200)),
+                                     (G2, (21, 0)), (G2, (0, 7)), (B2, (60, 1))],
+                         ids=lambda x: f"{x.type_label}{x.rank}" if isinstance(x, RootSystem)
+                         else ",".join(map(str, x)))
+def test_weyl_character_matches_tuple_table_in_wide_fields(rs, lam):
+    # fields wider than 7 bits, and G2, whose roots have coordinates +-3;
+    # (0, 7) on G2 takes 7-bit fields
+    ch = weyl_character(rs, lam)
+    assert ch.packing.mask >= 255 or lam == (0, 7)
+    assert ch.mults == freudenthal_table_by_tuples(rs, lam)
+    assert list(ch.items()) == sorted(ch.mults.items())
+
+
+def test_multiplicity_outside_the_fields_is_zero():
+    # a weight past the layout's bound names no weight, whichever key it
+    # would pack to: in these 3-bit fields (0, 8) packs to the key of (1, 0)
+    ch = weyl_character(A2, (1, 0))
+    bias = ch.packing.bias
+    width = ch.packing.mask.bit_length()
+    assert (width, ch.packing.pack((0, 1 << width))) == (3, ch.packing.pack((1, 0)))
+    for w in ((bias + 1, 0), (-bias - 1, 0), (0, 1 << width), (1 << width, -(1 << width)),
+              (1, 0, 0), (1,)):
+        assert ch.multiplicity(w) == 0 and w not in ch.mults, w
+    assert ch.multiplicity((1, 0)) == 1 and ch.mults[(1, 0)] == 1
+    with pytest.raises(KeyError):
+        ch.mults[(2 * bias + 1, 0)]
+
+
+def test_character_equality_across_layouts():
+    # one character built by different routes, in different layouts, is equal
+    # and adds, subtracts and shifts the same way
+    lam = (2, 1)
+    packed = weyl_character(A2, lam)
+    from_dict = Character(A2, dict(packed.items()))
+    expanded = charalg._expand(A2, {lam: 1}, charalg.DEFAULT_DIM_CAP, charalg.DEFAULT_TERM_CAP)
+    shifted = packed.shift((40, -40)).shift((-40, 40))
+    layouts = {(c.packing.bias, c.packing.mask) for c in (packed, from_dict, expanded, shifted)}
+    assert len(layouts) == 4
+    assert packed == from_dict == expanded == shifted
+    assert packed + expanded == 2 * from_dict and not shifted - packed
+    assert (packed + Character(A2, {(500, 0): 1})).multiplicity((500, 0)) == 1
+    assert packed != packed + Character(A2, {(500, 0): 1}) != packed
 
 
 def _assert_matches_lookup_oracle(rs, lam):
@@ -300,7 +368,7 @@ def test_expand_matches_freudenthal_oracle_on_signed_sums():
                 coeffs[extra] = rng.choice((-2, -1, 1, 2))
             got = charalg._expand(rs, coeffs, charalg.DEFAULT_DIM_CAP, charalg.DEFAULT_TERM_CAP)
             assert got == expand_by_freudenthal(rs, coeffs), (rs, coeffs)
-            assert list(got.mults) == sorted(got.mults)   # decoded in packed order
+            assert list(got.items()) == sorted(got.mults.items())   # key order is weight order
             support = set().union(*(weyl_character(rs, nu).mults for nu in coeffs))
             cancelled += len(got.mults) < len(support)
     assert cancelled > 40
@@ -410,7 +478,7 @@ def test_exterior_power_f4():
     middle = exterior_power_char(F4, 12)
     assert middle.dimension() == math.comb(24, 12) == 2_704_156
     assert middle.term_count() == 7_523
-    assert list(middle.mults) == sorted(middle.mults)   # decoded in packed order
+    assert list(middle.items()) == sorted(middle.mults.items())   # key order is weight order
 
 
 def test_truncated_char():
@@ -444,7 +512,7 @@ def test_truncated_char_matches_zip_oracle(rs, p):
     ch = truncated_char(rs, p)
     assert ch.mults == truncated_char_by_zip(rs, p)
     assert ch.dimension() == p**rs.num_positive_roots
-    assert list(ch.mults) == sorted(ch.mults)   # decoded in packed order
+    assert list(ch.items()) == sorted(ch.mults.items())   # key order is weight order
 
 
 @pytest.mark.parametrize("rs, p", _TRUNCATED_CASES, ids=_truncated_id)
@@ -510,17 +578,34 @@ def test_sym_power_term_cap(rs, n):
 
 def test_packing_orders_like_weights():
     # weights with coordinates at +-bound and between: packed ints sort and
-    # decode as the weight tuples sort
+    # decode, a column or a key at a time, as the weight tuples sort
     rng = random.Random(24)
-    for rank, bound in ((1, 1), (2, 3), (3, 8), (4, 16), (6, 5), (8, 40)):
-        packing = charalg._Packing(rank, bound)
+    for rank, bound in ((1, 1), (2, 3), (3, 8), (4, 16), (6, 5), (8, 40), (2, 300)):
+        packing = _Packing(rank, bound)
         weights = {tuple(rng.choice((-bound, bound, rng.randint(-bound, bound)))
                          for _ in range(rank)) for _ in range(300)}
         packed = {packing.pack(w): m for m, w in enumerate(weights, 1)}
         assert len(packed) == len(weights)
-        decoded = packing.unpack_sorted(packed)
-        assert list(decoded) == sorted(weights)
-        assert all(packed[packing.pack(w)] == m for w, m in decoded.items())
+        keys = sorted(packed)
+        assert packing.unpack(keys) == list(map(packing.weight, keys)) == sorted(weights)
+        assert packing.columns(keys) == [list(col) for col in zip(*sorted(weights))]
+
+
+def test_packing_moves_between_layouts():
+    # entries shifted and re-keyed into a layout of the same width (one int
+    # addition per key) or a wider one decode to the shifted weights
+    rng = random.Random(25)
+    for rank, bound in ((1, 2), (2, 3), (3, 8), (8, 5)):
+        src = _Packing(rank, bound)
+        weights = {tuple(rng.randint(-bound, bound) for _ in range(rank)) for _ in range(200)}
+        packed = {src.pack(w): m for m, w in enumerate(weights, 1)}
+        for extra in (0, 1, 64):
+            lam = tuple(rng.randint(-extra, extra) for _ in range(rank))
+            dst = _Packing(rank, bound + extra)
+            moved = src.moved(packed, dst, lam)
+            assert {dst.weight(x): m for x, m in moved.items()} == \
+                {tuple(map(operator.add, w, lam)): packed[src.pack(w)] for w in weights}
+        assert src.moved(packed, src) is packed
 
 
 @pytest.mark.parametrize("rs", [A2, B2, G2, build_root_system("B", 3), build_root_system("D", 4)],
@@ -530,14 +615,14 @@ def test_packing_root_steps_do_not_carry(rs):
     # both ends within the truncated product's bound at p = 3
     positive = [r.fund for r in rs.positive_roots]
     bound = charalg._root_sum_bound(positive, 2)
-    packing = charalg._Packing(rs.rank, bound)
+    packing = _Packing(rs.rank, bound)
     for root in positive + list(rs.negative_roots):
         step = packing.step(root)
         ends = [(-bound - min(c, 0), bound - max(c, 0)) for c in root]
         for w in itertools.product(*ends):
             moved = tuple(map(operator.add, w, root))
             assert max(map(abs, moved)) == bound or max(map(abs, w)) == bound
-            assert list(packing.unpack_sorted({packing.pack(w) + step: 1})) == [moved]
+            assert packing.unpack([packing.pack(w) + step]) == [moved]
 
 
 # -- decomposition -------------------------------------------------------------
@@ -561,6 +646,23 @@ def test_decompose_non_dominant_fails():
     dec = decompose_good_filtration(c)
     assert not dec.ok
     assert dec.failure_weight == (-1, 0)
+
+
+@pytest.mark.parametrize("rs, mults", [
+    (B2, {(-2, -2): 1, (3, 0): 1}),
+    (G2, {(2, 0): 1, (-1, -2): 1, (1, -3): 1}),
+    (A2, {(-1, 0): 1}),
+], ids=["B2", "G2", "A2"])
+def test_decompose_reflects_weights_past_the_bound(rs, mults):
+    # s_i of a support weight can leave the character's layout, where its key
+    # would alias another support weight: here s_1 (3, 0) = (-3, 6) on B2;
+    # the witness is the one that reflecting weight tuples gives
+    moved = [w for w, m in mults.items()
+             if any(mults.get(rs.reflect(i, w), 0) != m for i in range(1, rs.rank + 1))]
+    top = charalg._peel_order(rs, moved)[0]
+    dec = decompose_good_filtration(Character(rs, mults))
+    assert (dec.ok, dec.entries, dec.failure_weight, dec.failure_mult) == \
+        (False, (), top, mults[top])
 
 
 def test_decompose_round_trip_randomised():
@@ -855,10 +957,14 @@ def test_character_arithmetic():
     assert shifted.multiplicity((2, 1)) == a.multiplicity((1, 0))
     with pytest.raises(InputError):
         a + weyl_character(B2, (1, 0))
-    # each call builds its own character: changing one leaves the next intact
-    a.mults.clear()
-    weyl_character(A2, (1, 0)).mults.clear()
+    # each call builds its own character: clearing one's storage leaves the next intact
+    a.packed.clear()
+    weyl_character(A2, (1, 0)).packed.clear()
     assert weyl_character(A2, (1, 0)).dimension() == 3
+    # the multiplicities are a read-only view
+    with pytest.raises(TypeError):
+        b.mults[(1, 0)] = 2
+    assert not hasattr(b.mults, "clear")
 
 
 def test_character_repr_shows_the_six_smallest_weights():

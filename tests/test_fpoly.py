@@ -828,6 +828,26 @@ def test_random_poly_refuses_exponents_past_one_byte(monkeypatch):
     assert top == 127
 
 
+def test_random_poly_refuses_fewer_than_one_term(monkeypatch):
+    # below(0) would draw getrandbits(0) == 0 forever: a term bound below 1
+    # is refused by a raise, so also under python -O, before any draw
+    built = []
+    monkeypatch.setattr(fpoly, "_settled", lambda *args, **kwargs: built.append(args))
+    rng = random.Random(0)
+    state = rng.getstate()
+    for max_terms in (0, -1, -100):
+        with pytest.raises(InputError, match=f"^term bound {max_terms} is below 1$"):
+            verify._random_poly(rng, 3, ("x1", "x2"), max_terms=max_terms)
+    assert built == [] and rng.getstate() == state
+    monkeypatch.undo()
+    # one term is the least bound drawn, and it draws as randint does
+    ours, theirs = random.Random(2), random.Random(2)
+    for _ in range(50):
+        f = verify._random_poly(ours, 5, ("x1", "x2", "x3"), max_terms=1)
+        assert f == random_poly_by_randint(theirs, 5, ("x1", "x2", "x3"), max_terms=1)
+        assert len(f.packed) == 1
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_verify_fpoly_catches_a_wrong_trace_or_criterion(monkeypatch, seed):
     # the packed draws leave no check vacuous: a trace with one coefficient

@@ -22,6 +22,7 @@ from oracles import (
     inverse_by_fractions,
     make_dominant_by_reflect,
     orbit_by_bfs,
+    orbit_walk_by_tuples,
     positive_roots_by_strings,
     symmetrizers_by_fractions,
 )
@@ -393,8 +394,11 @@ def _orbit_size(rs, top):
 
 @pytest.mark.parametrize("key", ALL_TYPES, ids=lambda k: f"{k[0]}{k[1]}")
 def test_orbit_walk_matches_weyl_orbit(key):
-    # the unsorted, unvalidated walk from a dominant top is weyl_orbit of any
-    # member, each weight once; nonzero tops are drawn with orbits of at most 5000
+    # the unsorted, unvalidated walk of packed keys from a dominant top
+    # decodes, in walk order, to the tuple walk it replaced, each weight
+    # once, and sorted to weyl_orbit of any member; nonzero tops are drawn
+    # with orbits of at most 5000, walked in the layout weyl_orbit takes and
+    # in one 20 bits wider
     rs = build_root_system(*key)
     rng = random.Random(f"orbit walk {key}")
     drawn = 0
@@ -405,9 +409,14 @@ def test_orbit_walk_matches_weyl_orbit(key):
             continue
         drawn += 1
         moved = rs.weight_action([rng.randint(1, rs.rank) for _ in range(12)], top)
-        walk = rs._orbit_walk(top)
-        assert walk[0] == top and len(walk) == len(set(walk)) == size, (rs, top)
-        assert sorted(walk) == rs.weyl_orbit(moved), (rs, top, moved)
+        expected = orbit_walk_by_tuples(rs, top)
+        assert len(expected) == len(set(expected)) == size, (rs, top)
+        bound = max(map(abs, itertools.chain(*expected)))
+        assert bound == sum(a * c for a, c in zip(rs._top_coroot, top))
+        for packing in (rootdata._Packing(rs.rank, bound), rootdata._Packing(rs.rank, bound << 20)):
+            walk = rs._orbit_walk(packing.pack(top), packing)
+            assert packing.unpack(walk) == expected, (rs, top)
+        assert rs.weyl_orbit(moved) == sorted(expected), (rs, top, moved)
 
 
 VALID_TYPES = [(label, rank) for label, valid in rootdata._VALID_TYPES.items()
