@@ -82,10 +82,6 @@ class Character:
     def zero(cls, rs: RootSystem) -> "Character":
         return cls(rs)
 
-    @classmethod
-    def trivial(cls, rs: RootSystem) -> "Character":
-        return cls(rs, {(0,) * rs.rank: 1})
-
     @property
     def mults(self) -> "_Mults":
         """The multiplicities as a read-only map from weight tuples."""
@@ -556,9 +552,6 @@ class GoodFiltrationDecomposition(NamedTuple):
     entries: tuple[tuple[Weight, int], ...]
     failure_weight: Optional[Weight] = None
     failure_mult: Optional[int] = None
-
-    def reconstruct(self, rs: RootSystem, dim_cap: int = DEFAULT_DIM_CAP) -> Character:
-        return _expand(rs, dict(self.entries), dim_cap, DEFAULT_TERM_CAP)
 
     def to_json_obj(self) -> dict:
         obj: dict = {

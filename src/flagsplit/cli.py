@@ -51,10 +51,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"cannot parse integer list {text!r}") from exc
 
 
-def _dumps(obj, nl: str = "\n") -> str:
-    return "".join(_pieces(obj, nl))
-
-
 def _pieces(obj, nl: str = "\n") -> Iterator[str]:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte and in
     order, as a run of pieces, where a ``_Rows`` stands for its list of records.

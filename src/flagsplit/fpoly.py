@@ -10,6 +10,7 @@ needs with one bit to spare, so two keys of the same layout add without a
 carry, and equal polynomials have equal keys whichever route built them.
 A polynomial carries no grading of its variables: a caller that grades
 them (slnsplit's chart weights) keeps the grading itself.
+fpoly owns the one truncated product, ``_centre_coefficient``.
 Exponent tuples appear only at the edges: the validating constructor,
 :meth:`SparsePolynomial.coefficient`, sorted and printed terms, witnesses,
 and the read-only ``terms`` view.
@@ -129,6 +130,63 @@ def _product(left: dict[int, int], right: dict[int, int], p: int,
         if len(out) > term_cap:
             raise ResourceLimitError(f"product exceeds term cap {term_cap}")
     return {k: r for k, c in out.items() if (r := c % p)}
+
+
+def _centre_coefficient(factors: Sequence["SparsePolynomial"], term_cap: int) -> int:
+    """The all-(p-1) coefficient, the centre, of the product of ``factors``.
+
+    Exponents only grow, so a partial term is dropped once an exponent is
+    above p-1, or further below it than the factors to come can add: in
+    fields wide enough for 2(p-1), each test is one add and one mask of the
+    spare bits.  The factors go greedily into two groups by the product of
+    their term counts; each group's reach counts the other's largest
+    exponents, and the groups meet at the centre, where ``centre - k`` never
+    borrows.  Refused once a group's partial product has more than
+    ``term_cap`` terms after a row.
+    """
+    p, nvars = factors[0].p, len(factors[0].variables)
+    top, width = p - 1, _width(2 * (p - 1))
+    pack, unpack = _exponent_fields(nvars, width)
+    guard = 1 << 8 * width - 1
+    guards, over = pack([guard] * nvars), pack([guard - p] * nvars)   # guard bit iff above p-1
+    # a factor term with an exponent above p-1 reaches no kept term
+    kept = sorted(([(k, c) for k, c in f.packed.items() if not (k + over) & guards]
+                   if f.width == width else [(pack(e), c) for e, c in zip(
+                       f.exponents(), f.packed.values()) if max(e, default=0) <= top]
+                   for f in factors), key=len, reverse=True)
+    if not all(kept):
+        return 0
+    maxes = [list(map(max, zip(*(unpack(k) for k, _ in terms)))) for terms in kept]
+    groups, sizes = ([], []), [1, 1]
+    for terms, added in zip(kept, maxes):
+        i = sizes[1] < sizes[0]
+        groups[i].append((terms, added))
+        sizes[i] *= len(terms)
+
+    def truncated(group: list) -> dict[int, int]:
+        reach, out = list(map(sum, zip(*maxes))), {0: 1}   # what the factors to come can add
+        for terms, added in group:
+            reach = [r - a for r, a in zip(reach, added)]
+            under = pack([guard - max(top - r, 0) for r in reach])   # all guard bits iff in reach
+            left, out = out, {}
+            get = out.get
+            for k1, c1 in left.items():
+                for k2, c2 in terms:
+                    k = k1 + k2
+                    if (k + over) & guards or (k + under) & guards != guards:
+                        continue
+                    c = (get(k, 0) + c1 * c2) % p
+                    if c:
+                        out[k] = c
+                    else:   # c1 * c2 is nonzero mod p, so k was in out
+                        del out[k]
+                if len(out) > term_cap:
+                    raise ResourceLimitError(f"product exceeds term cap {term_cap}")
+        return out
+
+    small, big = sorted(map(truncated, groups), key=len)
+    centre = pack([top] * nvars)
+    return sum(c * big.get(centre - k, 0) for k, c in small.items()) % p
 
 
 class PrimeField(NamedTuple("PrimeField", [("p", int)])):

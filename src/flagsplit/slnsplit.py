@@ -18,10 +18,10 @@ subsets; no conjugation is formed.  Its fibre-degree N(p-1) component is
 built alone from the x-degree-s parts of the Delta_s, the minors of
 X g^{-1} (``build_mvk_component``).  The splitting criterion reads still
 less: one coefficient, the centre, which ``splitting_check`` computes for
-the Borel and every parabolic chart by a truncated product of the minors'
-top parts, without the chart.  A chart is a value with no cache behind
-it: the caller builds it once and passes it, or its homogeneous
-component, to each check.  Sign conventions: with these
+the Borel and every parabolic chart by fpoly's truncated product of the
+powers of the minors' top parts, without the chart.  A chart is a value
+with no cache behind it: the caller builds it once and passes it, or its
+homogeneous component, to each check.  Sign conventions: with these
 weights the x-variables carry positive-root weights; the canonical
 condition translates g by the lower elementary x_k(t) = I + t E_{k+1,k}.
 That changes only the k-th leading minor Delta_k, to Delta_k + t D_k, so
@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InputError, InvariantError
 from .fpoly import (
     DEFAULT_ENUM_CAP,
     DEFAULT_TERM_CAP,
@@ -44,6 +44,7 @@ from .fpoly import (
     SparsePolynomial,
     SplittingCheck,
     VariableIdeal,
+    _centre_coefficient,
     _settled,
     is_prime,
     is_splitting_function,
@@ -248,9 +249,9 @@ def _chart_minors(
     perm = _block_reversal(n, subset)
     minors = _minor_table([[m[i][j] for j in perm] for i in perm], width, term_cap)
     deltas = [minors[(1 << s) - 1] for s in range(1, n + 1)]
+    one = SparsePolynomial.constant(p, names, 1)
     for s, d in enumerate(deltas, 1):
-        x_fields = (1 << 8 * d.width * (len(names) - x_start)) - 1   # the trailing fields
-        if {k: c for k, c in d.packed.items() if not k & x_fields} != {0: 1}:
+        if _x_part(d, x_start, 0) != one:
             raise InvariantError(
                 f"leading minor {s} for n={n}, p={p}, subset={sorted(subset)} "
                 "is not 1 at X=0"
@@ -314,58 +315,6 @@ def build_mvk_component(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Cha
                          positions=positions, x_start=x_start, subset=frozenset())
 
 
-def _centre_coefficient(factors: Sequence[SparsePolynomial], term_cap: int) -> int:
-    """The coefficient of the all-(p-1) monomial in the product of ``factors``.
-
-    Exponents only grow, so a partial term is dropped once an exponent is
-    above p-1, or is further below p-1 than the factors still to come can
-    add.  Keys pack each variable in a field one guard bit wider than its
-    values, so each test is one add and one mask.  As in :meth:`mul`,
-    refused once a partial product has more than ``term_cap`` terms after a
-    row.
-    """
-    p = factors[0].p
-    top = p - 1
-    # a factor term with an exponent above p-1 reaches no kept term
-    kept = sorted(([(e, c) for e, c in zip(f.exponents(), f.packed.values())
-                    if max(e, default=0) <= top] for f in factors), key=len, reverse=True)
-    if not all(kept):
-        return 0
-    width = (2 * top).bit_length() + 1   # a partial field is at most 2(p-1)
-    guard = 1 << (width - 1)
-
-    def fields(values: Sequence[int]) -> int:
-        return sum(v << (i * width) for i, v in enumerate(values))
-
-    size = len(factors[0].variables)
-    guards = fields([guard] * size)
-    over = fields([guard - p] * size)   # sets a field's guard bit iff it is above p-1
-    maxes = [list(map(max, zip(*(e for e, _ in terms)))) for terms in kept]
-    reach = list(map(sum, zip(*maxes)))   # what the factors to come can add
-
-    out: dict[int, int] = {0: 1}
-    for terms, added in zip(kept, maxes):
-        reach = list(map(sub, reach, added))
-        # sets every guard bit iff each field can still reach p-1
-        under = fields([guard - max(top - r, 0) for r in reach])
-        right = [(fields(e), c) for e, c in terms]
-        left, out = out, {}
-        get = out.get
-        for k1, c1 in left.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                if (k + over) & guards or (k + under) & guards != guards:
-                    continue
-                c = (get(k, 0) + c1 * c2) % p
-                if c:
-                    out[k] = c
-                else:   # c1 * c2 is nonzero mod p, so k was in out
-                    del out[k]
-            if len(out) > term_cap:
-                raise ResourceLimitError(f"product exceeds term cap {term_cap}")
-    return out.get(fields([top] * size), 0)
-
-
 def _weight_certificate(
     n: int, positions: Sequence[tuple[int, int]], polys: Sequence[SparsePolynomial], total: Weight
 ) -> Optional[list[Weight]]:
@@ -397,8 +346,9 @@ def splitting_check(
     with rho-check gives sum ht(beta) a_beta = (p-1) sum ht(beta), and
     a >= p-1 forces a = p-1.  Then f splits iff its centre (all-(p-1))
     coefficient is nonzero, and the centre lies in f's top x-degree part,
-    so a truncated product of the top parts' powers computes it alone.
-    Otherwise the chart is built.  ``term_cap`` bounds every product.
+    so fpoly's truncated product of the top parts' powers, in two groups
+    joined at the centre, computes it alone.  Otherwise the chart is built.
+    ``term_cap`` bounds every product.
     """
     inside = _simple_subset(n, subset)
     (names, positions, x_start), deltas, _ = _chart_minors(n, p, inside, n, term_cap)

@@ -52,7 +52,7 @@ def run(capsys, *argv):
     {None: 1}, [{True: [1]}], [1.5, float("inf"), -0.0], "solo", 7, None,
 ])
 def test_dumps_matches_json(obj):
-    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert "".join(cli._pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_dumps_matches_json_randomised():
@@ -81,7 +81,7 @@ def test_dumps_matches_json_randomised():
 
     for _ in range(500):
         obj = draw(0)
-        assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert "".join(cli._pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 # -- record writer -------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_rows_match_json(count):
     records = [{"c": table[e], "e": list(e)} for e in sorted(table)]
     for nl in ("\n", "\n    "):
         want = json.dumps({"rows": records}, sort_keys=True, indent=2).replace("\n", nl)
-        assert cli._dumps({"rows": rows}, nl) == want
+        assert "".join(cli._pieces({"rows": rows}, nl)) == want
 
 
 def test_rows_keep_their_order_and_shape():
@@ -102,8 +102,8 @@ def test_rows_keep_their_order_and_shape():
     rows = cli._table_rows([((3, 0), 1), ((0, 1), 7), ((-1, -1), 2)], "mult", "weight", 2)
     want = [{"mult": 1, "weight": [3, 0]}, {"mult": 7, "weight": [0, 1]},
             {"mult": 2, "weight": [-1, -1]}]
-    assert cli._dumps([rows]) == json.dumps([want], sort_keys=True, indent=2)
-    assert cli._dumps(cli._table_rows([((), 5)], "c", "e", 0)) == \
+    assert "".join(cli._pieces([rows])) == json.dumps([want], sort_keys=True, indent=2)
+    assert "".join(cli._pieces(cli._table_rows([((), 5)], "c", "e", 0))) == \
         json.dumps([{"c": 5, "e": []}], sort_keys=True, indent=2)
 
 
@@ -142,7 +142,7 @@ def _uniform_rows(count):
 
 def test_emit_writes_one_block_at_a_time():
     rows = _uniform_rows(3 * BLOCK + 5)
-    block = len(cli._dumps(_uniform_rows(BLOCK), "\n  "))   # with its brackets
+    block = len("".join(cli._pieces(_uniform_rows(BLOCK), "\n  ")))   # with its brackets
     out = _Writes()
     with contextlib.redirect_stdout(out):
         cli._emit({"terms": rows}, list, True)

@@ -12,6 +12,7 @@ import pytest
 from flagsplit import charalg, fpoly, slnsplit, verify
 from flagsplit.errors import InputError, ResourceLimitError
 from flagsplit.fpoly import (
+    DEFAULT_TERM_CAP,
     PrimeField,
     SparsePolynomial,
     VariableIdeal,
@@ -562,6 +563,100 @@ def test_mul_term_cap_ignores_cancelled_keys():
     assert _assert_mul_matches_oracle(a, b, term_cap=2)[2] == {(0,): 1, (m,): 4}
     assert _assert_mul_matches_oracle(a, b, term_cap=1) == "refused"
     assert _assert_mul_matches_oracle(b, a, term_cap=2) == "refused"
+
+
+def _random_factor(rng, p, size, degree):
+    # 1..6 terms in `size` variables; of total degree `degree`, or when
+    # `degree` is None with exponents in [0, p] or, to overflow a field of
+    # the packed keys, up to 4p+3
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        if degree is None:
+            e = [rng.randint(0, rng.choice([p, 4 * p + 3])) for _ in range(size)]
+        else:
+            e = [0] * size
+            for _ in range(degree):
+                e[rng.randrange(size)] += 1
+        terms[tuple(e)] = rng.randint(1, p - 1)
+    return SparsePolynomial(p, tuple(f"v{i}" for i in range(size)), terms)
+
+
+def _largest_partial_product(factors, p):
+    # the largest partial product the centre coefficient keeps, over
+    # exponent tuples: the factors' terms with no exponent above p-1,
+    # largest factor first, each put in the group whose product of term
+    # counts is smaller (the first on a tie); of each group's partial
+    # products the terms with every exponent at most p-1 and within reach
+    # of p-1, the reach counting the group's factors to come and the whole
+    # other group; 0 when a factor keeps no term
+    top = p - 1
+    kept = sorted((SparsePolynomial(p, f.variables, {
+        e: c for e, c in f.terms.items() if max(e, default=0) <= top}) for f in factors),
+        key=lambda f: len(f.terms), reverse=True)
+    if kept[-1].is_zero():
+        return 0
+    maxes = [[max(e[i] for e in f.terms) for i in range(len(f.variables))] for f in kept]
+    groups, counts = ([], []), [1, 1]
+    for f, m in zip(kept, maxes):
+        i = 1 if counts[1] < counts[0] else 0
+        groups[i].append((f, m))
+        counts[i] *= len(f.terms)
+    largest = 0
+    for group in groups:
+        reach = [sum(column) for column in zip(*maxes)]
+        out = SparsePolynomial.constant(p, factors[0].variables, 1)
+        for f, m in group:
+            reach = [r - a for r, a in zip(reach, m)]
+            out = SparsePolynomial(p, out.variables, {
+                e: c for e, c in out.mul(f).terms.items()
+                if all(top - r <= a <= top for a, r in zip(e, reach))})
+            largest = max(largest, len(out.terms))
+    return largest
+
+
+def test_centre_coefficient_matches_mul_then_coefficient():
+    rng = random.Random(7)
+    outcomes = set()
+    for trial in range(600):
+        # 67 puts the centre coefficient's keys in two-byte fields
+        p = rng.choice([2, 3, 5, 67])
+        size = rng.randint(1, 4)
+        # 1..3 factors whose degrees add up to size (p-1), as the minors'
+        # top parts' powers, or (every other trial) of any degrees
+        cuts = sorted(rng.randint(0, size * (p - 1)) for _ in range(rng.randint(0, 2)))
+        degrees = [b - a for a, b in zip([0] + cuts, cuts + [size * (p - 1)])]
+        factors = [_random_factor(rng, p, size, d if trial % 2 == 0 else None)
+                   for d in degrees]
+        full = factors[0]
+        for f in factors[1:]:
+            full = full.mul(f)
+        want = full.coefficient((p - 1,) * size)
+        assert fpoly._centre_coefficient(factors, DEFAULT_TERM_CAP) == want, (factors, p)
+        outcomes.add(want != 0)
+        # the cap bounds each group's partial products, and nothing more
+        largest = _largest_partial_product(factors, p)
+        assert fpoly._centre_coefficient(factors, largest) == want, (factors, p)
+        if largest > 1:
+            with pytest.raises(ResourceLimitError):
+                fpoly._centre_coefficient(factors, largest - 1)
+            outcomes.add("refused")
+    assert outcomes == {True, False, "refused"}
+
+
+def test_centre_coefficient_reads_wide_layouts():
+    # the centre coefficient drops the terms above p-1 in any layout
+    names = ("y21", "x12")
+    g = SparsePolynomial(3, names, {(2, 0): 1, (300, 0): 1})
+    h = SparsePolynomial(3, names, {(0, 2): 2, (0, 130): 1})
+    assert fpoly._centre_coefficient([g, h], DEFAULT_TERM_CAP) == 2
+    assert g.mul(h).coefficient((2, 2)) == 2
+    # at p = 67 its fields are two bytes wide: g's keys are read as they
+    # are, with 130 dropped, and h's one-byte keys are packed again
+    g = SparsePolynomial(67, names, {(66, 0): 1, (130, 0): 5})
+    h = SparsePolynomial(67, names, {(0, 66): 3, (0, 1): 1})
+    assert (g.width, h.width) == (2, 1)
+    assert fpoly._centre_coefficient([g, h], DEFAULT_TERM_CAP) == 3
+    assert g.mul(h).coefficient((66, 66)) == 3
 
 
 def test_trace_examples():

@@ -648,6 +648,14 @@ def test_splitting_check_term_cap_bounds_the_powers():
     assert splitting_check(2, 13, term_cap=91)[1].ok
 
 
+@pytest.mark.parametrize("n,p", [(4, 5), (6, 2), (5, 3)])
+def test_splitting_check_reaches_the_largest_borel_charts(n, p):
+    # the centre coefficient is 1 here under the default term cap; a single
+    # chain of the factors' products took seconds at (4,5) and (6,2) and
+    # passed the cap at (5,3)
+    assert splitting_check(n, p)[1] == SplittingCheck(True)
+
+
 def _patch_leading_minor(monkeypatch, s, change):
     minor_table = slnsplit._minor_table
 
@@ -746,72 +754,6 @@ def test_splitting_check_invariants_under_optimisation():
     assert run.returncode == 0
 
 
-def _random_factor(rng, p, size, degree):
-    # 1..6 terms in `size` variables; of total degree `degree`, or when
-    # `degree` is None with exponents in [0, p] or, to overflow a field of
-    # the packed keys, up to 4p+3
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        if degree is None:
-            e = [rng.randint(0, rng.choice([p, 4 * p + 3])) for _ in range(size)]
-        else:
-            e = [0] * size
-            for _ in range(degree):
-                e[rng.randrange(size)] += 1
-        terms[tuple(e)] = rng.randint(1, p - 1)
-    return SparsePolynomial(p, tuple(f"v{i}" for i in range(size)), terms)
-
-
-def _largest_partial_product(factors, p):
-    # the largest partial product the centre coefficient keeps, over
-    # exponent tuples: the factors' terms with no exponent above p-1,
-    # largest factor first, and of each partial product the terms with
-    # every exponent at most p-1 and within reach of p-1; none when a
-    # factor keeps no term
-    top = p - 1
-    kept = sorted((SparsePolynomial(p, f.variables, {
-        e: c for e, c in f.terms.items() if max(e, default=0) <= top}) for f in factors),
-        key=lambda f: len(f.terms), reverse=True)
-    if kept[-1].is_zero():
-        return 0
-    reach = [sum(max((e[i] for e in f.terms), default=0) for f in kept)
-             for i in range(len(factors[0].variables))]
-    out, largest = SparsePolynomial.constant(p, factors[0].variables, 1), 0
-    for f in kept:
-        reach = [r - max((e[i] for e in f.terms), default=0) for i, r in enumerate(reach)]
-        out = SparsePolynomial(p, out.variables, {
-            e: c for e, c in out.mul(f).terms.items()
-            if all(top - r <= a <= top for a, r in zip(e, reach))})
-        largest = max(largest, len(out.terms))
-    return largest
-
-
-def test_centre_coefficient_matches_mul_then_coefficient():
-    rng = random.Random(7)
-    outcomes = set()
-    for trial in range(600):
-        p = rng.choice([2, 3, 5])
-        size = rng.randint(1, 4)
-        # 1..3 factors whose degrees add up to size (p-1), as the minors'
-        # top parts' powers, or (every other trial) of any degrees
-        cuts = sorted(rng.randint(0, size * (p - 1)) for _ in range(rng.randint(0, 2)))
-        degrees = [b - a for a, b in zip([0] + cuts, cuts + [size * (p - 1)])]
-        factors = [_random_factor(rng, p, size, d if trial % 2 == 0 else None)
-                   for d in degrees]
-        full = factors[0]
-        for f in factors[1:]:
-            full = full.mul(f)
-        want = full.coefficient((p - 1,) * size)
-        assert slnsplit._centre_coefficient(factors, DEFAULT_TERM_CAP) == want, (factors, p)
-        outcomes.add(want != 0)
-        largest = _largest_partial_product(factors, p)
-        if largest > 1:
-            with pytest.raises(ResourceLimitError):
-                slnsplit._centre_coefficient(factors, largest - 1)
-            outcomes.add("refused")
-    assert outcomes == {True, False, "refused"}
-
-
 def test_chart_helpers_read_wide_layouts():
     # an exponent of 200 puts the keys in two-byte fields; the parts that
     # drop it are back in one-byte fields, as the same terms built directly
@@ -820,11 +762,6 @@ def test_chart_helpers_read_wide_layouts():
     part = slnsplit._x_part(f, 1, 2)
     assert part == SparsePolynomial(3, names, {(0, 2): 2, (1, 2): 1}) and part.width == 1
     assert slnsplit._x_part(f, 1, 1) == SparsePolynomial(3, names, {(200, 1): 1})
-    # the centre coefficient drops the terms above p-1 in any layout
-    g = SparsePolynomial(3, names, {(2, 0): 1, (300, 0): 1})
-    h = SparsePolynomial(3, names, {(0, 2): 2, (0, 130): 1})
-    assert slnsplit._centre_coefficient([g, h], DEFAULT_TERM_CAP) == 2
-    assert g.mul(h).coefficient((2, 2)) == 2
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3), (4, 2), (3, 5), (4, 3)])
