@@ -72,6 +72,8 @@ def _exponent_fields(nvars: int, width: int):
 
 
 def _relayout(packed: dict[int, int], nvars: int, width: int, new: int) -> dict[int, int]:
+    if width == new:
+        return packed
     pack, unpack = _exponent_fields(nvars, new)[0], _exponent_fields(nvars, width)[1]
     return {pack(unpack(k)): c for k, c in packed.items()}
 
@@ -91,8 +93,7 @@ def _settled(p: int, variables: tuple[str, ...], width: int, packed: dict[int, i
     if width > 1 or may_widen:
         fold = _exponent_fields(len(variables), width)[1](reduce(or_, packed, 0))
         need = _width(max(fold, default=0))
-        if need != width:
-            packed, width = _relayout(packed, len(variables), width, need), need
+        packed, width = _relayout(packed, len(variables), width, need), need
     return SparsePolynomial._from_packed(p, variables, width, packed)
 
 
@@ -137,23 +138,21 @@ def _centre_coefficient(factors: Sequence["SparsePolynomial"], term_cap: int) ->
 
     Exponents only grow, so a partial term is dropped once an exponent is
     above p-1, or further below it than the factors to come can add: in
-    fields wide enough for 2(p-1), each test is one add and one mask of the
-    spare bits.  The factors go greedily into two groups by the product of
-    their term counts; each group's reach counts the other's largest
-    exponents, and the groups meet at the centre, where ``centre - k`` never
-    borrows.  Refused once a group's partial product has more than
-    ``term_cap`` terms after a row.
+    fields wide enough for 2(p-1) and for every factor's keys, each test is
+    one add and one mask of the spare bits.  The factors go greedily into
+    two groups by the product of their term counts; each group's reach
+    counts the other's largest exponents, and the groups meet at the centre,
+    where ``centre - k`` never borrows.  Refused once a group's partial
+    product has more than ``term_cap`` terms after a row.
     """
-    p, nvars = factors[0].p, len(factors[0].variables)
-    top, width = p - 1, _width(2 * (p - 1))
+    p, nvars, top = factors[0].p, len(factors[0].variables), factors[0].p - 1
+    width = max(_width(2 * top), *(f.width for f in factors))
     pack, unpack = _exponent_fields(nvars, width)
     guard = 1 << 8 * width - 1
     guards, over = pack([guard] * nvars), pack([guard - p] * nvars)   # guard bit iff above p-1
     # a factor term with an exponent above p-1 reaches no kept term
-    kept = sorted(([(k, c) for k, c in f.packed.items() if not (k + over) & guards]
-                   if f.width == width else [(pack(e), c) for e, c in zip(
-                       f.exponents(), f.packed.values()) if max(e, default=0) <= top]
-                   for f in factors), key=len, reverse=True)
+    kept = sorted(([(k, c) for k, c in _relayout(f.packed, nvars, f.width, width).items()
+                    if not (k + over) & guards] for f in factors), key=len, reverse=True)
     if not all(kept):
         return 0
     maxes = [list(map(max, zip(*(unpack(k) for k, _ in terms)))) for terms in kept]
@@ -361,8 +360,7 @@ class SparsePolynomial:
         if self.width == other.width:
             return self.width, self.packed, other.packed
         width, n = max(self.width, other.width), len(self.variables)
-        return width, *(f.packed if f.width == width else _relayout(f.packed, n, f.width, width)
-                        for f in (self, other))
+        return width, *(_relayout(f.packed, n, f.width, width) for f in (self, other))
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         width, out, right = self._check_compatible(other)

@@ -585,32 +585,41 @@ def _largest_partial_product(factors, p):
     # the largest partial product the centre coefficient keeps, over
     # exponent tuples: the factors' terms with no exponent above p-1,
     # largest factor first, each put in the group whose product of term
-    # counts is smaller (the first on a tie); of each group's partial
-    # products the terms with every exponent at most p-1 and within reach
-    # of p-1, the reach counting the group's factors to come and the whole
-    # other group; 0 when a factor keeps no term
+    # counts is smaller (the first on a tie); each group multiplied one
+    # term of its partial product (a row) at a time, in the same order,
+    # keeping the terms with every exponent at most p-1 and within reach of
+    # p-1, the reach counting the group's factors to come and the whole
+    # other group, and dropping a coefficient once it is 0 mod p.  The count
+    # is taken after every row, as the cap is checked; a term a later row
+    # cancels still counts.  0 when a factor keeps no term
     top = p - 1
-    kept = sorted((SparsePolynomial(p, f.variables, {
-        e: c for e, c in f.terms.items() if max(e, default=0) <= top}) for f in factors),
-        key=lambda f: len(f.terms), reverse=True)
-    if kept[-1].is_zero():
+    kept = sorted(([(e, c) for e, c in f.terms.items() if max(e, default=0) <= top]
+                   for f in factors), key=len, reverse=True)
+    if not kept[-1]:
         return 0
-    maxes = [[max(e[i] for e in f.terms) for i in range(len(f.variables))] for f in kept]
+    maxes = [[max(column) for column in zip(*(e for e, _ in terms))] for terms in kept]
     groups, counts = ([], []), [1, 1]
-    for f, m in zip(kept, maxes):
+    for terms, m in zip(kept, maxes):
         i = 1 if counts[1] < counts[0] else 0
-        groups[i].append((f, m))
-        counts[i] *= len(f.terms)
+        groups[i].append((terms, m))
+        counts[i] *= len(terms)
     largest = 0
     for group in groups:
         reach = [sum(column) for column in zip(*maxes)]
-        out = SparsePolynomial.constant(p, factors[0].variables, 1)
-        for f, m in group:
+        out = {(0,) * len(factors[0].variables): 1}
+        for terms, m in group:
             reach = [r - a for r, a in zip(reach, m)]
-            out = SparsePolynomial(p, out.variables, {
-                e: c for e, c in out.mul(f).terms.items()
-                if all(top - r <= a <= top for a, r in zip(e, reach))})
-            largest = max(largest, len(out.terms))
+            left, out = out, {}
+            for e1, c1 in left.items():
+                for e2, c2 in terms:
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    if all(top - r <= a <= top for a, r in zip(e, reach)):
+                        c = (out.get(e, 0) + c1 * c2) % p
+                        if c:
+                            out[e] = c
+                        else:
+                            del out[e]
+                largest = max(largest, len(out))
     return largest
 
 
@@ -643,6 +652,21 @@ def test_centre_coefficient_matches_mul_then_coefficient():
     assert outcomes == {True, False, "refused"}
 
 
+def test_centre_coefficient_caps_every_row():
+    # y + 1 + x and then x + 1 share a group: times x + 1, the rows y and 1
+    # leave xy, y, x and 1, and the row x cancels x mod 2, so the group's
+    # product ends at 3 terms but holds 4 after a row, where the cap is checked
+    names = ("x", "y")
+    factors = [SparsePolynomial(2, names, {(0, 1): 1, (0, 0): 1, (1, 0): 1}),
+               SparsePolynomial(2, names, {(1, 0): 1, (1, 1): 1, (0, 1): 1}),
+               SparsePolynomial(2, names, {(1, 0): 1, (0, 0): 1})]
+    assert _largest_partial_product(factors, 2) == 4
+    want = factors[0].mul(factors[1]).mul(factors[2]).coefficient((1, 1))
+    assert fpoly._centre_coefficient(factors, 4) == want
+    with pytest.raises(ResourceLimitError):
+        fpoly._centre_coefficient(factors, 3)
+
+
 def test_centre_coefficient_reads_wide_layouts():
     # the centre coefficient drops the terms above p-1 in any layout
     names = ("y21", "x12")
@@ -651,7 +675,7 @@ def test_centre_coefficient_reads_wide_layouts():
     assert fpoly._centre_coefficient([g, h], DEFAULT_TERM_CAP) == 2
     assert g.mul(h).coefficient((2, 2)) == 2
     # at p = 67 its fields are two bytes wide: g's keys are read as they
-    # are, with 130 dropped, and h's one-byte keys are packed again
+    # are, with 130 dropped, and h's one-byte keys are widened
     g = SparsePolynomial(67, names, {(66, 0): 1, (130, 0): 5})
     h = SparsePolynomial(67, names, {(0, 66): 3, (0, 1): 1})
     assert (g.width, h.width) == (2, 1)
