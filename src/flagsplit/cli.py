@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import sys
 import types
+from functools import cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -53,16 +55,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _pieces(obj, nl: str = "\n") -> Iterator[str]:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte and in
-    order, as a run of pieces, where a ``_Rows`` stands for its list of records.
+    order, as a run of pieces, where a ``_Records`` stands for its list of
+    records.
 
     ``indent`` sends ``json`` to its pure-Python encoder, one small string per
-    token; here an int list is one ``join``, and like-shaped int records
-    (character entries, polynomial terms) are written from their sorted table
-    ``_BLOCK`` records per ``%`` format.  No piece holds more than one block.
-    ``nl`` is the newline and indent of the line ``obj`` starts on.
+    token; here an int list is one ``join``, and the records of a packed table
+    (character entries, polynomial terms) are written ``_BLOCK`` at a time
+    from their keys' bytes.  No piece holds more than one block.  ``nl`` is
+    the newline and indent of the line ``obj`` starts on.
     """
-    if type(obj) is _Rows:
-        yield from _row_blocks(obj, nl)
+    if type(obj) is _Records:
+        yield from _record_blocks(obj, nl)
     elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:
         yield _wrap(list(map(str, obj)), nl, "[]")
     elif isinstance(obj, (list, tuple)) and obj:
@@ -97,36 +100,74 @@ def _wrap(parts: list[str], nl: str, brackets: str) -> str:
     return f"{brackets[0]}{inner}{body}{nl}{brackets[1]}"
 
 
-class _Rows(tuple):
-    """(value, key, width, ints): the records {value: v, key: [k1, ..., kwidth]}
-    as one flat int list v, k1, ..., kwidth per record, with no dict per
-    record; ``value`` sorts before ``key``, the order json's sort_keys writes."""
+class _Records(tuple):
+    """(table, value, key, n, bits, bias): the records {value: table[k], key:
+    [f1, ..., fn]} of a packed table, one per key in key order, where each key
+    holds n fields of ``bits`` bits, f1 in the most significant, each read as
+    its bits minus bias.  ``value`` sorts before ``key``, the order json's
+    sort_keys writes.  Nothing is sorted or decoded until they are written."""
 
 
-def _table_rows(pairs: Iterable, value: str, key: str, width: int) -> _Rows:
-    # the records {value: v, key: list(k)} for each (k, v) of pairs, in their order
-    ints: list = []
-    put, put_all = ints.append, ints.extend
-    for k, v in pairs:
-        put(v)
-        put_all(k)
-    return _Rows((value, key, width, ints))
+_BLOCK = 2048   # records per join
 
 
-_BLOCK = 2048   # records per % format
+def _texts(values: set, template: str, shifts: list, mask: int, bias: int) -> dict:
+    # value -> template % its numbers: for each shift, the value's bits from
+    # that shift up, masked and less bias.  One % format for all the values,
+    # split at NULs, which no template holds (json escapes them)
+    numbers = tuple([(v >> s & mask) - bias for v in values for s in shifts])
+    return dict(zip(values, ("\0".join([template] * len(values)) % numbers).split("\0")))
 
 
-def _row_blocks(rows: _Rows, nl: str) -> Iterator[str]:
-    value, key, width, ints = rows
+@cache
+def _columns(value: str, key: str, n: int, bits: int, nl: str) -> tuple:
+    """(nbytes, head, columns) for records of n fields of ``bits`` bits at
+    ``nl``: the key's length in bytes, the template of a record's value, and
+    for each column of the key (a byte, which holds whole fields, or a field
+    wider than a byte) its byte offset or field shift, the shifts of its
+    fields in it and its template, which ends the record after the last field."""
     inner = nl + "  "
-    record = _wrap([_escape(value) + ": %d",
-                    _escape(key) + ": " + _wrap(["%d"] * width, inner + "  ", "[]")], inner, "{}")
-    step = _BLOCK * (width + 1)
-    for start in range(0, len(ints), step):
-        block = tuple(ints[start:start + step])
-        yield ("," if start else "[") + inner + (
-            ("," + inner).join([record] * (len(block) // (width + 1))) % block)
-    yield nl + "]" if ints else "[]"
+    tail = (inner + "  " if n else "") + "]" + inner + "}"
+    nbytes = -(-n * bits // 8)
+    narrow = bits <= 8
+    fields: dict = {}   # column -> [(text, shift in the column)]
+    for i in range(n):
+        s = bits * (n - 1 - i)
+        fields.setdefault(nbytes - 1 - s // 8 if narrow else s, []).append(
+            (("," if i else "") + inner + "    %d", s % 8 if narrow else 0))
+    head = (",%s{%s  %s: %%d,%s  %s: [" % (inner, inner, _escape(value), inner, _escape(key))
+            + ("" if n else tail))
+    ends = [""] * (len(fields) - 1) + [tail]   # the last column holds the last field
+    return nbytes, head, [(c, [s for _, s in at], "".join(t for t, _ in at) + end)
+                          for (c, at), end in zip(fields.items(), ends)]
+
+
+def _record_blocks(rec: _Records, nl: str) -> Iterator[str]:
+    # A record is the text of its value, then one text per column of its key.
+    # A text holds json's layout around its numbers and is built once per
+    # value that occurs in its column.
+    table, value, key, n, bits, bias = rec
+    nbytes, head, columns = _columns(value, key, n, bits, nl)
+    mask = (1 << bits) - 1
+    narrow = bits <= 8
+    texts = [{} for _ in range(len(columns) + 1)]
+    stride = len(texts)
+    keys = sorted(table)   # int order is the order of the fields
+    for start in range(0, len(keys), _BLOCK):
+        block = keys[start:start + _BLOCK]
+        out = [""] * (stride * len(block))
+        col = list(map(table.__getitem__, block))
+        texts[0].update(_texts(set(col).difference(texts[0]), head, [0], -1, 0))
+        out[::stride] = map(texts[0].__getitem__, col)
+        buf = b"".join(map(int.to_bytes, block, repeat(nbytes), repeat("big"))) if narrow else b""
+        for c, (j, shifts, template) in enumerate(columns, 1):
+            col = buf[j::nbytes] if narrow else [k >> j & mask for k in block]
+            texts[c].update(_texts(set(col).difference(texts[c]), template, shifts, mask, bias))
+            out[c::stride] = map(texts[c].__getitem__, col)
+        if not start:
+            out[0] = "[" + out[0][1:]
+        yield "".join(out)
+    yield nl + "]" if keys else "[]"
 
 
 def _emit(obj: dict, lines: Callable[[], Iterable[str]], as_json: bool) -> None:
@@ -140,21 +181,16 @@ def _emit(obj: dict, lines: Callable[[], Iterable[str]], as_json: bool) -> None:
             print(line)
 
 
-def _char_rows(ch: charalg.Character) -> _Rows:
-    # ch.to_json_obj() as rows: the multiplicities and each decoded coordinate
-    # column of the sorted keys, interleaved, with no weight tuple built
-    keys = sorted(ch.packed)   # int order is weight order
-    width = ch.rs.rank + 1
-    ints = [0] * (width * len(keys))
-    ints[::width] = map(ch.packed.__getitem__, keys)
-    for j, col in enumerate(ch.packing.columns(keys), 1):
-        ints[j::width] = col
-    return _Rows(("mult", "weight", ch.rs.rank, ints))
+def _char_rows(ch: charalg.Character) -> _Records:
+    # ch.to_json_obj() as records of its packed table
+    p = ch.packing
+    return _Records((ch.packed, "mult", "weight", ch.rs.rank, p.mask.bit_length(), p.bias))
 
 
 def _poly_obj(f: fpoly.SparsePolynomial) -> dict:
-    # fpoly.poly_to_json_obj(f) with its terms as rows
-    return fpoly.poly_to_json_obj(f, _table_rows(f.sorted_terms(), "c", "e", len(f.variables)))
+    # fpoly.poly_to_json_obj(f) with its terms as records of its packed table
+    return fpoly.poly_to_json_obj(
+        f, _Records((f.packed, "c", "e", len(f.variables), 8 * f.width, 0)))
 
 
 def _char_lines(ch: charalg.Character) -> Iterator[str]:

@@ -165,11 +165,12 @@ def test_weyl_character_matches_tuple_table_in_wide_fields(rs, lam):
 
 def test_multiplicity_outside_the_fields_is_zero():
     # a weight past the layout's bound names no weight, whichever key it
-    # would pack to: in these 3-bit fields (0, 8) packs to the key of (1, 0)
+    # would pack to: in fields of width bits (0, 2^width) carries into the
+    # first field and packs to the key of (1, 0)
     ch = weyl_character(A2, (1, 0))
     bias = ch.packing.bias
     width = ch.packing.mask.bit_length()
-    assert (width, ch.packing.pack((0, 1 << width))) == (3, ch.packing.pack((1, 0)))
+    assert ch.packing.pack((0, 1 << width)) == ch.packing.pack((1, 0))
     for w in ((bias + 1, 0), (-bias - 1, 0), (0, 1 << width), (1 << width, -(1 << width)),
               (1, 0, 0), (1,)):
         assert ch.multiplicity(w) == 0 and w not in ch.mults, w
@@ -187,7 +188,8 @@ def test_character_equality_across_layouts():
     expanded = charalg._expand(A2, {lam: 1}, charalg.DEFAULT_DIM_CAP, charalg.DEFAULT_TERM_CAP)
     shifted = packed.shift((40, -40)).shift((-40, 40))
     layouts = {(c.packing.bias, c.packing.mask) for c in (packed, from_dict, expanded, shifted)}
-    assert len(layouts) == 4
+    # four biases in two field widths: equality meets both kinds of move
+    assert len(layouts) == 4 and len({mask for _, mask in layouts}) == 2
     assert packed == from_dict == expanded == shifted
     assert packed + expanded == 2 * from_dict and not shifted - packed
     assert (packed + Character(A2, {(500, 0): 1})).multiplicity((500, 0)) == 1
@@ -595,16 +597,19 @@ def test_packing_moves_between_layouts():
     # entries shifted and re-keyed into a layout of the same width (one int
     # addition per key) or a wider one decode to the shifted weights
     rng = random.Random(25)
-    for rank, bound in ((1, 2), (2, 3), (3, 8), (8, 5)):
+    for rank, bound in ((1, 2), (2, 3), (3, 7), (8, 5)):
         src = _Packing(rank, bound)
         weights = {tuple(rng.randint(-bound, bound) for _ in range(rank)) for _ in range(200)}
         packed = {src.pack(w): m for m, w in enumerate(weights, 1)}
+        widths = set()
         for extra in (0, 1, 64):
             lam = tuple(rng.randint(-extra, extra) for _ in range(rank))
             dst = _Packing(rank, bound + extra)
+            widths.add(dst.mask == src.mask)
             moved = src.moved(packed, dst, lam)
             assert {dst.weight(x): m for x, m in moved.items()} == \
                 {tuple(map(operator.add, w, lam)): packed[src.pack(w)] for w in weights}
+        assert widths == {True, False}, (rank, bound)   # both kinds of move
         assert src.moved(packed, src) is packed
 
 

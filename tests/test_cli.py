@@ -86,36 +86,109 @@ def test_dumps_matches_json_randomised():
 
 # -- record writer -------------------------------------------------------------
 
+BLOCK = cli._BLOCK
+
+
+def _records(table):
+    # the character with multiplicities table, as the CLI writes it, and
+    # json's records of it, built from the tuples
+    ch = charalg.Character(parse_system("A3"), table)
+    return cli._char_rows(ch), [{"mult": table[w], "weight": list(w)} for w in sorted(table)]
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 4096, 4097])
 def test_rows_match_json(count):
     rng = random.Random(count)
-    table = {(i, rng.randrange(-9, 9), -i): rng.choice([1, -2, 2**70]) for i in range(count)}
-    rows = cli._table_rows(sorted(table.items()), "c", "e", 3)
-    records = [{"c": table[e], "e": list(e)} for e in sorted(table)]
+    rows, records = _records({(i, rng.randrange(-9, 9), -i): rng.choice([1, -2, 2**70])
+                              for i in range(count)})
     for nl in ("\n", "\n    "):
         want = json.dumps({"rows": records}, sort_keys=True, indent=2).replace("\n", nl)
         assert "".join(cli._pieces({"rows": rows}, nl)) == want
 
 
 def test_rows_keep_their_order_and_shape():
-    # records are written in the order of the pairs given, a key may be empty
-    rows = cli._table_rows([((3, 0), 1), ((0, 1), 7), ((-1, -1), 2)], "mult", "weight", 2)
-    want = [{"mult": 1, "weight": [3, 0]}, {"mult": 7, "weight": [0, 1]},
-            {"mult": 2, "weight": [-1, -1]}]
+    # records are written in key order, which is weight order, and a key may be empty
+    rows, want = _records({(3, 0, 0): 1, (0, 1, 0): 7, (-1, -1, 0): 2})
+    assert want[0]["weight"] == [-1, -1, 0]
     assert "".join(cli._pieces([rows])) == json.dumps([want], sort_keys=True, indent=2)
-    assert "".join(cli._pieces(cli._table_rows([((), 5)], "c", "e", 0))) == \
-        json.dumps([{"c": 5, "e": []}], sort_keys=True, indent=2)
+    assert "".join(cli._pieces(cli._poly_obj(SparsePolynomial(7, (), {(): 5})))) == \
+        json.dumps({"p": 7, "terms": [{"c": 5, "e": []}], "vars": []}, sort_keys=True, indent=2)
 
 
-BLOCK = cli._BLOCK
+def _drawn_weights(rng, rank, bound, count):
+    # count distinct weights with coordinates in [-bound, bound], one of them
+    # at bound, so the layout's fields are exactly as wide as bound needs
+    assert (2 * bound + 1) ** rank >= count
+    weights = {(bound,) + (0,) * (rank - 1)}
+    while len(weights) < count:
+        weights.add(tuple(rng.randint(-bound, bound) for _ in range(rank)))
+    return sorted(weights)
+
+
+# (bits per field, bound, system): the least bound of each field width
+# Character(rs, mults) takes, and the largest coordinate the width holds
+WRITER_FIELDS = [(1, 0, "A2"), (2, 1, "A8"), (4, 2, "E8"), (4, 7, "B4"), (8, 8, "A4"),
+                 (8, 127, "E6"), (16, 128, "A3"), (16, 300, "A2"), (32, 40000, "A2")]
+
+
+def _writer_nestings(rows, records):
+    # the records at top level, in filt's degrees and in g1's cohomology
+    def filt(x):
+        return {"degrees": [{"character": x, "degree": 2, "dimension": 9}], "all_ok": True}
+
+    def g1(x):
+        return {"cohomology": [{"character": x, "dimension": 0, "i": 0},
+                               {"character": x, "dimension": 1, "i": 1}], "p": 3}
+
+    return [(rows, records), (filt(rows), filt(records)), (g1(rows), g1(records))]
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("bits, bound, system", WRITER_FIELDS,
+                         ids=[f"{b}bit-{n}" for b, n, _ in WRITER_FIELDS])
+def test_record_writer_matches_json_for_characters(bits, bound, system, count):
+    # negative coordinates, signed and large multiplicities, fields of 1 to
+    # 32 bits; a layout of one-bit fields holds the zero weight alone
+    rs = parse_system(system)
+    rng = random.Random(f"{system} {bound} {count}")
+    weights = _drawn_weights(rng, rs.rank, bound, 1 if bound == 0 else count)
+    table = {w: rng.choice([1, -1, 7, -3, 2**70, -(2**65), 12345]) for w in weights}
+    ch = charalg.Character(rs, table)
+    assert ch.packing.mask.bit_length() == bits
+    records = [{"mult": table[w], "weight": list(w)} for w in weights]
+    for obj, want in _writer_nestings(cli._char_rows(ch), records):
+        assert "".join(cli._pieces(obj)) == json.dumps(want, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("top, width", [(127, 1), (255, 2), (256, 2), (2**40, 6)])
+def test_record_writer_matches_json_for_polynomials(top, width, count):
+    # fpoly's whole-byte fields, one byte and wider, at the exponents that
+    # set the width
+    rng = random.Random(f"{top} {count}")
+    terms = {(top, 0, 1): 2}
+    while len(terms) < count:
+        terms[tuple(rng.choice([0, 1, top, rng.randint(0, top)]) for _ in range(3))] = \
+            rng.randint(1, 6)
+    f = SparsePolynomial(7, ("x", "y", "z"), terms)
+    assert f.width == width
+    records = [{"c": terms[e], "e": list(e)} for e in sorted(terms)]
+    for obj, want in _writer_nestings(cli._poly_obj(f)["terms"], records):
+        assert "".join(cli._pieces(obj)) == json.dumps(want, sort_keys=True, indent=2)
+    assert "".join(cli._pieces(cli._poly_obj(f))) == \
+        json.dumps(poly_to_json_obj(f), sort_keys=True, indent=2)
+
+
+def test_record_writer_matches_json_for_the_empty_character():
+    for obj, want in _writer_nestings(cli._char_rows(charalg.Character(parse_system("E8"))), []):
+        assert "".join(cli._pieces(obj)) == json.dumps(want, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
 def test_emit_streams_rows_as_json(capsys, count):
     rng = random.Random(count)
-    table = {(i, rng.randrange(-9, 9), -i): rng.choice([1, -2, 2**70]) for i in range(count)}
-    rows = cli._table_rows(sorted(table.items()), "c", "e", 3)
-    records = [{"c": table[e], "e": list(e)} for e in sorted(table)]
+    rows, records = _records({(i, rng.randrange(-9, 9), -i): rng.choice([1, -2, 2**70])
+                              for i in range(count)})
     nest = {"rows": rows, "n": count, "in": [rows, {"deep": [rows]}, []], "z": {"rows": rows}}
     want = {"rows": records, "n": count, "in": [records, {"deep": [records]}, []],
             "z": {"rows": records}}
@@ -135,9 +208,14 @@ class _Writes(io.StringIO):
         return super().write(text)
 
 
+def _uniform_terms(count):
+    # count terms x^a y^b z with two-digit a and b and coefficient 1: records
+    # all of the same length
+    return {(10 + i % 90, 10 + i // 90, 1): 1 for i in range(count)}
+
+
 def _uniform_rows(count):
-    # count records {"c": 1, "e": [d, 0, -1]} with one-digit d: all the same length
-    return cli._table_rows((((i % 10, 0, -1), 1) for i in range(count)), "c", "e", 3)
+    return cli._poly_obj(SparsePolynomial(2, ("x", "y", "z"), _uniform_terms(count)))["terms"]
 
 
 def test_emit_writes_one_block_at_a_time():
@@ -146,7 +224,7 @@ def test_emit_writes_one_block_at_a_time():
     out = _Writes()
     with contextlib.redirect_stdout(out):
         cli._emit({"terms": rows}, list, True)
-    records = [{"c": 1, "e": [i % 10, 0, -1]} for i in range(3 * BLOCK + 5)]
+    records = [{"c": 1, "e": list(e)} for e in sorted(_uniform_terms(3 * BLOCK + 5))]
     assert out.getvalue() == json.dumps({"terms": records}, sort_keys=True, indent=2) + "\n"
     assert len(out.sizes) >= 4 and max(out.sizes) <= block < len(out.getvalue()) / 2
     # main writes to the stdout in place when it is called
