@@ -29,13 +29,12 @@ Int order is weight order, so a character is sorted by sorting ints.
 Weight tuples appear only where a character is read by weight
 (``items``, ``mults``, ``multiplicity``, text output) and where
 Brauer--Klimyk straightens each weight; ``--json`` output is written from
-the keys' bytes, since a field, a power of two bits wide, never straddles
-a byte.  Symmetric and exterior powers share one loop: new[d] = old[d] +
-new[d-1] e^alpha per factor 1/(1 - q e^alpha).  The truncated character
-prod_alpha>0 (1 + e^alpha + ... + e^((p-1) alpha)) equals e^((p-1) rho)
-ch St, the Steinberg character at (p-1) rho shifted (Jantzen,
-Representations of Algebraic Groups, II.3.18-19), which the tests check
-against Freudenthal.
+the sorted keys, a byte's worth of fields at a time by shift and mask.
+Symmetric and exterior powers share one loop:
+new[d] = old[d] + new[d-1] e^alpha per factor 1/(1 - q e^alpha).  The truncated character prod_alpha>0 (1 + e^alpha
++ ... + e^((p-1) alpha)) equals e^((p-1) rho) ch St, the Steinberg character
+at (p-1) rho shifted (Jantzen, Representations of Algebraic Groups,
+II.3.18-19), which the tests check against Freudenthal.
 
 All arithmetic is exact.  Expensive operations take explicit caps
 (``dim_cap`` on the Weyl dimension of any single irreducible piece,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import sys
 import types
-from functools import cache
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -61,7 +59,7 @@ def _pieces(obj, nl: str = "\n") -> Iterator[str]:
     ``indent`` sends ``json`` to its pure-Python encoder, one small string per
     token; here an int list is one ``join``, and the records of a packed table
     (character entries, polynomial terms) are written ``_BLOCK`` at a time
-    from their keys' bytes.  No piece holds more than one block.  ``nl`` is
+    from their sorted keys.  No piece holds more than one block.  ``nl`` is
     the newline and indent of the line ``obj`` starts on.
     """
     if type(obj) is _Records:
@@ -119,51 +117,43 @@ def _texts(values: set, template: str, shifts: list, mask: int, bias: int) -> di
     return dict(zip(values, ("\0".join([template] * len(values)) % numbers).split("\0")))
 
 
-@cache
 def _columns(value: str, key: str, n: int, bits: int, nl: str) -> tuple:
-    """(nbytes, head, columns) for records of n fields of ``bits`` bits at
-    ``nl``: the key's length in bytes, the template of a record's value, and
-    for each column of the key (a byte, which holds whole fields, or a field
-    wider than a byte) its byte offset or field shift, the shifts of its
-    fields in it and its template, which ends the record after the last field."""
+    """(head, columns) for records of n fields of ``bits`` bits at ``nl``: the
+    template of a record's value, and for each column of the key (as many
+    whole fields as fit in 8 bits, or one wider field) its shift and mask, the
+    shifts of its fields in it and its template; the last one ends the
+    record."""
     inner = nl + "  "
+    head = ",%s{%s  %s: %%d,%s  %s: [" % (inner, inner, _escape(value), inner, _escape(key))
     tail = (inner + "  " if n else "") + "]" + inner + "}"
-    nbytes = -(-n * bits // 8)
-    narrow = bits <= 8
-    fields: dict = {}   # column -> [(text, shift in the column)]
-    for i in range(n):
-        s = bits * (n - 1 - i)
-        fields.setdefault(nbytes - 1 - s // 8 if narrow else s, []).append(
-            (("," if i else "") + inner + "    %d", s % 8 if narrow else 0))
-    head = (",%s{%s  %s: %%d,%s  %s: [" % (inner, inner, _escape(value), inner, _escape(key))
-            + ("" if n else tail))
-    ends = [""] * (len(fields) - 1) + [tail]   # the last column holds the last field
-    return nbytes, head, [(c, [s for _, s in at], "".join(t for t, _ in at) + end)
-                          for (c, at), end in zip(fields.items(), ends)]
+    per = max(1, 8 // bits)   # fields per column
+    groups = [range(i, min(i + per, n)) for i in range(0, n, per)]
+    ends = [""] * (len(groups) - 1) + [tail]
+    columns = []
+    for at, end in zip(groups, ends):
+        low = bits * (n - 1 - at[-1])
+        columns.append((low, (1 << bits * len(at)) - 1, [bits * (n - 1 - i) - low for i in at],
+                        "".join(("," if i else "") + inner + "    %d" for i in at) + end))
+    return head + ("" if n else tail), columns
 
 
 def _record_blocks(rec: _Records, nl: str) -> Iterator[str]:
     # A record is the text of its value, then one text per column of its key.
     # A text holds json's layout around its numbers and is built once per
-    # value that occurs in its column.
+    # value that occurs in its column in the block.
     table, value, key, n, bits, bias = rec
-    nbytes, head, columns = _columns(value, key, n, bits, nl)
-    mask = (1 << bits) - 1
-    narrow = bits <= 8
-    texts = [{} for _ in range(len(columns) + 1)]
-    stride = len(texts)
+    head, columns = _columns(value, key, n, bits, nl)
+    field = (1 << bits) - 1
+    stride = len(columns) + 1
     keys = sorted(table)   # int order is the order of the fields
     for start in range(0, len(keys), _BLOCK):
         block = keys[start:start + _BLOCK]
         out = [""] * (stride * len(block))
         col = list(map(table.__getitem__, block))
-        texts[0].update(_texts(set(col).difference(texts[0]), head, [0], -1, 0))
-        out[::stride] = map(texts[0].__getitem__, col)
-        buf = b"".join(map(int.to_bytes, block, repeat(nbytes), repeat("big"))) if narrow else b""
-        for c, (j, shifts, template) in enumerate(columns, 1):
-            col = buf[j::nbytes] if narrow else [k >> j & mask for k in block]
-            texts[c].update(_texts(set(col).difference(texts[c]), template, shifts, mask, bias))
-            out[c::stride] = map(texts[c].__getitem__, col)
+        out[::stride] = map(_texts(set(col), head, [0], -1, 0).__getitem__, col)
+        for c, (low, mask, shifts, template) in enumerate(columns, 1):
+            col = [k >> low & mask for k in block]
+            out[c::stride] = map(_texts(set(col), template, shifts, field, bias).__getitem__, col)
         if not start:
             out[0] = "[" + out[0][1:]
         yield "".join(out)

@@ -55,18 +55,15 @@ class _Packing:
 
     One field per coordinate, biased by bound, coordinate 0 in the most
     significant field, so int order is the lexicographic order of weights.
-    A field is 1, 2, 4, 8, 16, ... bits wide, the least power of two that
-    holds the 2 * bound + 1 values, so no field straddles a byte and a key's
-    bytes can be read field by field.  Packing is affine, pack(w) + step(v)
-    == pack(w + v), and no field carries into the next while w + v is again
-    within the bound; every caller takes bound from a proven bound on the
-    weights it meets.
+    Packing is affine, pack(w) + step(v) == pack(w + v), and no field
+    carries into the next while w + v is again within the bound; every
+    caller takes bound from a proven bound on the weights it meets.
     """
 
     __slots__ = ("bias", "mask", "shifts")
 
     def __init__(self, rank: int, bound: int):
-        width = 1 << ((2 * bound + 1).bit_length() - 1).bit_length()
+        width = (2 * bound + 1).bit_length()
         self.bias = bound
         self.mask = (1 << width) - 1
         self.shifts = range(width * (rank - 1), -1, -width)

@@ -188,8 +188,8 @@ def test_character_equality_across_layouts():
     expanded = charalg._expand(A2, {lam: 1}, charalg.DEFAULT_DIM_CAP, charalg.DEFAULT_TERM_CAP)
     shifted = packed.shift((40, -40)).shift((-40, 40))
     layouts = {(c.packing.bias, c.packing.mask) for c in (packed, from_dict, expanded, shifted)}
-    # four biases in two field widths: equality meets both kinds of move
-    assert len(layouts) == 4 and len({mask for _, mask in layouts}) == 2
+    # four biases in more than one field width: equality meets both kinds of move
+    assert len(layouts) == 4 and len({mask for _, mask in layouts}) > 1
     assert packed == from_dict == expanded == shifted
     assert packed + expanded == 2 * from_dict and not shifted - packed
     assert (packed + Character(A2, {(500, 0): 1})).multiplicity((500, 0)) == 1
@@ -597,7 +597,7 @@ def test_packing_moves_between_layouts():
     # entries shifted and re-keyed into a layout of the same width (one int
     # addition per key) or a wider one decode to the shifted weights
     rng = random.Random(25)
-    for rank, bound in ((1, 2), (2, 3), (3, 7), (8, 5)):
+    for rank, bound in ((1, 2), (2, 3), (3, 8), (8, 5)):
         src = _Packing(rank, bound)
         weights = {tuple(rng.randint(-bound, bound) for _ in range(rank)) for _ in range(200)}
         packed = {src.pack(w): m for m, w in enumerate(weights, 1)}

@@ -125,10 +125,10 @@ def _drawn_weights(rng, rank, bound, count):
     return sorted(weights)
 
 
-# (bits per field, bound, system): the least bound of each field width
-# Character(rs, mults) takes, and the largest coordinate the width holds
-WRITER_FIELDS = [(1, 0, "A2"), (2, 1, "A8"), (4, 2, "E8"), (4, 7, "B4"), (8, 8, "A4"),
-                 (8, 127, "E6"), (16, 128, "A3"), (16, 300, "A2"), (32, 40000, "A2")]
+# (bits per field, bound, system): the least bound or the largest coordinate
+# of field widths Character(rs, mults) takes, byte-sized and not
+WRITER_FIELDS = [(2, 1, "A8"), (3, 2, "E8"), (4, 7, "B4"), (5, 8, "A4"), (8, 127, "E6"),
+                 (9, 128, "A3"), (10, 300, "A2"), (16, 16384, "A2"), (17, 40000, "A2")]
 
 
 def _writer_nestings(rows, records):
@@ -147,11 +147,11 @@ def _writer_nestings(rows, records):
 @pytest.mark.parametrize("bits, bound, system", WRITER_FIELDS,
                          ids=[f"{b}bit-{n}" for b, n, _ in WRITER_FIELDS])
 def test_record_writer_matches_json_for_characters(bits, bound, system, count):
-    # negative coordinates, signed and large multiplicities, fields of 1 to
-    # 32 bits; a layout of one-bit fields holds the zero weight alone
+    # negative coordinates, signed and large multiplicities, fields of 2 to
+    # 17 bits, several to a byte or spanning bytes
     rs = parse_system(system)
     rng = random.Random(f"{system} {bound} {count}")
-    weights = _drawn_weights(rng, rs.rank, bound, 1 if bound == 0 else count)
+    weights = _drawn_weights(rng, rs.rank, bound, count)
     table = {w: rng.choice([1, -1, 7, -3, 2**70, -(2**65), 12345]) for w in weights}
     ch = charalg.Character(rs, table)
     assert ch.packing.mask.bit_length() == bits
@@ -179,9 +179,14 @@ def test_record_writer_matches_json_for_polynomials(top, width, count):
         json.dumps(poly_to_json_obj(f), sort_keys=True, indent=2)
 
 
-def test_record_writer_matches_json_for_the_empty_character():
-    for obj, want in _writer_nestings(cli._char_rows(charalg.Character(parse_system("E8"))), []):
-        assert "".join(cli._pieces(obj)) == json.dumps(want, sort_keys=True, indent=2)
+def test_record_writer_matches_json_for_the_empty_and_the_zero_weight_character():
+    # the zero weight alone takes a layout of one-bit fields
+    zero = charalg.Character(parse_system("A2"), {(0, 0): -3})
+    assert zero.packing.mask.bit_length() == 1
+    for ch, records in ((charalg.Character(parse_system("E8")), []),
+                        (zero, [{"mult": -3, "weight": [0, 0]}])):
+        for obj, want in _writer_nestings(cli._char_rows(ch), records):
+            assert "".join(cli._pieces(obj)) == json.dumps(want, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
