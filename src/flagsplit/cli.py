@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import sys
 import types
+from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import charalg, fpoly, slnsplit, verify
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .rootdata import DEFAULT_WEYL_ORDER_CAP, parabolic_subset, parse_system
 
 if TYPE_CHECKING:
@@ -51,61 +52,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"cannot parse integer list {text!r}") from exc
 
 
-def _pieces(obj, nl: str = "\n") -> Iterator[str]:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte and in
-    order, as a run of pieces, where a ``_Records`` stands for its list of
-    records.
-
-    ``indent`` sends ``json`` to its pure-Python encoder, one small string per
-    token; here an int list is one ``join``, and the records of a packed table
-    (character entries, polynomial terms) are written ``_BLOCK`` at a time
-    from their sorted keys.  No piece holds more than one block.  ``nl`` is
-    the newline and indent of the line ``obj`` starts on.
-    """
-    if type(obj) is _Records:
-        yield from _record_blocks(obj, nl)
-    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:
-        yield _wrap(list(map(str, obj)), nl, "[]")
-    elif isinstance(obj, (list, tuple)) and obj:
-        yield from _nest((("", x) for x in obj), nl, "[]")
-    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        yield from _nest(((_escape(k) + ": ", obj[k]) for k in sorted(obj)), nl, "{}")
-    elif isinstance(obj, dict):
-        # json writes int, float, bool and None keys as strings
-        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
-    else:
-        yield json.dumps(obj)
-
-
-def _nest(items: Iterable, nl: str, brackets: str) -> Iterator[str]:
-    # json's layout of a nonempty list or dict, item by item as (prefix, value)
-    inner = nl + "  "
-    sep = brackets[0] + inner
-    for prefix, value in items:
-        yield sep + prefix
-        yield from _pieces(value, inner)
-        sep = "," + inner
-    yield nl + brackets[1]
-
-
-def _wrap(parts: list[str], nl: str, brackets: str) -> str:
-    # json's layout of a list or dict whose items are already encoded
-    if not parts:
-        return brackets
-    inner = nl + "  "
-    body = ("," + inner).join(parts)
-    # an f-string copies body once, where a chain of + would copy it thrice
-    return f"{brackets[0]}{inner}{body}{nl}{brackets[1]}"
-
-
-class _Records(tuple):
-    """(table, value, key, n, bits, bias): the records {value: table[k], key:
-    [f1, ..., fn]} of a packed table, one per key in key order, where each key
-    holds n fields of ``bits`` bits, f1 in the most significant, each read as
-    its bits minus bias.  ``value`` sorts before ``key``, the order json's
-    sort_keys writes.  Nothing is sorted or decoded until they are written."""
-
-
 _BLOCK = 2048   # records per join
 
 
@@ -137,11 +83,19 @@ def _columns(value: str, key: str, n: int, bits: int, nl: str) -> tuple:
     return head + ("" if n else tail), columns
 
 
-def _record_blocks(rec: _Records, nl: str) -> Iterator[str]:
-    # A record is the text of its value, then one text per column of its key.
-    # A text holds json's layout around its numbers and is built once per
-    # value that occurs in its column in the block.
-    table, value, key, n, bits, bias = rec
+def _record_blocks(table: dict, value: str, key: str, n: int, bits: int, bias: int,
+                   nl: str) -> Iterator[str]:
+    """json's text of the records {value: table[k], key: [f1, ..., fn]} of a
+    packed table (character entries, polynomial terms), one per key in key
+    order, at the line whose newline and indent are ``nl``.  Each key holds n
+    fields of ``bits`` bits, f1 in the most significant, each read as its
+    bits minus bias; ``value`` sorts before ``key``, the order json's
+    sort_keys writes.  The records are written ``_BLOCK`` at a time from the
+    sorted keys, and no piece holds more than one block.
+
+    A record is the text of its value, then one text per column of its key.
+    A text holds json's layout around its numbers and is built once per
+    value that occurs in its column in the block."""
     head, columns = _columns(value, key, n, bits, nl)
     field = (1 << bits) - 1
     stride = len(columns) + 1
@@ -160,27 +114,50 @@ def _record_blocks(rec: _Records, nl: str) -> Iterator[str]:
     yield nl + "]" if keys else "[]"
 
 
-def _emit(obj: dict, lines: Callable[[], Iterable[str]], as_json: bool) -> None:
-    # text lines are built only when they are printed, one at a time; a --json
-    # document is written piece by piece to the stdout of the moment, never held whole
-    if as_json:
-        sys.stdout.writelines(_pieces(obj))
-        sys.stdout.write("\n")
-    else:
+def _emit(obj, lines: Callable[[], Iterable[str]], as_json: bool) -> None:
+    """Print ``lines()`` one at a time, or with ``as_json`` the document
+    ``json.dumps(obj, sort_keys=True, indent=2)``, where a packed table is a
+    ``partial`` of ``_record_blocks`` that stands for its list of records.
+
+    json hands the tables to ``default`` in document order and writes each
+    as ``-Infinity``.  No document holds a float and no JSON string a raw
+    newline, so a ``-Infinity`` followed by a newline or by a comma and a
+    newline is a table, and any other is text inside a string.  The rest of
+    the document is held whole; each table is streamed in its place."""
+    if not as_json:
         for line in lines():
             print(line)
+        return
+    tables: list = []
+    text = json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda table: tables.append(table) or float("-inf"))
+    head, *chunks = (text + "\n").split("-Infinity")
+    markers = sum(chunk.startswith(("\n", ",\n")) for chunk in chunks)
+    if markers != len(tables):
+        raise InvariantError(f"{markers} -Infinity markers for {len(tables)} tables in --json")
+    pending = iter(tables)
+    for chunk in chunks:
+        if not chunk.startswith(("\n", ",\n")):   # text inside a string
+            head += "-Infinity" + chunk
+            continue
+        line = head.rpartition("\n")[2]
+        sys.stdout.write(head)
+        sys.stdout.writelines(next(pending)("\n" + " " * (len(line) - len(line.lstrip(" ")))))
+        head = chunk
+    sys.stdout.write(head)
 
 
-def _char_rows(ch: charalg.Character) -> _Records:
-    # ch.to_json_obj() as records of its packed table
+def _char_rows(ch: charalg.Character) -> partial:
+    # ch.to_json_obj()'s entries, written from its packed table
     p = ch.packing
-    return _Records((ch.packed, "mult", "weight", ch.rs.rank, p.mask.bit_length(), p.bias))
+    return partial(_record_blocks, ch.packed, "mult", "weight", ch.rs.rank,
+                   p.mask.bit_length(), p.bias)
 
 
 def _poly_obj(f: fpoly.SparsePolynomial) -> dict:
-    # fpoly.poly_to_json_obj(f) with its terms as records of its packed table
+    # fpoly.poly_to_json_obj(f) with its terms written from its packed table
     return fpoly.poly_to_json_obj(
-        f, _Records((f.packed, "c", "e", len(f.variables), 8 * f.width, 0)))
+        f, partial(_record_blocks, f.packed, "c", "e", len(f.variables), 8 * f.width, 0))
 
 
 def _char_lines(ch: charalg.Character) -> Iterator[str]:

@@ -384,7 +384,7 @@ class RootSystem:
             # inside C a non-dominant weight has some simple pairing equal to -1
             k = next((i for i in range(self.rank) if cur[i] == -1), None)
             if k is None:
-                raise AssertionError(f"weight {cur} left the cone C during reduction")
+                raise InvariantError(f"weight {cur} left the cone C during reduction")
             cur = self.reflect(k + 1, cur)
             deg -= 1
             steps.append(k + 1)

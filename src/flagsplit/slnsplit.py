@@ -336,29 +336,34 @@ def splitting_check(
     (the Borel chart for the empty subset) and the splitting criterion on
     its function f, decided without building f.
 
-    The ring is a domain, so f's top x-degree part is the product of the
-    (p-1)-st powers of the minors' top parts.  A monomial y^a x^b with every
-    exponent congruent to p-1 has b >= p-1.  Below x-degree N'(p-1), N' the
-    number of x-variables, there is none, and the centre is the witness.
-    When f's top x-degree is N'(p-1), b = p-1; when moreover every Delta_s is
-    weight-homogeneous with weights summing to 0, f has weight 0.  The
-    y-variables carry the negatives of the x-variables' roots, so pairing
-    with rho-check gives sum ht(beta) a_beta = (p-1) sum ht(beta), and
-    a >= p-1 forces a = p-1.  Then f splits iff its centre (all-(p-1))
-    coefficient is nonzero, and the centre lies in f's top x-degree part,
-    so fpoly's truncated product of the top parts' powers, in two groups
-    joined at the centre, computes it alone.  Otherwise the chart is built.
-    ``term_cap`` bounds every product.
+    Every Delta_s has weight 0: the diagonal torus fixes leading minors, and
+    the block permutation keeps it diagonal.  Minors that are not
+    homogeneous with weights summing to 0 raise InvariantError; otherwise f
+    has weight 0.  The ring is a domain, so f's top x-degree part is the
+    product of the (p-1)-st powers of the minors' top parts.  A monomial y^a
+    x^b with every exponent congruent to p-1 has b >= p-1.  Below x-degree
+    N'(p-1), N' the number of x-variables, there is none, and the centre is
+    the witness.  At N'(p-1), b = p-1.  The y-variables carry the negatives
+    of the x-variables' roots, so pairing with rho-check gives sum ht(beta)
+    a_beta = (p-1) sum ht(beta), and a >= p-1 forces a = p-1.  Then f splits
+    iff its centre (all-(p-1)) coefficient is nonzero, and the centre lies
+    in f's top x-degree part, so fpoly's truncated product of the top parts'
+    powers, in two groups joined at the centre, computes it alone.  Above
+    N'(p-1), which no chart reaches, f is multiplied out from the minors in
+    hand.  ``term_cap`` bounds every product.
     """
     inside = _simple_subset(n, subset)
     (names, positions, x_start), deltas, _ = _chart_minors(n, p, inside, n, term_cap)
+    if _weight_certificate(n, positions, deltas, (0,) * n) is None:
+        raise InvariantError(f"the leading minors for n={n}, p={p}, subset={sorted(inside)} "
+                             "are not homogeneous with weights summing to 0")
     degrees = [max(sum(e[x_start:]) for e in d.exponents()) for d in deltas]
     degree, num_x = sum(degrees), len(names) - x_start
     centre = SplittingCheck(False, (p - 1,) * len(names))
     if degree < num_x:
         return names, centre
-    if degree > num_x or _weight_certificate(n, positions, deltas, (0,) * n) is None:
-        return names, is_splitting_function(_build_chart(n, p, inside, term_cap).poly)
+    if degree > num_x:
+        return names, is_splitting_function(_power_product(deltas, p, term_cap))
     powers = [_x_part(d, x_start, k).power(p - 1, term_cap) for d, k in zip(deltas, degrees)]
     return names, SplittingCheck(True) if _centre_coefficient(powers, term_cap) else centre
 

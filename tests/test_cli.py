@@ -6,6 +6,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import pathlib
 import random
 import re
@@ -16,6 +17,7 @@ import pytest
 
 from flagsplit import charalg, cli, fpoly, rootdata, slnsplit, verify
 from flagsplit.cli import main
+from flagsplit.errors import InvariantError
 from flagsplit.fpoly import SparsePolynomial, poly_to_json_obj, save_poly
 from flagsplit.rootdata import parabolic_subset, parse_system
 
@@ -28,6 +30,14 @@ def run(capsys, *argv):
         canonical = json.dumps(json.loads(captured.out), sort_keys=True, indent=2)
         assert captured.out == canonical + "\n"
     return code, captured.out, captured.err
+
+
+def _emitted(capsys, obj):
+    # what _emit writes for obj as a --json document, less its final newline
+    cli._emit(obj, list, True)
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    return out[:-1]
 
 
 @pytest.mark.parametrize("obj", [
@@ -51,11 +61,11 @@ def run(capsys, *argv):
     {1: "a", 10: [1, 2], 2: {"x": 1}}, {"outer": {3: [1], 1: {}, 2: [{"c": 1}]}},
     {None: 1}, [{True: [1]}], [1.5, float("inf"), -0.0], "solo", 7, None,
 ])
-def test_dumps_matches_json(obj):
-    assert "".join(cli._pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2)
+def test_dumps_matches_json(capsys, obj):
+    assert _emitted(capsys, obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
-def test_dumps_matches_json_randomised():
+def test_dumps_matches_json_randomised(capsys):
     rng = random.Random(5)
 
     def draw(depth):
@@ -81,7 +91,7 @@ def test_dumps_matches_json_randomised():
 
     for _ in range(500):
         obj = draw(0)
-        assert "".join(cli._pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2)
+        assert _emitted(capsys, obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 # -- record writer -------------------------------------------------------------
@@ -97,21 +107,22 @@ def _records(table):
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 4096, 4097])
-def test_rows_match_json(count):
+def test_rows_match_json(capsys, count):
     rng = random.Random(count)
     rows, records = _records({(i, rng.randrange(-9, 9), -i): rng.choice([1, -2, 2**70])
                               for i in range(count)})
-    for nl in ("\n", "\n    "):
-        want = json.dumps({"rows": records}, sort_keys=True, indent=2).replace("\n", nl)
-        assert "".join(cli._pieces({"rows": rows}, nl)) == want
+    # at top level, and two levels down, where the records' lines start at 8 spaces
+    for wrap in (lambda x: x, lambda x: {"a": [x]}):
+        want = json.dumps(wrap({"rows": records}), sort_keys=True, indent=2)
+        assert _emitted(capsys, wrap({"rows": rows})) == want
 
 
-def test_rows_keep_their_order_and_shape():
+def test_rows_keep_their_order_and_shape(capsys):
     # records are written in key order, which is weight order, and a key may be empty
     rows, want = _records({(3, 0, 0): 1, (0, 1, 0): 7, (-1, -1, 0): 2})
     assert want[0]["weight"] == [-1, -1, 0]
-    assert "".join(cli._pieces([rows])) == json.dumps([want], sort_keys=True, indent=2)
-    assert "".join(cli._pieces(cli._poly_obj(SparsePolynomial(7, (), {(): 5})))) == \
+    assert _emitted(capsys, [rows]) == json.dumps([want], sort_keys=True, indent=2)
+    assert _emitted(capsys, cli._poly_obj(SparsePolynomial(7, (), {(): 5}))) == \
         json.dumps({"p": 7, "terms": [{"c": 5, "e": []}], "vars": []}, sort_keys=True, indent=2)
 
 
@@ -146,7 +157,7 @@ def _writer_nestings(rows, records):
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 @pytest.mark.parametrize("bits, bound, system", WRITER_FIELDS,
                          ids=[f"{b}bit-{n}" for b, n, _ in WRITER_FIELDS])
-def test_record_writer_matches_json_for_characters(bits, bound, system, count):
+def test_record_writer_matches_json_for_characters(capsys, bits, bound, system, count):
     # negative coordinates, signed and large multiplicities, fields of 2 to
     # 17 bits, several to a byte or spanning bytes
     rs = parse_system(system)
@@ -157,12 +168,12 @@ def test_record_writer_matches_json_for_characters(bits, bound, system, count):
     assert ch.packing.mask.bit_length() == bits
     records = [{"mult": table[w], "weight": list(w)} for w in weights]
     for obj, want in _writer_nestings(cli._char_rows(ch), records):
-        assert "".join(cli._pieces(obj)) == json.dumps(want, sort_keys=True, indent=2)
+        assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 @pytest.mark.parametrize("top, width", [(127, 1), (255, 2), (256, 2), (2**40, 6)])
-def test_record_writer_matches_json_for_polynomials(top, width, count):
+def test_record_writer_matches_json_for_polynomials(capsys, top, width, count):
     # fpoly's whole-byte fields, one byte and wider, at the exponents that
     # set the width
     rng = random.Random(f"{top} {count}")
@@ -174,19 +185,19 @@ def test_record_writer_matches_json_for_polynomials(top, width, count):
     assert f.width == width
     records = [{"c": terms[e], "e": list(e)} for e in sorted(terms)]
     for obj, want in _writer_nestings(cli._poly_obj(f)["terms"], records):
-        assert "".join(cli._pieces(obj)) == json.dumps(want, sort_keys=True, indent=2)
-    assert "".join(cli._pieces(cli._poly_obj(f))) == \
+        assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
+    assert _emitted(capsys, cli._poly_obj(f)) == \
         json.dumps(poly_to_json_obj(f), sort_keys=True, indent=2)
 
 
-def test_record_writer_matches_json_for_the_empty_and_the_zero_weight_character():
+def test_record_writer_matches_json_for_the_empty_and_the_zero_weight_character(capsys):
     # the zero weight alone takes a layout of one-bit fields
     zero = charalg.Character(parse_system("A2"), {(0, 0): -3})
     assert zero.packing.mask.bit_length() == 1
     for ch, records in ((charalg.Character(parse_system("E8")), []),
                         (zero, [{"mult": -3, "weight": [0, 0]}])):
         for obj, want in _writer_nestings(cli._char_rows(ch), records):
-            assert "".join(cli._pieces(obj)) == json.dumps(want, sort_keys=True, indent=2)
+            assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
@@ -200,6 +211,48 @@ def test_emit_streams_rows_as_json(capsys, count):
     for obj, expected in ((nest, want), ({"only": rows}, {"only": records})):
         cli._emit(obj, list, True)
         assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+MARKER_TEXTS = ["-Infinity", "a-Infinity", "-Infinity,", "-Infinity\n"]
+
+
+@pytest.mark.parametrize("text", MARKER_TEXTS)
+def test_emit_writes_marker_text_next_to_tables(capsys, text):
+    # json writes each table as -Infinity; a string holding that text, as a
+    # value, a list item or a key beside a table, is written as itself
+    rows, records = _records({(1, -2, 0): 3, (0, 0, 0): -1})
+
+    def doc(x):
+        return {text: x, "a": [text, x, text], "b": {text: text, "t": x}, "c": [x, text],
+                "d": text, "e": [{text: x}, x], text + "k": [text]}
+
+    assert _emitted(capsys, doc(rows)) == json.dumps(doc(records), sort_keys=True, indent=2)
+    assert _emitted(capsys, [text, rows]) == json.dumps([text, records], sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [[-math.inf], [-math.inf, 1], {"a": -math.inf}])
+def test_emit_refuses_a_document_with_minus_infinity(capsys, obj):
+    # no document holds a float: a -Infinity of json's own is not mistaken
+    # for a table, it is refused before anything is written
+    rows, _ = _records({(0, 0, 0): 1})
+    for doc, tables in ((obj, 0), ([obj, rows], 1), ([rows, obj], 1)):
+        markers = f"^{tables + 1} -Infinity markers for {tables} tables"
+        with pytest.raises(InvariantError, match=markers):
+            cli._emit(doc, list, True)
+        assert capsys.readouterr().out == ""
+
+
+def test_poly_trace_json_with_marker_variable_names(capsys, tmp_path):
+    names = ("-Infinity", "\u0000", "x-Infinity,")
+    f = SparsePolynomial(2, names, {(1, 1, 3): 1, (3, 1, 1): 1, (1, 3, 5): 1})
+    g = SparsePolynomial(2, names, {(0, 0, 0): 1, (2, 0, 0): 1})
+    save_poly(f, str(tmp_path / "f.json"))
+    save_poly(g, str(tmp_path / "g.json"))
+    code, out, _ = run(capsys, "poly", "trace", "--file", str(tmp_path / "f.json"),
+                       "--times", str(tmp_path / "g.json"), "--json")
+    want = poly_to_json_obj(fpoly.frobenius_trace(f, g))
+    assert code == 0 and want["terms"] and want["vars"] == list(names)
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 class _Writes(io.StringIO):
@@ -225,7 +278,7 @@ def _uniform_rows(count):
 
 def test_emit_writes_one_block_at_a_time():
     rows = _uniform_rows(3 * BLOCK + 5)
-    block = len("".join(cli._pieces(_uniform_rows(BLOCK), "\n  ")))   # with its brackets
+    block = len("".join(_uniform_rows(BLOCK)("\n  ")))   # with its brackets
     out = _Writes()
     with contextlib.redirect_stdout(out):
         cli._emit({"terms": rows}, list, True)

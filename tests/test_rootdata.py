@@ -266,6 +266,15 @@ def test_cone_reduce_invariants():
                     assert rs.dominance_leq(lam, tr.dominant_weight)
 
 
+def test_cone_reduce_raises_when_a_weight_leaves_the_cone(monkeypatch):
+    # (-2, 0) is outside C; let it in, and the reduction finds no simple
+    # pairing of -1 to reflect in: a broken identity, not an assert, so it
+    # is raised under python -O too
+    monkeypatch.setattr(RootSystem, "in_cone_c", lambda self, lam: True)
+    with pytest.raises(InvariantError, match=r"weight \(-2, 0\) left the cone C"):
+        A2.cone_reduce((-2, 0), 1)
+
+
 def test_cone_reduce_multi_step():
     tr = A2.cone_reduce((-1, 0), 3)
     assert tr.steps == (1, 2)

@@ -631,7 +631,7 @@ def test_splitting_check_matches_chart(n, p, monkeypatch):
     built = _count_builds(monkeypatch)
     for subset in itertools.chain([()], _nonempty_subsets(n)):
         cf = build_parabolic_chart_function(n, p, subset)
-        # the top x-degree is N'(p-1), so the fallback to the chart is unreached
+        # the top x-degree is N'(p-1), so f is never multiplied out
         assert cf.max_x_degree() == cf.num_x * (p - 1), subset
         del built[:]
         names, check = splitting_check(n, p, subset)
@@ -668,21 +668,25 @@ def _patch_leading_minor(monkeypatch, s, change):
 
 
 def test_splitting_check_falls_back_above_the_top_degree(monkeypatch):
-    # Delta_1 + x12^2 still is 1 at X=0, but lifts f's top x-degree above
-    # N'(p-1), where the centre coefficient no longer decides the criterion
+    # Delta_1 + y31 x12 x23 still is 1 at X=0 and of weight 0, but lifts f's
+    # top x-degree above N'(p-1), where the centre coefficient no longer
+    # decides the criterion: f is multiplied out from the minors, and no
+    # chart is built
     _patch_leading_minor(monkeypatch, 1, lambda d: d + SparsePolynomial.monomial(
-        2, d.variables, [0, 0, 0, 2, 0, 0]))
-    cf = slnsplit._build_chart(2, 2, frozenset(), DEFAULT_TERM_CAP)
-    assert cf.max_x_degree() > cf.num_x
+        3, d.variables, [0, 1, 0, 1, 0, 1]))
+    cf = slnsplit._build_chart(2, 3, frozenset(), DEFAULT_TERM_CAP)
+    assert cf.poly.variables[1::2] == ("y31", "x12", "x23")
+    assert cf.max_x_degree() > cf.num_x * 2
+    assert cf.is_t_invariant()
     built = _count_builds(monkeypatch)
-    assert splitting_check(2, 2) == (cf.poly.variables, is_splitting_function(cf.poly))
-    assert [args[:3] for args in built] == [(2, 2, frozenset())]
+    assert splitting_check(2, 3) == (cf.poly.variables, is_splitting_function(cf.poly))
+    assert built == []
 
 
-def test_splitting_check_builds_the_chart_for_a_non_homogeneous_minor(monkeypatch):
+def test_splitting_check_refuses_a_non_homogeneous_minor(monkeypatch):
     # Delta_1 + x12 keeps its top x-degree and is still 1 at X=0, but x12 has
-    # weight alpha_1 and Delta_1 weight 0, so f is no longer of weight 0 and
-    # the centre coefficient no longer decides the criterion
+    # weight alpha_1 and Delta_1 weight 0: the minors break the torus'
+    # invariance, which is raised, not worked round by building the chart
     _patch_leading_minor(monkeypatch, 1, lambda d: d + SparsePolynomial.monomial(
         3, d.variables, [0, 0, 0, 1, 0, 0]))
     cf = slnsplit._build_chart(2, 3, frozenset(), DEFAULT_TERM_CAP)
@@ -694,8 +698,9 @@ def test_splitting_check_builds_the_chart_for_a_non_homogeneous_minor(monkeypatc
     assert len(weights) == 2
     assert all(slnsplit._weight_certificate(2, positions, deltas[:1], w) is None for w in weights)
     built = _count_builds(monkeypatch)
-    assert splitting_check(2, 3) == (cf.poly.variables, is_splitting_function(cf.poly))
-    assert [args[:3] for args in built] == [(2, 3, frozenset())]
+    with pytest.raises(InvariantError, match="not homogeneous with weights summing to 0"):
+        splitting_check(2, 3)
+    assert built == []
 
 
 def test_splitting_check_below_the_top_degree_fails_at_the_centre(monkeypatch):
@@ -735,10 +740,14 @@ def test_splitting_check_invariants_under_optimisation():
         "    h = inverse(g, cap)\n"
         "    h[1][0] = h[1][0].scale(2)\n"
         "    return h\n"
+        "def inhomogeneous(m, width, cap):\n"
+        "    table = minor_table(m, width, cap)\n"
+        "    d = table[1]\n"
+        "    return {**table, 1: d + d.monomial(d.p, d.variables, [0, 1])}\n"
         "for name, patch in [\n"
         "    ('_minor_table', lambda m, width, cap: {\n"
         "        cols: d.scale(0) for cols, d in minor_table(m, width, cap).items()}),\n"
-        "    ('_unipotent_inverse', broken)]:\n"
+        "    ('_unipotent_inverse', broken), ('_minor_table', inhomogeneous)]:\n"
         "    setattr(slnsplit, name, patch)\n"
         "    try:\n"
         "        slnsplit.splitting_check(1, 3)\n"
