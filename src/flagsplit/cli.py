@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import sys
 import types
-from functools import partial
+from functools import partial, reduce
 from json.encoder import encode_basestring_ascii as _escape
+from operator import or_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import charalg, fpoly, slnsplit, verify
@@ -63,17 +64,25 @@ def _texts(values: set, template: str, shifts: list, mask: int, bias: int) -> di
     return dict(zip(values, ("\0".join([template] * len(values)) % numbers).split("\0")))
 
 
-def _columns(value: str, key: str, n: int, bits: int, nl: str) -> tuple:
-    """(head, columns) for records of n fields of ``bits`` bits at ``nl``: the
-    template of a record's value, and for each column of the key (as many
-    whole fields as fit in 8 bits, or one wider field) its shift and mask, the
-    shifts of its fields in it and its template; the last one ends the
-    record."""
+def _columns(value: str, key: str, bits: int, spans: Sequence[int], nl: str) -> tuple:
+    """(head, columns) for records of fields of ``bits`` bits at ``nl``, whose
+    values use ``spans[i]`` bits in field i: the template of a record's value,
+    and for each column of the key its shift and mask, the shifts of its
+    fields in it and its template; the last one ends the record.  A column
+    holds as many whole fields as fit in 8 bits of their values, or one
+    wider field, so it takes at most 256 values."""
+    n = len(spans)
     inner = nl + "  "
     head = ",%s{%s  %s: %%d,%s  %s: [" % (inner, inner, _escape(value), inner, _escape(key))
     tail = (inner + "  " if n else "") + "]" + inner + "}"
-    per = max(1, 8 // bits)   # fields per column
-    groups = [range(i, min(i + per, n)) for i in range(0, n, per)]
+    groups: list = []
+    for i, span in enumerate(spans):
+        if groups and used + span <= 8:
+            groups[-1].append(i)
+            used += span
+        else:
+            groups.append([i])
+            used = span
     ends = [""] * (len(groups) - 1) + [tail]
     columns = []
     for at, end in zip(groups, ends):
@@ -83,20 +92,22 @@ def _columns(value: str, key: str, n: int, bits: int, nl: str) -> tuple:
     return head + ("" if n else tail), columns
 
 
-def _record_blocks(table: dict, value: str, key: str, n: int, bits: int, bias: int,
-                   nl: str) -> Iterator[str]:
+def _record_blocks(table: dict, value: str, key: str, bits: int, spans: Sequence[int],
+                   bias: int, nl: str) -> Iterator[str]:
     """json's text of the records {value: table[k], key: [f1, ..., fn]} of a
     packed table (character entries, polynomial terms), one per key in key
-    order, at the line whose newline and indent are ``nl``.  Each key holds n
-    fields of ``bits`` bits, f1 in the most significant, each read as its
-    bits minus bias; ``value`` sorts before ``key``, the order json's
+    order, at the line whose newline and indent are ``nl``.  Each key holds
+    n = len(spans) fields of ``bits`` bits, f1 in the most significant, each
+    read as its bits minus bias; no key sets a bit of field i above its
+    lowest ``spans[i]``.  ``value`` sorts before ``key``, the order json's
     sort_keys writes.  The records are written ``_BLOCK`` at a time from the
     sorted keys, and no piece holds more than one block.
 
     A record is the text of its value, then one text per column of its key.
     A text holds json's layout around its numbers and is built once per
-    value that occurs in its column in the block."""
-    head, columns = _columns(value, key, n, bits, nl)
+    value that occurs in its column in the block; the spans only decide how
+    fields are grouped into columns, never what is written."""
+    head, columns = _columns(value, key, bits, spans, nl)
     field = (1 << bits) - 1
     stride = len(columns) + 1
     keys = sorted(table)   # int order is the order of the fields
@@ -108,6 +119,9 @@ def _record_blocks(table: dict, value: str, key: str, n: int, bits: int, bias: i
         for c, (low, mask, shifts, template) in enumerate(columns, 1):
             col = [k >> low & mask for k in block]
             out[c::stride] = map(_texts(set(col), template, shifts, field, bias).__getitem__, col)
+            # a column of several fields holds ints above the cached small
+            # ones: free them before the next column's are made
+            del col
         if not start:
             out[0] = "[" + out[0][1:]
         yield "".join(out)
@@ -148,16 +162,20 @@ def _emit(obj, lines: Callable[[], Iterable[str]], as_json: bool) -> None:
 
 
 def _char_rows(ch: charalg.Character) -> partial:
-    # ch.to_json_obj()'s entries, written from its packed table
+    # ch.to_json_obj()'s entries, written from its packed table; every field
+    # counts at its full width
     p = ch.packing
-    return partial(_record_blocks, ch.packed, "mult", "weight", ch.rs.rank,
-                   p.mask.bit_length(), p.bias)
+    bits = p.mask.bit_length()
+    return partial(_record_blocks, ch.packed, "mult", "weight", bits, [bits] * ch.rs.rank, p.bias)
 
 
 def _poly_obj(f: fpoly.SparsePolynomial) -> dict:
-    # fpoly.poly_to_json_obj(f) with its terms written from its packed table
-    return fpoly.poly_to_json_obj(
-        f, partial(_record_blocks, f.packed, "c", "e", len(f.variables), 8 * f.width, 0))
+    # fpoly.poly_to_json_obj(f) with its terms written from its packed table.
+    # The OR of all keys has, in each field, the bit length of its largest
+    # exponent: the bits that field's values use
+    fold = f._fields()[1](reduce(or_, f.packed, 0))
+    return fpoly.poly_to_json_obj(f, partial(_record_blocks, f.packed, "c", "e", 8 * f.width,
+                                             [x.bit_length() for x in fold], 0))
 
 
 def _char_lines(ch: charalg.Character) -> Iterator[str]:

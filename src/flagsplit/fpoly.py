@@ -595,10 +595,13 @@ def is_splitting_function(f: SparsePolynomial) -> SplittingCheck:
     if f.coefficient(center) == 0:
         return SplittingCheck(False, center)
     pack, unpack = f._fields()
-    partner = _digits(p, len(f.variables), f.width)[1]
+    n = len(f.variables)
+    partner = _digits(p, n, f.width)[1]
     key = pack(center)
-    # congruent to p - 1 everywhere: -1 - e is 0 mod p everywhere
-    offending = [k for k in f.packed if not any(partner(k)) and k != key]
+    # congruent to p - 1 everywhere: -1 - e is 0 mod p everywhere, the
+    # layout's all-zero record
+    zero = bytes(n) if f.width == 1 else (0,) * n
+    offending = [k for k in f.packed if partner(k) == zero and k != key]
     if offending:
         return SplittingCheck(False, unpack(min(offending)))
     return SplittingCheck(True)

@@ -12,6 +12,7 @@ import random
 import re
 import tracemalloc
 import types
+from functools import partial
 
 import pytest
 
@@ -198,6 +199,114 @@ def test_record_writer_matches_json_for_the_empty_and_the_zero_weight_character(
                         (zero, [{"mult": -3, "weight": [0, 0]}])):
         for obj, want in _writer_nestings(cli._char_rows(ch), records):
             assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
+
+
+def _column_sizes(rows):
+    # the number of fields in each column a table's writer groups its keys into
+    table, value, key, bits, spans, bias = rows.args
+    return [len(shifts) for _, _, shifts, _ in cli._columns(value, key, bits, spans, "\n")[1]]
+
+
+@pytest.mark.parametrize("bits, bound, system", WRITER_FIELDS + [(1, 0, "A2")],
+                         ids=[f"{b}bit-{n}" for b, n, _ in WRITER_FIELDS] + ["1bit-A2"])
+def test_character_columns_keep_their_grouping(bits, bound, system):
+    # every character field counts at its full width: max(1, 8 // bits)
+    # fields to a column, whatever bits the weights use
+    rs = parse_system(system)
+    ch = charalg.Character(rs, {(bound,) + (0,) * (rs.rank - 1): 1})
+    assert ch.packing.mask.bit_length() == bits
+    per = max(1, 8 // bits)
+    assert _column_sizes(cli._char_rows(ch)) == \
+        [len(range(i, min(i + per, rs.rank))) for i in range(0, rs.rank, per)]
+
+
+def _poly_with_spans(spans, count, seed, p=7):
+    # count terms in variables whose largest exponents are exactly 2^span - 1
+    # (0 for a span of 0), that top reached by one term
+    rng = random.Random(seed)
+    tops = [(1 << s) - 1 for s in spans]
+    terms = {tuple(tops): 1}
+    while len(terms) < count:
+        terms[tuple(rng.choice([0, t, rng.randint(0, t)]) for t in tops)] = rng.randint(1, p - 1)
+    names = tuple(f"x{i}" for i in range(len(spans)))
+    return SparsePolynomial(p, names, terms), terms
+
+
+def _check_poly_rows(capsys, f, terms):
+    # the terms table at top level and nested as in filt and g1, and the whole
+    # polynomial, each exactly as json.dumps writes them
+    records = [{"c": terms[e], "e": list(e)} for e in sorted(terms)]
+    for obj, want in _writer_nestings(cli._poly_obj(f)["terms"], records):
+        assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
+    assert _emitted(capsys, cli._poly_obj(f)) == \
+        json.dumps(poly_to_json_obj(f), sort_keys=True, indent=2)
+
+
+# (bits each variable's exponents use, fields per column): 8, 4, 2 and 1 to a
+# column, runs of exponents that are all 0, and mixed groups
+POLY_SPANS = [
+    ([1] * 9, [8, 1]),
+    ([2] * 4, [4]),
+    ([4, 4, 4], [2, 1]),
+    ([7, 7], [1, 1]),
+    ([3, 3, 2, 7, 1, 4], [3, 2, 1]),
+    ([0, 0, 0, 4, 0, 3, 1, 0], [8]),
+    ([0, 7, 0, 0, 2, 0], [4, 2]),
+    ([0], [1]),
+    ([0, 0, 0], [3]),
+    ([1, 2, 3, 4, 0, 7, 1], [3, 2, 2]),
+]
+
+
+@pytest.mark.parametrize("spans, sizes", POLY_SPANS,
+                         ids=["-".join(map(str, s)) for s, _ in POLY_SPANS])
+def test_poly_columns_group_fields_by_the_bits_their_exponents_use(capsys, spans, sizes):
+    count = min(2 ** sum(spans), 40)
+    f, terms = _poly_with_spans(spans, count, f"{spans}")
+    assert f.width == 1
+    rows = cli._poly_obj(f)["terms"]
+    assert list(rows.args[4]) == spans
+    assert _column_sizes(rows) == sizes
+    _check_poly_rows(capsys, f, terms)
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("spans", [[1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], [3, 7, 0, 2, 2, 4]])
+def test_poly_columns_at_the_block_edges(capsys, spans, count):
+    f, terms = _poly_with_spans(spans, count, f"{spans} {count}")
+    assert len(terms) == count and list(cli._poly_obj(f)["terms"].args[4]) == spans
+    _check_poly_rows(capsys, f, terms)
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_poly_columns_for_two_byte_fields(capsys, count):
+    # exponents up to 255 and 256 take two-byte fields: 8 and 9 bits of 16,
+    # one column each; a variable of exponents 0 or 1 and one of only 0 share one
+    rng = random.Random(count)
+    terms = {(255, 256, 1, 0): 3}
+    while len(terms) < count:
+        terms[(rng.randint(0, 255), rng.choice([0, 256, rng.randint(0, 256)]),
+               rng.randint(0, 1), 0)] = rng.randint(1, 6)
+    f = SparsePolynomial(7, ("x", "y", "z", "w"), terms)
+    assert f.width == 2
+    rows = cli._poly_obj(f)["terms"]
+    assert list(rows.args[4]) == [8, 9, 1, 0] and _column_sizes(rows) == [1, 1, 2]
+    _check_poly_rows(capsys, f, terms)
+
+
+def test_poly_rows_with_random_spans_write_the_same_bytes(capsys):
+    # the spans only group fields into columns: any spans at least as wide
+    # as the exponents and at most the field width give json's bytes
+    rng = random.Random(34)
+    for width, spans in ((1, [1, 3, 0, 2, 7, 1, 1, 4]), (2, [9, 0, 8, 1, 2])):
+        f, terms = _poly_with_spans(spans, BLOCK + 3, f"random {width}")
+        assert f.width == width
+        records = [{"c": terms[e], "e": list(e)} for e in sorted(terms)]
+        for _ in range(25):
+            drawn = [rng.randint(s, 8 * width) for s in spans]
+            rows = partial(cli._record_blocks, f.packed, "c", "e", 8 * width, drawn, 0)
+            for obj, want in _writer_nestings(rows, records):
+                assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
