@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from operator import add, mul, sub
-from typing import Collection, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
 from .fpoly import DEFAULT_TERM_CAP, is_prime
@@ -747,22 +747,34 @@ def koszul_check(
     on Brauer--Klimyk coefficients; no Weyl character is expanded.
     """
     lam = rs._check_weight(lam)
+    return _koszul_checker(rs, n, i, term_cap)(lam)
+
+
+def _koszul_checker(
+    rs: RootSystem, n: int, i: int, term_cap: int
+) -> Callable[[Weight], KoszulReport]:
+    # koszul_check at (n, i) for any weight: its three symmetric powers are
+    # built here once, and the returned step only shifts them by lam
     if n < 1:
         raise InputError("the reduction identity needs n >= 1")
     rs._check_index(i)
     below, top = _sym_power_pieces(parabolic_subset(rs), n, (n - 1, n), term_cap)
-    minimal = sym_power_char(parabolic_subset(rs, [i]), n, term_cap=term_cap).shift(lam)
+    minimal = sym_power_char(parabolic_subset(rs, [i]), n, term_cap=term_cap)
     alpha = rs.simple_root(i).fund
-    shifted = below.shift(tuple(a + b for a, b in zip(lam, alpha)))
-    difference = top.shift(lam) - shifted - minimal
-    identity_ok = not _weyl_coefficients(rs, difference.mults)
-    par_term = _weyl_coefficients(rs, minimal.mults)
-    applicable = rs.pairing(lam, i) == -1
-    vanishing_ok = (not applicable) or not par_term
-    return KoszulReport(
-        ok=identity_ok and vanishing_ok,
-        identity_ok=identity_ok,
-        vanishing_applicable=applicable,
-        vanishing_ok=vanishing_ok,
-        parabolic_term=par_term,
-    )
+
+    def check(lam: Weight) -> KoszulReport:
+        shifted = below.shift(tuple(a + b for a, b in zip(lam, alpha)))
+        par = minimal.shift(lam)
+        identity_ok = not _weyl_coefficients(rs, (top.shift(lam) - shifted - par).mults)
+        par_term = _weyl_coefficients(rs, par.mults)
+        applicable = rs.pairing(lam, i) == -1
+        vanishing_ok = (not applicable) or not par_term
+        return KoszulReport(
+            ok=identity_ok and vanishing_ok,
+            identity_ok=identity_ok,
+            vanishing_applicable=applicable,
+            vanishing_ok=vanishing_ok,
+            parabolic_term=par_term,
+        )
+
+    return check

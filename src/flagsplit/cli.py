@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from . import charalg, fpoly, slnsplit, verify
 from .errors import InputError, InvariantError, ResourceLimitError
-from .rootdata import DEFAULT_WEYL_ORDER_CAP, parabolic_subset, parse_system
+from .rootdata import parabolic_subset, parse_system
 
 if TYPE_CHECKING:
     import argparse
@@ -200,7 +200,7 @@ _COMMON_VALUE_FLAGS = {
     "--seed": (int, 0),
     "--term-cap": (_cap, charalg.DEFAULT_TERM_CAP),
     "--dim-cap": (_cap, charalg.DEFAULT_DIM_CAP),
-    "--weyl-cap": (_cap, DEFAULT_WEYL_ORDER_CAP),
+    "--weyl-cap": (_cap, verify.DEFAULT_WEYL_ORDER_CAP),
     "--enum-cap": (_cap, fpoly.DEFAULT_ENUM_CAP),
 }
 

@@ -29,7 +29,7 @@ import math
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InputError, InvariantError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -37,7 +37,6 @@ if TYPE_CHECKING:
 Weight = tuple[int, ...]
 
 MAX_RANK = 8
-DEFAULT_WEYL_ORDER_CAP = 1152
 
 _VALID_TYPES = {
     "A": lambda n: n >= 1,
@@ -391,30 +390,6 @@ class RootSystem:
             intermediates.append(cur)
 
     # -- Weyl group --------------------------------------------------------
-
-    def weyl_elements(self, order_cap: int = DEFAULT_WEYL_ORDER_CAP) -> list[tuple[int, ...]]:
-        """Reduced words, one per group element, found by orbit search from rho.
-
-        Raises :class:`ResourceLimitError` when the group order exceeds the cap.
-        """
-        seen = {self.rho: ()}
-        frontier = [self.rho]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                word = seen[v]
-                for i, c in enumerate(v):
-                    if c > 0:
-                        w = tuple(a - c * b for a, b in zip(v, self.cartan[i]))
-                        if w not in seen:
-                            seen[w] = (i + 1,) + word
-                            nxt.append(w)
-                            if len(seen) > order_cap:
-                                raise ResourceLimitError(
-                                    f"Weyl group order exceeds cap {order_cap}"
-                                )
-            frontier = nxt
-        return sorted(seen.values(), key=lambda w: (len(w), w))
 
     def weyl_orbit(self, lam: Sequence[int]) -> list[Weight]:
         """The W-orbit of a weight, sorted."""

@@ -52,9 +52,12 @@ tuples instead of packed weight keys,
 and positive roots by alpha-strings
 with coroots from root norms instead of one reflection walk carrying each
 coroot, bad primes by trial division instead of reading 2, 3 and 5 off
-the highest root, and the whole Borel chart by conjugating I + X by g over
+the highest root, the whole Borel chart by conjugating I + X by g over
 plain integer dicts, with the adjugate inverse and Leibniz determinants,
-instead of one table of minors of (I + X) g^{-1} and packed products.
+instead of one table of minors of (I + X) g^{-1} and packed products, and
+W-invariance of a character by applying every element of the whole Weyl
+group, listed as reduced words by an orbit search from rho, instead of
+each simple reflection once.
 """
 
 from __future__ import annotations
@@ -109,6 +112,41 @@ from flagsplit.slnsplit import (
 )
 
 
+WEYL_ORDER_CAP = 1152   # |W(F4)|
+
+
+def weyl_elements(rs: RootSystem, order_cap: int = WEYL_ORDER_CAP) -> list[tuple[int, ...]]:
+    """Reduced words, one per element of the whole Weyl group, found by orbit
+    search from rho and sorted by length.
+
+    Raises :class:`ResourceLimitError` when the group order exceeds the cap.
+    """
+    seen = {rs.rho: ()}
+    frontier = [rs.rho]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            word = seen[v]
+            for i, c in enumerate(v):
+                if c > 0:
+                    w = tuple(a - c * b for a, b in zip(v, rs.cartan[i]))
+                    if w not in seen:
+                        seen[w] = (i + 1,) + word
+                        nxt.append(w)
+                        if len(seen) > order_cap:
+                            raise ResourceLimitError(f"Weyl group order exceeds cap {order_cap}")
+        frontier = nxt
+    return sorted(seen.values(), key=lambda w: (len(w), w))
+
+
+def is_weyl_invariant_by_group(rs: RootSystem, ch: Character) -> bool:
+    """Whether every element of the whole Weyl group keeps every multiplicity
+    of ``ch``, each element applied letter by letter."""
+    words = weyl_elements(rs)
+    return all(ch.multiplicity(rs.weight_action(word, w)) == m
+               for word in words for w, m in ch.items())
+
+
 def kostant_partition_count(rs: RootSystem, vec: tuple[int, ...]) -> int:
     """Number of ways to write ``vec`` (simple-root coordinates) as a sum of
     positive roots, by recursion over the root list."""
@@ -136,7 +174,7 @@ def kostant_multiplicity(rs: RootSystem, lam, mu) -> int:
     lam_rho = tuple(c + 1 for c in lam)
     mu_rho = tuple(c + 1 for c in mu)
     total = 0
-    for word in rs.weyl_elements():
+    for word in weyl_elements(rs):
         moved = rs.weight_action(word, lam_rho)
         diff_fund = tuple(a - b for a, b in zip(moved, mu_rho))
         coords = rs.to_simple_coords(diff_fund)
@@ -470,7 +508,7 @@ def euler_by_weyl_search(rs: RootSystem, module: Character, lam) -> Character:
     dot-moved by the Weyl element, found by searching the whole group, that
     makes mu + lam + rho dominant, and contributes sign(w) times the Weyl
     character there, or nothing when mu + lam + rho is singular."""
-    words = rs.weyl_elements()
+    words = weyl_elements(rs)
     out = Character.zero(rs)
     for mu, m in module.mults.items():
         shifted = tuple(a + b + 1 for a, b in zip(mu, lam))

@@ -14,7 +14,7 @@ import types
 import pytest
 
 import flagsplit
-from flagsplit import charalg
+from flagsplit import charalg, verify
 from flagsplit.charalg import (
     Character,
     decompose_good_filtration,
@@ -32,6 +32,7 @@ from flagsplit.charalg import (
 )
 from flagsplit.errors import InputError, InvariantError, ResourceLimitError
 from flagsplit.rootdata import RootSystem, _Packing, build_root_system, parabolic_subset
+from flagsplit.verify import RunConfig, _run, suite_charalg
 
 from oracles import (
     brute_exterior_power,
@@ -41,6 +42,7 @@ from oracles import (
     freudenthal_by_dominant_lookup,
     freudenthal_table_by_tuples,
     greedy_peel,
+    is_weyl_invariant_by_group,
     koszul_by_expansion,
     kostant_multiplicity,
     sym_power_by_series,
@@ -226,11 +228,80 @@ def test_weyl_character_matches_lookup_oracle_graded_sections(rs):
 
 def test_weyl_character_invariance():
     for rs in (A2, B2, G2):
-        ch = weyl_character(rs, (1, 1))
-        for word in rs.weyl_elements():
-            assert all(
-                ch.multiplicity(rs.weight_action(word, w)) == m for w, m in ch.items()
-            )
+        assert is_weyl_invariant_by_group(rs, weyl_character(rs, (1, 1)))
+
+
+def _one_check(monkeypatch, name, cfg=RunConfig()):
+    # verify charalg with every check but the one named left out
+    monkeypatch.setattr(verify, "_run", lambda checks, n, fn: n == name and _run(checks, n, fn))
+    [check] = suite_charalg(cfg)
+    return check
+
+
+def _invariance_check(monkeypatch, change=lambda rs, lam, ch: ch):
+    # verify charalg's W-invariance check alone, each character it builds
+    # passed through change; returns the check and the characters it read
+    seen = []
+
+    def built(rs, lam, dim_cap=charalg.DEFAULT_DIM_CAP):
+        seen.append((rs, lam, change(rs, lam, weyl_character(rs, lam, dim_cap=dim_cap))))
+        return seen[-1][2]
+
+    monkeypatch.setattr(charalg, "weyl_character", built)
+    return _one_check(monkeypatch, "charalg.weyl_character_invariant"), seen
+
+
+def _alterations(ch):
+    # for the least nonzero weight, and for each i the least nonzero weight
+    # that s_i fixes: its multiplicity changed, then the weight removed; last,
+    # the zero weight's multiplicity changed, which keeps W-invariance
+    mults = dict(ch.items())
+    zero = (0,) * ch.rs.rank
+    nonzero = [w for w in mults if w != zero]
+    picks = {min(nonzero, default=None)}
+    picks |= {min((w for w in nonzero if w[i] == 0), default=None) for i in range(ch.rs.rank)}
+    out = []
+    for w in sorted(picks - {None}):
+        out += [{**mults, w: mults[w] + 1}, {v: m for v, m in mults.items() if v != w}]
+    if zero in mults:
+        out.append({**mults, zero: mults[zero] + 1})
+    return [Character(ch.rs, m) for m in out]
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2"])
+@pytest.mark.parametrize("kind", [0, 1], ids=["changed", "removed"])
+def test_verify_weyl_invariance_fails_on_a_changed_weight(monkeypatch, name, kind):
+    target = build_root_system(name[0], int(name[1:]))
+    lam = (1,) * target.rank
+
+    def change(rs, mu, ch):
+        return _alterations(ch)[kind] if (rs, mu) == (target, lam) else ch
+
+    check, _ = _invariance_check(monkeypatch, change)
+    assert (check.status, check.detail) == ("fail", f"{target}: character of {lam} not W-invariant")
+
+
+def test_verify_weyl_invariance_agrees_with_the_whole_group(monkeypatch):
+    # on every character the check reads, as built and with each alteration,
+    # its verdict under the simple reflections is the whole group's
+    check, built = _invariance_check(monkeypatch)
+    assert check.status == "pass" and len(built) == 21
+    assert all(is_weyl_invariant_by_group(rs, ch) for rs, _, ch in built)
+    verdicts = []
+    for target, lam, ch in built:
+        for altered in _alterations(ch):
+            check, _ = _invariance_check(
+                monkeypatch, lambda rs, mu, c: altered if (rs, mu) == (target, lam) else c)
+            verdicts.append(is_weyl_invariant_by_group(target, altered))
+            assert (check.status == "pass") == verdicts[-1], (target, lam, dict(altered.items()))
+    # the alterations reach both verdicts: a zero weight changed stays invariant
+    assert True in verdicts and False in verdicts
+
+
+def test_verify_weyl_invariance_reads_no_order_cap(monkeypatch):
+    # the old whole-group loop was refused at a cap below the group order
+    check = _one_check(monkeypatch, "charalg.weyl_character_invariant", RunConfig(weyl_order_cap=1))
+    assert (check.status, check.detail) == ("pass", "")
 
 
 def test_weyl_character_guards():
@@ -937,6 +1008,17 @@ def test_koszul_identity_failure_is_seen(monkeypatch):
                 assert rep.identity_ok == (not rep.parabolic_term), (lam, n, i)
                 nonzero += bool(rep.parabolic_term)
     assert nonzero > 0
+
+
+def test_verify_koszul_sweep_builds_its_powers_once(monkeypatch):
+    # one Borel build (S^(n-1) and S^n) and one minimal-parabolic build per
+    # (system, n, i): 36 triples on the five rank-2 systems, not two per case
+    calls = []
+    pieces = charalg._sym_power_pieces
+    monkeypatch.setattr(charalg, "_sym_power_pieces",
+                        lambda *args: calls.append(args) or pieces(*args))
+    check = _one_check(monkeypatch, "charalg.koszul_reduction_sweep")
+    assert (check.status, len(calls)) == ("pass", 72)
 
 
 def test_koszul_expands_no_weyl_character(monkeypatch):

@@ -28,17 +28,29 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     if "--json" in argv and captured.out:
         # every --json document is exactly what json.dumps writes for it
-        canonical = json.dumps(json.loads(captured.out), sort_keys=True, indent=2)
-        assert captured.out == canonical + "\n"
+        _assert_dumps(captured.out, json.loads(captured.out))
     return code, captured.out, captured.err
 
 
 def _emitted(capsys, obj):
-    # what _emit writes for obj as a --json document, less its final newline
+    # what _emit writes for obj as a --json document
     cli._emit(obj, list, True)
-    out = capsys.readouterr().out
-    assert out.endswith("\n")
-    return out[:-1]
+    return capsys.readouterr().out
+
+
+def _assert_dumps(text, want):
+    # text is exactly json.dumps(want, sort_keys=True, indent=2) and a newline.
+    # Lengths and SHA-256 digests are compared first, and a mismatch is shown
+    # at its first differing offset, 200 characters either side: pytest's own
+    # diff of two long documents takes minutes
+    dumps = json.dumps(want, sort_keys=True, indent=2) + "\n"
+    sides = [(len(t), hashlib.sha256(t.encode()).hexdigest()) for t in (text, dumps)]
+    if sides[0] == sides[1] and text == dumps:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(text, dumps)) if a != b), min(len(text), len(dumps)))
+    window = slice(max(0, at - 200), at + 200)
+    pytest.fail(f"written {sides[0]} != json.dumps {sides[1]}, first difference at offset {at}:\n"
+                f"  written:    {text[window]!r}\n  json.dumps: {dumps[window]!r}", pytrace=False)
 
 
 @pytest.mark.parametrize("obj", [
@@ -63,7 +75,7 @@ def _emitted(capsys, obj):
     {None: 1}, [{True: [1]}], [1.5, float("inf"), -0.0], "solo", 7, None,
 ])
 def test_dumps_matches_json(capsys, obj):
-    assert _emitted(capsys, obj) == json.dumps(obj, sort_keys=True, indent=2)
+    _assert_dumps(_emitted(capsys, obj), obj)
 
 
 def test_dumps_matches_json_randomised(capsys):
@@ -92,7 +104,7 @@ def test_dumps_matches_json_randomised(capsys):
 
     for _ in range(500):
         obj = draw(0)
-        assert _emitted(capsys, obj) == json.dumps(obj, sort_keys=True, indent=2)
+        _assert_dumps(_emitted(capsys, obj), obj)
 
 
 # -- record writer -------------------------------------------------------------
@@ -114,17 +126,16 @@ def test_rows_match_json(capsys, count):
                               for i in range(count)})
     # at top level, and two levels down, where the records' lines start at 8 spaces
     for wrap in (lambda x: x, lambda x: {"a": [x]}):
-        want = json.dumps(wrap({"rows": records}), sort_keys=True, indent=2)
-        assert _emitted(capsys, wrap({"rows": rows})) == want
+        _assert_dumps(_emitted(capsys, wrap({"rows": rows})), wrap({"rows": records}))
 
 
 def test_rows_keep_their_order_and_shape(capsys):
     # records are written in key order, which is weight order, and a key may be empty
     rows, want = _records({(3, 0, 0): 1, (0, 1, 0): 7, (-1, -1, 0): 2})
     assert want[0]["weight"] == [-1, -1, 0]
-    assert _emitted(capsys, [rows]) == json.dumps([want], sort_keys=True, indent=2)
-    assert _emitted(capsys, cli._poly_obj(SparsePolynomial(7, (), {(): 5}))) == \
-        json.dumps({"p": 7, "terms": [{"c": 5, "e": []}], "vars": []}, sort_keys=True, indent=2)
+    _assert_dumps(_emitted(capsys, [rows]), [want])
+    _assert_dumps(_emitted(capsys, cli._poly_obj(SparsePolynomial(7, (), {(): 5}))),
+                  {"p": 7, "terms": [{"c": 5, "e": []}], "vars": []})
 
 
 def _drawn_weights(rng, rank, bound, count):
@@ -169,7 +180,7 @@ def test_record_writer_matches_json_for_characters(capsys, bits, bound, system, 
     assert ch.packing.mask.bit_length() == bits
     records = [{"mult": table[w], "weight": list(w)} for w in weights]
     for obj, want in _writer_nestings(cli._char_rows(ch), records):
-        assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
+        _assert_dumps(_emitted(capsys, obj), want)
 
 
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
@@ -186,9 +197,8 @@ def test_record_writer_matches_json_for_polynomials(capsys, top, width, count):
     assert f.width == width
     records = [{"c": terms[e], "e": list(e)} for e in sorted(terms)]
     for obj, want in _writer_nestings(cli._poly_obj(f)["terms"], records):
-        assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
-    assert _emitted(capsys, cli._poly_obj(f)) == \
-        json.dumps(poly_to_json_obj(f), sort_keys=True, indent=2)
+        _assert_dumps(_emitted(capsys, obj), want)
+    _assert_dumps(_emitted(capsys, cli._poly_obj(f)), poly_to_json_obj(f))
 
 
 def test_record_writer_matches_json_for_the_empty_and_the_zero_weight_character(capsys):
@@ -198,7 +208,7 @@ def test_record_writer_matches_json_for_the_empty_and_the_zero_weight_character(
     for ch, records in ((charalg.Character(parse_system("E8")), []),
                         (zero, [{"mult": -3, "weight": [0, 0]}])):
         for obj, want in _writer_nestings(cli._char_rows(ch), records):
-            assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
+            _assert_dumps(_emitted(capsys, obj), want)
 
 
 def _column_sizes(rows):
@@ -237,9 +247,8 @@ def _check_poly_rows(capsys, f, terms):
     # polynomial, each exactly as json.dumps writes them
     records = [{"c": terms[e], "e": list(e)} for e in sorted(terms)]
     for obj, want in _writer_nestings(cli._poly_obj(f)["terms"], records):
-        assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
-    assert _emitted(capsys, cli._poly_obj(f)) == \
-        json.dumps(poly_to_json_obj(f), sort_keys=True, indent=2)
+        _assert_dumps(_emitted(capsys, obj), want)
+    _assert_dumps(_emitted(capsys, cli._poly_obj(f)), poly_to_json_obj(f))
 
 
 # (bits each variable's exponents use, fields per column): 8, 4, 2 and 1 to a
@@ -306,7 +315,7 @@ def test_poly_rows_with_random_spans_write_the_same_bytes(capsys):
             drawn = [rng.randint(s, 8 * width) for s in spans]
             rows = partial(cli._record_blocks, f.packed, "c", "e", 8 * width, drawn, 0)
             for obj, want in _writer_nestings(rows, records):
-                assert _emitted(capsys, obj) == json.dumps(want, sort_keys=True, indent=2)
+                _assert_dumps(_emitted(capsys, obj), want)
 
 
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
@@ -318,8 +327,7 @@ def test_emit_streams_rows_as_json(capsys, count):
     want = {"rows": records, "n": count, "in": [records, {"deep": [records]}, []],
             "z": {"rows": records}}
     for obj, expected in ((nest, want), ({"only": rows}, {"only": records})):
-        cli._emit(obj, list, True)
-        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        _assert_dumps(_emitted(capsys, obj), expected)
 
 
 MARKER_TEXTS = ["-Infinity", "a-Infinity", "-Infinity,", "-Infinity\n"]
@@ -335,8 +343,8 @@ def test_emit_writes_marker_text_next_to_tables(capsys, text):
         return {text: x, "a": [text, x, text], "b": {text: text, "t": x}, "c": [x, text],
                 "d": text, "e": [{text: x}, x], text + "k": [text]}
 
-    assert _emitted(capsys, doc(rows)) == json.dumps(doc(records), sort_keys=True, indent=2)
-    assert _emitted(capsys, [text, rows]) == json.dumps([text, records], sort_keys=True, indent=2)
+    _assert_dumps(_emitted(capsys, doc(rows)), doc(records))
+    _assert_dumps(_emitted(capsys, [text, rows]), [text, records])
 
 
 @pytest.mark.parametrize("obj", [[-math.inf], [-math.inf, 1], {"a": -math.inf}])
@@ -361,7 +369,7 @@ def test_poly_trace_json_with_marker_variable_names(capsys, tmp_path):
                        "--times", str(tmp_path / "g.json"), "--json")
     want = poly_to_json_obj(fpoly.frobenius_trace(f, g))
     assert code == 0 and want["terms"] and want["vars"] == list(names)
-    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    _assert_dumps(out, want)
 
 
 class _Writes(io.StringIO):
@@ -392,7 +400,7 @@ def test_emit_writes_one_block_at_a_time():
     with contextlib.redirect_stdout(out):
         cli._emit({"terms": rows}, list, True)
     records = [{"c": 1, "e": list(e)} for e in sorted(_uniform_terms(3 * BLOCK + 5))]
-    assert out.getvalue() == json.dumps({"terms": records}, sort_keys=True, indent=2) + "\n"
+    _assert_dumps(out.getvalue(), {"terms": records})
     assert len(out.sizes) >= 4 and max(out.sizes) <= block < len(out.getvalue()) / 2
     # main writes to the stdout in place when it is called
     out = _Writes()
