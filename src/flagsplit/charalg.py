@@ -453,15 +453,15 @@ def _expand(
 
 def _root_power_tables(rank: int, roots: Sequence[Weight], top: int, repeat: bool,
                        what: str, term_cap: int) -> tuple[_Packing, list[dict[int, int]]]:
-    # Degrees 0..top of prod_r 1/(1 - q e^r) if repeat, else of prod_r (1 + q e^r):
-    # d adds table d-1 shifted by r, read after r's update in rising d, before it in falling d
-    if top > term_cap:
+    # Degrees 0..top of prod_r 1/(1 - q e^r) if repeat, else of prod_r (1 + q e^r) at the d that
+    # reach top: d adds table d-1 shifted by r, after r's update if d rises, before it if d falls
+    if repeat and top > term_cap:
         raise ResourceLimitError(f"{what} exceeds term cap {term_cap}")
     packing = _Packing(rank, _root_sum_bound(roots, top if repeat else 1))
     table: list[dict[int, int]] = [{packing.pack((0,) * rank): 1}] + [{} for _ in range(top)]
-    for root in roots:
+    for t, root in enumerate(roots, 1):
         b = packing.step(root)
-        for d in range(1, top + 1) if repeat else range(top, 0, -1):
+        for d in range(1, top + 1) if repeat else range(top, max(0, top - len(roots) + t - 1), -1):
             tgt = table[d]
             get = tgt.get
             for x, m in table[d - 1].items():

@@ -18,7 +18,7 @@ from operator import or_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import charalg, fpoly, slnsplit, verify
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .rootdata import parabolic_subset, parse_system
 
 if TYPE_CHECKING:
@@ -133,32 +133,28 @@ def _emit(obj, lines: Callable[[], Iterable[str]], as_json: bool) -> None:
     ``json.dumps(obj, sort_keys=True, indent=2)``, where a packed table is a
     ``partial`` of ``_record_blocks`` that stands for its list of records.
 
-    json hands the tables to ``default`` in document order and writes each
-    as ``-Infinity``.  No document holds a float and no JSON string a raw
-    newline, so a ``-Infinity`` followed by a newline or by a comma and a
-    newline is a table, and any other is text inside a string.  The rest of
-    the document is held whole; each table is streamed in its place."""
+    json's encoder yields the document in chunks and calls ``default`` for
+    a table once every chunk before it has been yielded; the next chunk is
+    the text of the placeholder ``default`` returns.  So ``default`` writes
+    the chunks held since the last table, streams the table at the indent
+    of the current line and starts the chunks afresh, and the placeholder,
+    first of the new chunks, is never written."""
     if not as_json:
         for line in lines():
             print(line)
         return
-    tables: list = []
-    text = json.dumps(obj, sort_keys=True, indent=2,
-                      default=lambda table: tables.append(table) or float("-inf"))
-    head, *chunks = (text + "\n").split("-Infinity")
-    markers = sum(chunk.startswith(("\n", ",\n")) for chunk in chunks)
-    if markers != len(tables):
-        raise InvariantError(f"{markers} -Infinity markers for {len(tables)} tables in --json")
-    pending = iter(tables)
-    for chunk in chunks:
-        if not chunk.startswith(("\n", ",\n")):   # text inside a string
-            head += "-Infinity" + chunk
-            continue
-        line = head.rpartition("\n")[2]
-        sys.stdout.write(head)
-        sys.stdout.writelines(next(pending)("\n" + " " * (len(line) - len(line.lstrip(" ")))))
-        head = chunk
-    sys.stdout.write(head)
+    chunks = [""]   # chunks[0] stands in for the last table's placeholder
+
+    def table(rows: partial) -> None:
+        text = "".join(chunks[1:])
+        line = text.rpartition("\n")[2]
+        sys.stdout.write(text)
+        sys.stdout.writelines(rows("\n" + " " * (len(line) - len(line.lstrip(" ")))))
+        del chunks[:]
+
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2, default=table).iterencode(obj):
+        chunks.append(chunk)
+    sys.stdout.write("".join(chunks[1:]) + "\n")
 
 
 def _char_rows(ch: charalg.Character) -> partial:

@@ -700,6 +700,10 @@ def poly_from_json_obj(obj: dict) -> SparsePolynomial:
         terms = [(t["e"], t["c"]) for t in obj["terms"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polynomial object: {exc}") from exc
+    unknown = [k for k in obj if k not in ("p", "vars", "terms")]
+    unknown += [k for t in obj["terms"] for k in t if k not in ("e", "c")]
+    if unknown:
+        raise InputError(f"unknown key {unknown[0]!r} in polynomial object")
     # no coercion: 3.9, "3" and true are not the integer 3
     if not _is_int(p):
         raise InputError(f"characteristic {p!r} is not an integer")

@@ -502,8 +502,10 @@ class ParabolicSubset(NamedTuple):
         return f"ParabolicSubset({self.rs}, I={sorted(self.subset)})"
 
 
-def parabolic_subset(rs: RootSystem, subset: Iterable[int] = ()) -> ParabolicSubset:
+def parabolic_subset(rs: RootSystem, subset: Sequence[int] = ()) -> ParabolicSubset:
     inside = frozenset(subset)
+    if len(inside) != len(subset):
+        raise InputError(f"duplicate simple indices in {list(subset)}")
     for i in inside:
         rs._check_index(i)
     levi = []

@@ -214,6 +214,8 @@ def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matr
 
 def _simple_subset(n: int, subset: Sequence[int]) -> frozenset[int]:
     inside = frozenset(int(i) for i in subset)
+    if len(inside) != len(subset):
+        raise InputError(f"duplicate simple indices in {list(subset)}")
     for i in inside:
         if not 1 <= i <= n:
             raise InputError(f"simple index {i} out of range 1..{n}")

@@ -614,15 +614,20 @@ def test_truncated_char_term_cap(rs, p):
         truncated_char(rs, p, term_cap=largest - 1)
 
 
-@pytest.mark.parametrize("rs, j", [(A2, 2), (B2, 2), (G2, 3), (build_root_system("A", 3), 3)],
+@pytest.mark.parametrize("rs, j", [(A2, 2), (B2, 2), (G2, 3), (build_root_system("A", 3), 3),
+                                   (build_root_system("A", 3), 6), (build_root_system("F", 4), 24)],
                          ids=lambda x: x.type_label + str(x.rank) if isinstance(x, RootSystem)
                          else f"j{x}")
 def test_exterior_power_term_cap(rs, j):
-    # every degree up to j is stored after every root; the largest such
-    # support, read from the brute oracle, is the least term cap that passes
+    # after i roots only the degrees d >= j - (roots left) can still reach j,
+    # and only they are stored; the largest such support, read from the
+    # brute oracle, is the least term cap that passes.  At j = N every such
+    # table holds one weight, so a cap of 1 passes there
     roots = list(rs.negative_roots)
     largest = max(len(brute_exterior_power(roots[:i], d))
-                  for i in range(1, len(roots) + 1) for d in range(1, j + 1))
+                  for i in range(1, len(roots) + 1)
+                  for d in range(max(1, j - (len(roots) - i)), j + 1))
+    assert (largest == 1) == (j == len(roots))
     expected = brute_exterior_power(roots, j)
     assert exterior_power_char(rs, j, term_cap=largest).mults == expected
     with pytest.raises(ResourceLimitError,

@@ -18,7 +18,6 @@ import pytest
 
 from flagsplit import charalg, cli, fpoly, rootdata, slnsplit, verify
 from flagsplit.cli import main
-from flagsplit.errors import InvariantError
 from flagsplit.fpoly import SparsePolynomial, poly_to_json_obj, save_poly
 from flagsplit.rootdata import parabolic_subset, parse_system
 
@@ -326,7 +325,11 @@ def test_emit_streams_rows_as_json(capsys, count):
     nest = {"rows": rows, "n": count, "in": [rows, {"deep": [rows]}, []], "z": {"rows": rows}}
     want = {"rows": records, "n": count, "in": [records, {"deep": [records]}, []],
             "z": {"rows": records}}
-    for obj, expected in ((nest, want), ({"only": rows}, {"only": records})):
+    # also a table as the whole document, two tables side by side in a list,
+    # and a table as the last value of a nested dict
+    for obj, expected in ((nest, want), ({"only": rows}, {"only": records}), (rows, records),
+                          ([rows, rows], [records, records]),
+                          ({"a": {"b": [1], "z": rows}}, {"a": {"b": [1], "z": records}})):
         _assert_dumps(_emitted(capsys, obj), expected)
 
 
@@ -335,8 +338,8 @@ MARKER_TEXTS = ["-Infinity", "a-Infinity", "-Infinity,", "-Infinity\n"]
 
 @pytest.mark.parametrize("text", MARKER_TEXTS)
 def test_emit_writes_marker_text_next_to_tables(capsys, text):
-    # json writes each table as -Infinity; a string holding that text, as a
-    # value, a list item or a key beside a table, is written as itself
+    # a string holding json's text for a float -inf, as a value, a list item
+    # or a key beside a table, is written as itself
     rows, records = _records({(1, -2, 0): 3, (0, 0, 0): -1})
 
     def doc(x):
@@ -348,15 +351,12 @@ def test_emit_writes_marker_text_next_to_tables(capsys, text):
 
 
 @pytest.mark.parametrize("obj", [[-math.inf], [-math.inf, 1], {"a": -math.inf}])
-def test_emit_refuses_a_document_with_minus_infinity(capsys, obj):
-    # no document holds a float: a -Infinity of json's own is not mistaken
-    # for a table, it is refused before anything is written
-    rows, _ = _records({(0, 0, 0): 1})
-    for doc, tables in ((obj, 0), ([obj, rows], 1), ([rows, obj], 1)):
-        markers = f"^{tables + 1} -Infinity markers for {tables} tables"
-        with pytest.raises(InvariantError, match=markers):
-            cli._emit(doc, list, True)
-        assert capsys.readouterr().out == ""
+def test_emit_writes_minus_infinity_as_json_does(capsys, obj):
+    # a table is known by json's call for it, not by the text json writes:
+    # a float -inf alone, before a table and after one is json.dumps's -Infinity
+    rows, records = _records({(0, 0, 0): 1})
+    for doc, want in ((obj, obj), ([obj, rows], [obj, records]), ([rows, obj], [records, obj])):
+        _assert_dumps(_emitted(capsys, doc), want)
 
 
 def test_poly_trace_json_with_marker_variable_names(capsys, tmp_path):
@@ -670,8 +670,27 @@ def test_char_commands(capsys):
     assert json.loads(out)["dimension"] == 2
     code, out, _ = run(capsys, "char", "ext", "A2", "--j", "3", "--json")
     assert json.loads(out)["character"] == [{"weight": [-2, -2], "mult": 1}]
+    # A3 at j = 6 and F4 at j = 24 are one weight each, and so is every table
+    # that feeds them: a cap below j refuses neither
+    for system, j, cap in (("A3", "6", "2"), ("F4", "24", "5")):
+        code, out, _ = run(capsys, "char", "ext", system, "--j", j, "--term-cap", cap, "--json")
+        assert code == 0 and json.loads(out)["dimension"] == 1
     code, out, _ = run(capsys, "char", "trunc", "A2", "--p", "2", "--json")
     assert json.loads(out)["dimension"] == 8
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["sln", "parabolic", "--n", "2", "--p", "3", "--subset", "1,1"], "[1, 1]"),
+    (["sln", "mvk", "--n", "2", "--p", "3", "--compat", "1,1"], "[1, 1]"),
+    (["filt", "A2", "--weight", "0,2", "--max-degree", "2", "--parabolic", "2,2"], "[2, 2]"),
+    (["char", "sym", "A2", "--degree", "1", "--parabolic", "1,1"], "[1, 1]"),
+], ids=["sln-parabolic", "sln-mvk-compat", "filt", "char-sym"])
+def test_duplicate_simple_indices_exit_2(capsys, argv, listed):
+    # a repeated index is refused, not read as the set it spells
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *json_flag)
+        assert code == 2 and out == ""
+        assert err == f"input error: duplicate simple indices in {listed}\n"
 
 
 def test_json_builds_no_text_lines(capsys, monkeypatch):
@@ -739,6 +758,14 @@ def test_poly_check_exit_codes(capsys, tmp_path):
         {"e": [1, 0], "c": 1}, {"e": [1, 0], "c": 2}]}))
     code, out, err = run(capsys, "poly", "check", "--file", str(ambiguous))
     assert code == 2 and out == "" and "duplicate variable" in err
+
+    # a key the format does not name is refused, not dropped
+    for extra in ({"q": 5}, {"terms": [{"e": [2], "c": 1, "z": 3}]}):
+        unknown = tmp_path / "unknown.json"
+        unknown.write_text(json.dumps({"p": 3, "vars": ["x"], "terms": [{"e": [2], "c": 1}],
+                                       **extra}))
+        code, out, err = run(capsys, "poly", "check", "--file", str(unknown))
+        assert code == 2 and out == "" and "unknown key" in err
 
 
 @pytest.mark.parametrize("field, value", [

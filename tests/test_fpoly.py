@@ -1147,6 +1147,9 @@ MALFORMED_POLYNOMIALS = [
     ({"p": 3, "vars": "x", "terms": [{"e": [2], "c": 2}]}, "variables"),
     ({"p": 3, "vars": [1], "terms": [{"e": [2], "c": 2}]}, "variables"),
     ({"p": 3, "vars": ["x"], "terms": [{"e": [2], "c": True}]}, "coefficient"),
+    # keys the format does not name, which are refused, not dropped
+    ({"p": 3, "vars": ["x"], "terms": [{"e": [1], "c": 1, "z": 3}]}, "^unknown key 'z' in"),
+    ({"p": 3, "vars": ["x"], "terms": [{"e": [1], "c": 1}], "q": 5}, "^unknown key 'q' in"),
 ]
 
 
@@ -1154,7 +1157,8 @@ MALFORMED_POLYNOMIALS = [
                          ids=["duplicate-variables", "duplicate-terms", "unsorted-terms",
                               "float-p", "string-p", "float-exponent", "bool-exponent",
                               "string-exponents", "integer-exponents", "string-vars",
-                              "integer-var", "bool-coefficient"])
+                              "integer-var", "bool-coefficient", "unknown-term-key",
+                              "unknown-top-key"])
 def test_json_rejects_ambiguous_polynomials(tmp_path, obj, message):
     with pytest.raises(InputError, match=message):
         poly_from_json_obj(obj)
