@@ -16,7 +16,7 @@ formula ch(nu) = D_w0(e^nu) (Demazure, Bull. Sci. Math. 98 (1974); proved
 by Frobenius splitting of Schubert varieties in Andersen, Invent. Math. 79
 (1985)) applies the Demazure operators along a reduced word of w0 to
 sum_nu k_nu e^nu.  A single Euler characteristic (:func:`euler_char`) is one
-signed Weyl character.
+signed Weyl character, and in rank one a Weyl character is this one operator.
 
 A :class:`Character` is stored under packed weight keys, in rootdata's
 layout of the orbit walk: each weight is packed into an int, one biased
@@ -50,7 +50,7 @@ from operator import add, mul, sub
 from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
-from .fpoly import DEFAULT_TERM_CAP, is_prime
+from .fpoly import DEFAULT_TERM_CAP, PrimeField
 from .rootdata import ParabolicSubset, RootSystem, Weight, _Packing, parabolic_subset
 
 DEFAULT_DIM_CAP = 10**6
@@ -330,6 +330,10 @@ def weyl_character(
     dim = weyl_dimension(rs, lam)   # also validates dominance
     if dim > dim_cap:
         raise ResourceLimitError(f"Weyl dimension {dim} exceeds cap {dim_cap}")
+    if rs.rank == 1:
+        # one Demazure operator, linear in dim where Freudenthal's strings are
+        # quadratic; its tables hold at most dim <= dim_cap weights
+        return _expand(rs, {lam: 1}, dim_cap, dim_cap)
     ch = _freudenthal_table(rs, lam)
     if ch.dimension() != dim:
         raise InvariantError(
@@ -520,8 +524,9 @@ def truncated_char(
     """Character of the coordinate algebra of the first Frobenius kernel of U:
     the product over positive roots of (1 + e^alpha + ... + e^((p-1) alpha)).
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    PrimeField(p)
+    if p > term_cap:   # the first root's table holds p weights; later roots only add
+        raise ResourceLimitError(f"truncated algebra exceeds term cap {term_cap}")
     roots = [r.fund for r in rs.positive_roots]
     packing = _Packing(rs.rank, _root_sum_bound(roots, p - 1))
     out: dict[int, int] = {packing.pack((0,) * rs.rank): 1}
@@ -695,8 +700,9 @@ def g1_cohomology_char(
     S^((i - l(w))/2) u* tensor lam on the parity/support set and zero off it.
     """
     lam = rs._check_weight(lam)
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    PrimeField(p)
+    if i_max < 0:
+        raise InputError("top degree i_max must be nonnegative")
     if p <= rs.coxeter_number:
         raise InputError(
             f"p = {p} must exceed the Coxeter number {rs.coxeter_number}"

@@ -270,6 +270,14 @@ class RootSystem:
             raise InputError(f"simple-root index {i} out of range 1..{self.rank}")
         return i - 1
 
+    def _check_subset(self, subset: Sequence[int]) -> frozenset[int]:
+        inside = frozenset(subset)
+        if len(inside) != len(subset):
+            raise InputError(f"duplicate simple indices in {list(subset)}")
+        for i in inside:
+            self._check_index(i)
+        return inside
+
     def simple_root(self, i: int) -> Root:
         return self.positive_roots[self._check_index(i)]
 
@@ -503,11 +511,7 @@ class ParabolicSubset(NamedTuple):
 
 
 def parabolic_subset(rs: RootSystem, subset: Sequence[int] = ()) -> ParabolicSubset:
-    inside = frozenset(subset)
-    if len(inside) != len(subset):
-        raise InputError(f"duplicate simple indices in {list(subset)}")
-    for i in inside:
-        rs._check_index(i)
+    inside = rs._check_subset(subset)
     levi = []
     radical = []
     for r in rs.positive_roots:

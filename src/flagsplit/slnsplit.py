@@ -36,17 +36,17 @@ from itertools import combinations
 from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InputError, InvariantError
+from .errors import InvariantError
 from .fpoly import (
     DEFAULT_ENUM_CAP,
     DEFAULT_TERM_CAP,
     CompatibilityCheck,
+    PrimeField,
     SparsePolynomial,
     SplittingCheck,
     VariableIdeal,
     _centre_coefficient,
     _settled,
-    is_prime,
     is_splitting_function,
     splits_ideal_compatibly,
 )
@@ -193,10 +193,18 @@ def _minor_table(m: Matrix, width: int, term_cap: int) -> dict[int, SparsePolyno
     return table
 
 
+def _chart_subset(n: int, p: int, subset: Sequence[int]) -> frozenset[int]:
+    # the inputs, each by its owner: n as the rank of A_n, which rootdata
+    # caps, p by PrimeField, and then the subset by rootdata
+    rs = build_root_system("A", n)
+    PrimeField(p)
+    return rs._check_subset(subset)
+
+
 def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matrix, Matrix]:
     # the chart's variable table, the generic lower unipotent g and the
     # generic strictly upper triangular X
-    table = _chart_table(n, subset)
+    table = _chart_table(n, _chart_subset(n, p, subset))
     names, positions, x_start = table
     one = SparsePolynomial.constant(p, names, 1)
 
@@ -212,25 +220,6 @@ def _chart_matrices(n: int, p: int, subset: frozenset[int]) -> tuple[tuple, Matr
     return table, g, x
 
 
-def _simple_subset(n: int, subset: Sequence[int]) -> frozenset[int]:
-    inside = frozenset(int(i) for i in subset)
-    if len(inside) != len(subset):
-        raise InputError(f"duplicate simple indices in {list(subset)}")
-    for i in inside:
-        if not 1 <= i <= n:
-            raise InputError(f"simple index {i} out of range 1..{n}")
-    return inside
-
-
-def _check_size(n: int, p: int) -> None:
-    if n < 1:
-        raise InputError("n must be at least 1")
-    if n > 8:
-        raise InputError("n is capped at 8")
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-
-
 def _chart_minors(
     n: int, p: int, subset: frozenset[int], width: int, term_cap: int
 ) -> tuple[tuple, list[SparsePolynomial], dict[int, SparsePolynomial]]:
@@ -240,7 +229,6 @@ def _chart_minors(
     # the lower unitriangular block-permuted g = L, so the table is read off
     # (I + X) g^{-1}.  ((I + X) g^{-1}) g = I + X and Delta_s = 1 at X=0 are
     # checked without assert so -O keeps them
-    _check_size(n, p)
     table, g, x = _chart_matrices(n, p, subset)
     names, _, x_start = table
     i_plus_x = _mat_add(_mat_identity(g[0][0], n + 1), x)
@@ -296,7 +284,7 @@ def build_parabolic_chart_function(
     the pairing against the Levi-translated extreme weight vectors, and it
     reduces to :func:`build_chart_function` when the subset is empty.
     """
-    return _build_chart(n, p, _simple_subset(n, subset), term_cap)
+    return _build_chart(n, p, _chart_subset(n, p, subset), term_cap)
 
 
 def build_mvk_component(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> ChartFunction:
@@ -354,7 +342,7 @@ def splitting_check(
     N'(p-1), which no chart reaches, f is multiplied out from the minors in
     hand.  ``term_cap`` bounds every product.
     """
-    inside = _simple_subset(n, subset)
+    inside = _chart_subset(n, p, subset)
     (names, positions, x_start), deltas, _ = _chart_minors(n, p, inside, n, term_cap)
     if _weight_certificate(n, positions, deltas, (0,) * n) is None:
         raise InvariantError(f"the leading minors for n={n}, p={p}, subset={sorted(inside)} "
@@ -379,7 +367,7 @@ def mvk_component(cf: ChartFunction) -> ChartFunction:
 def levi_x_ideal(cf: ChartFunction, subset: Sequence[int]) -> Optional[VariableIdeal]:
     """Chart ideal of the parabolic subbundle: the x-variables at positions
     inside the Levi blocks of the subset.  None when the subset is empty."""
-    block = _block_ids(cf.n, _simple_subset(cf.n, subset))
+    block = _block_ids(cf.n, _chart_subset(cf.n, cf.p, subset))
     gens = [
         k for k in range(cf.x_start, len(cf.positions))
         if block[cf.positions[k][0] - 1] == block[cf.positions[k][1] - 1]
@@ -452,7 +440,6 @@ def canonical_check(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> Canonic
 def springer_equivariance_ok(n: int, p: int, term_cap: int = DEFAULT_TERM_CAP) -> bool:
     """Chart-level equivariance of X -> I + X: conjugating I + X equals
     I + (conjugate of X), as an identity of polynomial matrices."""
-    _check_size(n, p)
     _, g, x = _chart_matrices(n, p, frozenset())
     g_inv = _unipotent_inverse(g, term_cap)
     ident = _mat_identity(g[0][0], n + 1)

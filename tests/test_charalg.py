@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import flagsplit
 from flagsplit import charalg, verify
 from flagsplit.charalg import (
+    DEFAULT_DIM_CAP,
     Character,
     decompose_good_filtration,
     euler_char,
@@ -115,11 +117,15 @@ def test_weyl_character_g2_seven_dim():
         (build_root_system("B", 3), (1, 0, 1)),
         (build_root_system("C", 3), (1, 1, 0)),
         (build_root_system("D", 4), (0, 1, 0, 0)),
+        (A1, (5,)),
     ],
 )
 def test_weyl_character_matches_kostant_oracle(rs, lam):
     ch = weyl_character(rs, lam)
     assert ch.dimension() == weyl_dimension(rs, lam)
+    if rs.rank == 1:
+        # weyl_character takes Demazure's operator there; Freudenthal is kept covered
+        assert charalg._freudenthal_table(rs, lam) == ch
     for w, m in ch.items():
         assert kostant_multiplicity(rs, lam, w) == m
     # and a few absent weights really have multiplicity zero
@@ -150,6 +156,8 @@ def test_weyl_character_matches_tuple_table(label, rank):
         ch = weyl_character(rs, lam)
         assert ch.mults == freudenthal_table_by_tuples(rs, lam), (rs, lam)
         assert dict(ch.items()) == ch.mults
+        if rank == 1:
+            assert charalg._freudenthal_table(rs, lam).mults == ch.mults
 
 
 @pytest.mark.parametrize("rs, lam", [(A1, (300,)), (A1, (255,)), (A2, (200, 3)), (A2, (3, 200)),
@@ -159,10 +167,13 @@ def test_weyl_character_matches_tuple_table(label, rank):
 def test_weyl_character_matches_tuple_table_in_wide_fields(rs, lam):
     # fields wider than 7 bits, and G2, whose roots have coordinates +-3;
     # (0, 7) on G2 takes 7-bit fields
-    ch = weyl_character(rs, lam)
-    assert ch.packing.mask >= 255 or lam == (0, 7)
-    assert ch.mults == freudenthal_table_by_tuples(rs, lam)
-    assert list(ch.items()) == sorted(ch.mults.items())
+    tables = [weyl_character(rs, lam)]
+    if rs.rank == 1:
+        tables.append(charalg._freudenthal_table(rs, lam))
+    for ch in tables:
+        assert ch.packing.mask >= 255 or lam == (0, 7)
+        assert ch.mults == freudenthal_table_by_tuples(rs, lam)
+        assert list(ch.items()) == sorted(ch.mults.items())
 
 
 def test_multiplicity_outside_the_fields_is_zero():
@@ -302,6 +313,26 @@ def test_verify_weyl_invariance_reads_no_order_cap(monkeypatch):
     # the old whole-group loop was refused at a cap below the group order
     check = _one_check(monkeypatch, "charalg.weyl_character_invariant", RunConfig(weyl_order_cap=1))
     assert (check.status, check.detail) == ("pass", "")
+
+
+def test_weyl_character_a1_is_linear_in_the_weight(monkeypatch):
+    # rank one is one Demazure operator: Freudenthal's root strings made
+    # W = 32,000 take 12 s, and W = 999,999 is within every cap
+    def refuse(rs, lam):
+        raise AssertionError("rank one went through Freudenthal")
+
+    monkeypatch.setattr(charalg, "_freudenthal_table", refuse)
+    w = 32_000
+    assert dict(weyl_character(A1, (w,)).items()) == {(w - 2 * k,): 1 for k in range(w + 1)}
+    w = 999_999
+    ch = weyl_character(A1, (w,))
+    bias = ch.packing.bias
+    assert ch.packed == dict.fromkeys(range(bias - w, bias + w + 1, 2), 1)
+    assert ch.dimension() == w + 1 == DEFAULT_DIM_CAP
+    # the cap on the dimension is the only cap: at dim = dim_cap it passes
+    assert weyl_character(A1, (40,), dim_cap=41).dimension() == 41
+    with pytest.raises(ResourceLimitError, match="^Weyl dimension 41 exceeds cap 40$"):
+        weyl_character(A1, (40,), dim_cap=40)
 
 
 def test_weyl_character_guards():
@@ -593,6 +624,37 @@ def test_truncated_char_matches_steinberg_oracle(rs, p):
     # the product over roots against Freudenthal's Steinberg character at
     # (p-1) rho, shifted: the two share no code
     assert truncated_char(rs, p).mults == truncated_char_by_steinberg(rs, p)
+
+
+def test_truncated_char_refuses_p_above_the_term_cap_before_any_table():
+    # the first root's table holds p weights, and later roots only add weights
+    p = 1_000_003
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"^truncated algebra exceeds term cap {p - 1}$"):
+            truncated_char(A1, p, term_cap=p - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert truncated_char(A1, p, term_cap=p).dimension() == p
+    with pytest.raises(ResourceLimitError, match="^truncated algebra exceeds term cap 4$"):
+        truncated_char(G2, 5, term_cap=4)
+
+
+def test_characteristic_is_checked_by_primefield():
+    # the range before the trial division, then primality, then the term cap
+    big = 2**31 + 11   # prime
+    for p, message in [(1, "characteristic must be an integer in [2, 2^31], got 1"),
+                       (big, f"characteristic must be an integer in [2, 2^31], got {big}"),
+                       (6, "6 is not prime")]:
+        calls = [lambda: g1_cohomology_char(A1, [], (0,), p)]
+        if p != big:   # a p that passed a bare is_prime made a table of p weights here
+            calls.append(lambda: truncated_char(A1, p, term_cap=1))
+        for call in calls:
+            with pytest.raises(InputError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 def _prefix(rs, roots):
@@ -939,6 +1001,15 @@ def test_g1_preconditions():
         g1_cohomology_char(A1, [], (-1,), 3)    # not dominant
     with pytest.raises(InputError):
         g1_cohomology_char(A2, [1], (0, 0), 5)  # w.0 not dominant
+    with pytest.raises(InputError, match="^top degree i_max must be nonnegative$"):
+        g1_cohomology_char(A1, [], (1,), 3, i_max=-1)
+
+
+def test_g1_below_the_word_length_is_zero():
+    # degrees below l(w) carry no cohomology; i_max there is no input error
+    for i_max in (0, 1):
+        table = g1_cohomology_char(A2, [1, 2], (1, 1), 5, i_max=i_max)
+        assert list(table) == list(range(i_max + 1)) and not any(table.values())
 
 
 # -- Koszul identities ------------------------------------------------------------

@@ -693,6 +693,67 @@ def test_duplicate_simple_indices_exit_2(capsys, argv, listed):
         assert err == f"input error: duplicate simple indices in {listed}\n"
 
 
+_HUGE_PRIME = 1000000000000000003   # prime and above 2^31: trial division takes minutes
+
+
+@pytest.mark.parametrize("argv", [
+    ["sln", "check", "--n", "2"], ["sln", "parabolic", "--n", "2", "--subset", "1"],
+    ["sln", "canonical", "--n", "2"], ["sln", "mvk", "--n", "2"], ["verify", "sln", "--n", "2"],
+    ["char", "trunc", "A1"], ["g1", "A1", "--weight", "0"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_characteristic_range_is_checked_before_primality(argv):
+    # every command reads p as PrimeField does, its range before trial division
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(fpoly.__file__))
+    run = subprocess.run([sys.executable, "-m", "flagsplit.cli", *argv, "--p", str(_HUGE_PRIME)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=10)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == ("input error: characteristic must be an integer in [2, 2^31], "
+                          f"got {_HUGE_PRIME}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sln", "check", "--n", "2", "--p", "6"], "6 is not prime"),
+    (["char", "trunc", "A1", "--p", "6"], "6 is not prime"),
+    (["g1", "A1", "--weight", "0", "--p", "6"], "6 is not prime"),
+    (["sln", "check", "--n", "2", "--p", "1"], "characteristic must be an integer in [2, 2^31], got 1"),
+    (["g1", "A1", "--weight", "0", "--p", "2147483659"],
+     "characteristic must be an integer in [2, 2^31], got 2147483659"),
+    (["sln", "check", "--n", "0", "--p", "3"], "A0 is not a valid simple type"),
+    (["sln", "mvk", "--n", "9", "--p", "3"], "rank 9 exceeds the cap 8"),
+    (["verify", "sln", "--n", "9", "--p", "3"], "rank 9 exceeds the cap 8"),
+    (["sln", "parabolic", "--n", "2", "--p", "3", "--subset", "3"],
+     "simple-root index 3 out of range 1..2"),
+    (["sln", "mvk", "--n", "2", "--p", "3", "--compat", "3"], "simple-root index 3 out of range 1..2"),
+    (["sln", "parabolic", "--n", "0", "--p", "3", "--subset", "1,1"], "A0 is not a valid simple type"),
+    (["sln", "parabolic", "--n", "2", "--p", "4", "--subset", "3"], "4 is not prime"),
+    (["g1", "A1", "--weight", "0", "--p", "5", "--max-i", "-1"],
+     "top degree i_max must be nonnegative"),
+], ids=["sln-p6", "trunc-p6", "g1-p6", "sln-p1", "g1-p2^31+11", "sln-n0", "mvk-n9", "verify-n9",
+        "parabolic-subset3", "mvk-compat3", "parabolic-n0-before-subset",
+        "parabolic-p4-before-subset", "g1-max-i-1"])
+def test_inputs_are_refused_by_their_owners(capsys, argv, message):
+    # n and the subset by rootdata, p by PrimeField, n and p before the subset
+    for json_flag in ([], ["--json"]):
+        assert run(capsys, *argv, *json_flag) == (2, "", f"input error: {message}\n")
+
+
+def test_char_trunc_above_the_term_cap_builds_no_table(capsys):
+    # A1's only table holds p weights: p = 4000037 once took 341 MB to refuse
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "char", "trunc", "A1", "--p", "4000037")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "resource limit: truncated algebra exceeds term cap 1000000\n")
+    assert peak < 2**20
+
+
 def test_json_builds_no_text_lines(capsys, monkeypatch):
     text, _ = run(capsys, "char", "weyl", "A2", "--weight", "1,1")[1:]
     assert text.splitlines()[-1] == "  dimension 8"

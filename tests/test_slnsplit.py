@@ -30,6 +30,7 @@ from flagsplit.slnsplit import (
     springer_equivariance_ok,
 )
 
+from flagsplit.rootdata import build_root_system, parabolic_subset
 from flagsplit.verify import RunConfig, suite_sln
 
 from oracles import (
@@ -441,6 +442,56 @@ def test_input_validation():
             canonical_check(n, p)
         with pytest.raises(InputError):
             springer_equivariance_ok(n, p)
+
+
+_RANGE = "characteristic must be an integer in [2, 2^31], got {}"
+
+
+@pytest.mark.parametrize("build", [
+    lambda n, p: build_chart_function(n, p),
+    lambda n, p: build_parabolic_chart_function(n, p, [1]),
+    lambda n, p: build_mvk_component(n, p),
+    lambda n, p: splitting_check(n, p, [1]),
+    lambda n, p: canonical_check(n, p),
+    lambda n, p: springer_equivariance_ok(n, p),
+], ids=["chart", "parabolic", "mvk", "check", "canonical", "springer"])
+def test_inputs_are_checked_by_their_owners(build):
+    # n is the rank of A_n, refused by rootdata; p is a characteristic,
+    # range-checked by PrimeField before any trial division
+    for n, p, message in [
+        (0, 3, "A0 is not a valid simple type"),
+        (-1, 3, "A-1 is not a valid simple type"),
+        (9, 3, "rank 9 exceeds the cap 8"),
+        (2, 6, "6 is not prime"),
+        (2, 1, _RANGE.format(1)),
+        (2, 2**31 + 11, _RANGE.format(2**31 + 11)),   # prime, above the range
+        (9, 2**31 + 11, "rank 9 exceeds the cap 8"),   # n before p
+    ]:
+        with pytest.raises(InputError) as exc:
+            build(n, p)
+        assert str(exc.value) == message
+
+
+def test_subsets_are_checked_by_rootdata():
+    # one check in rootdata for slnsplit and parabolic_subset, after n and p
+    a2 = build_root_system("A", 2)
+    cf = build_chart_function(2, 3)
+    for subset, message in [([3], "simple-root index 3 out of range 1..2"),
+                            ([0], "simple-root index 0 out of range 1..2"),
+                            ([1, 1], "duplicate simple indices in [1, 1]"),
+                            ((2, 1, 2), "duplicate simple indices in [2, 1, 2]")]:
+        for build in (lambda: parabolic_subset(a2, subset),
+                      lambda: build_parabolic_chart_function(2, 3, subset),
+                      lambda: splitting_check(2, 3, subset),
+                      lambda: levi_x_ideal(cf, subset),
+                      lambda: compat_check(cf, subset)):
+            with pytest.raises(InputError) as exc:
+                build()
+            assert str(exc.value) == message
+    with pytest.raises(InputError, match="^6 is not prime$"):
+        splitting_check(2, 6, [3])
+    with pytest.raises(InputError, match="^rank 9 exceeds the cap 8$"):
+        build_parabolic_chart_function(9, 3, [1, 1])
 
 
 def test_n3_beyond_acceptance_guards():
